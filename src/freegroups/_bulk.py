@@ -8,9 +8,9 @@ ascending, then lexicographic in the canonical letter order (+1, -1,
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
+
+MAX_RANK = 127
 
 
 def _canonical_letters(rank: int) -> np.ndarray:
@@ -22,6 +22,8 @@ def _canonical_letters(rank: int) -> np.ndarray:
 
 def words_of_length(rank: int, length: int) -> np.ndarray:
     """All reduced words of exactly this length, one row each."""
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds {MAX_RANK}, the most int8 letter codes hold")
     if rank == 0 or length == 0:
         return np.zeros((1 if length == 0 else 0, length), dtype=np.int8)
     letters = _canonical_letters(rank)
@@ -108,53 +110,3 @@ def cyclic_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return start, end
         start = start + strip
         end = end - strip
-
-
-def letter_table(endo) -> np.ndarray:
-    """Signed-letter lookup table for a letter-permutation endomorphism."""
-    rank = endo.domain.rank
-    table = np.zeros(2 * rank + 1, dtype=np.int8)
-    for i in range(rank):
-        image = endo.images[endo.domain.generators[i]].letters
-        if len(image) != 1:
-            raise ValueError("not a letter permutation")
-        table[i + 1 + rank] = image[0]
-        table[-(i + 1) + rank] = -image[0]
-    return table
-
-
-def fixed_letter_tuples(rank: int, max_len: int, table: np.ndarray) -> Iterator[tuple[int, ...]]:
-    """Letter tuples of all words of length <= max_len fixed by the table map."""
-    yield ()
-    for length in range(1, max_len + 1):
-        arr = words_of_length(rank, length)
-        if arr.shape[0] == 0:
-            return
-        image = table[arr.astype(np.intp) + rank]
-        fixed = (image == arr).all(axis=1)
-        for row in arr[fixed]:
-            yield tuple(int(x) for x in row)
-
-
-def nonfixed_with_marked_letter(
-    rank: int,
-    max_len: int,
-    table: np.ndarray,
-    marked: frozenset[int],
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Scan words containing a marked generator; find one fixed by the map.
-
-    Returns (no fixed point found, first fixed word or None), enumerating
-    in the canonical order so the witness is deterministic.
-    """
-    for length in range(1, max_len + 1):
-        arr = words_of_length(rank, length)
-        if arr.shape[0] == 0:
-            break
-        has_marked = np.isin(np.abs(arr), sorted(marked)).any(axis=1)
-        image = table[arr.astype(np.intp) + rank]
-        fixed = (image == arr).all(axis=1) & has_marked
-        if fixed.any():
-            row = arr[int(np.argmax(fixed))]
-            return False, tuple(int(x) for x in row)
-    return True, None

@@ -5,16 +5,11 @@ output is plain text, byte-identical across runs for identical inputs;
 randomized checks live in the test suite, never here.  Exit status: 0
 for success / true / PASS, 1 for a mathematical false / FAIL (including
 an inconclusive capped search), 2 for usage or parse errors.
-
-The worker-count option (or FREEGROUPS_WORKERS) is validated and
-accepted for compatibility with fan-out runners; sweeps here run
-sequentially, so output never depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -98,19 +93,6 @@ def _print_map(f: endos.Endomorphism) -> None:
 def _bool_exit(value: bool) -> int:
     print("true" if value else "false")
     return 0 if value else 1
-
-
-def _workers(args) -> int:
-    raw = getattr(args, "workers", None)
-    if raw is None:
-        raw = os.environ.get("FREEGROUPS_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid worker count {raw!r}") from None
-    if workers < 1:
-        raise ValueError("worker count must be positive")
-    return workers
 
 
 # --- word algebra -----------------------------------------------------------
@@ -284,7 +266,6 @@ def cmd_fixed(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    _workers(args)
     pres = _presentation(args)
     element = _domain_word(pres, args.element)
     if isinstance(pres, splittings.HnnPresentation):
@@ -325,7 +306,6 @@ def cmd_compressed_check(args) -> int:
 
 
 def cmd_verify_counterexample(args) -> int:
-    _workers(args)
     if args.format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     report = closure.verify_counterexample(args.a0, args.l_solution, args.l_separation)
@@ -433,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("orbit", pres=True)
     p.add_argument("--element", required=True)
     p.add_argument("--n", type=int, default=20)
-    p.add_argument("--workers", default=None)
     p = add("abelian-acl", gens=True)
     p.add_argument("word")
     p = add("compressed-check")
@@ -443,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-solution", type=int, default=6)
     p.add_argument("--l-separation", type=int, default=8)
     p.add_argument("--format", default="text", choices=FORMATS)
-    p.add_argument("--workers", default=None)
     return parser
 
 

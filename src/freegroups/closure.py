@@ -11,12 +11,15 @@ fixes A, inverts y, and sends t to t d^-1 with d = a y^-1 b y^-1; it is
 an automorphism fixing A pointwise (certified here by its explicit
 inverse t -> t a y b y).  The pipeline checks that the equation
 u^s = a z b z a z^-1 b z^-1 pins z down to {y, y^-1} inside a bounded
-sweep, while g moves every bounded word outside A.  These sweeps are
-regression checks at desk scale, not proofs: they exercise the
-construction, they do not re-derive it.  Candidates are always visited
-in enumeration order (length, then canonical letter order), so results
-and witnesses are deterministic no matter how a runner partitions the
-space.
+sweep, and that g fixes no word of H outside A at any length.  The
+latter is exact: g permutes the letters of H, and a map sending each
+generator to a single letter rewrites a word letter by letter, which
+free reduction can only shorten, so it fixes a reduced word iff it
+fixes each of its letters.  The solution sweep is a regression check
+at desk scale, not a proof: it exercises the construction, it does not
+re-derive it.  Candidates are always visited in enumeration order
+(length, then canonical letter order), so results and witnesses are
+deterministic.
 """
 
 from __future__ import annotations
@@ -332,10 +335,14 @@ def dcl_separation_check(
     a_names: tuple[str, ...],
     max_len: int,
 ) -> tuple[bool, Optional[Word]]:
-    """Exhaustively confirm g moves every bounded word outside <a_names>.
+    """Confirm g fixes no reduced word containing a generator outside a_names.
 
-    Scans reduced words containing at least one generator outside the
-    listed ones; returns (ok, first fixed witness or None).
+    Returns (ok, first fixed witness or None), the witness first in
+    enumeration order.  When g sends every generator to a single letter
+    the answer is exact at every length: such a map fixes a reduced
+    word iff it fixes each of its letters, so a fixed word outside
+    <a_names> exists iff g fixes one of the other generators, and the
+    first such generator is the first witness.  Any other map is scanned word by word up to max_len.
     """
     alphabet = g_base.domain
     if not isinstance(alphabet, Alphabet):
@@ -346,11 +353,11 @@ def dcl_separation_check(
     if not marked:
         return True, None
     if g_base.is_letter_permutation():
-        table = _bulk.letter_table(g_base)
-        ok, witness = _bulk.nonfixed_with_marked_letter(alphabet.rank, max_len, table, marked)
-        if witness is None:
-            return ok, None
-        return ok, Word(alphabet, witness, _reduced=True)
+        for i in sorted(marked):
+            x = Word(alphabet, (i,), _reduced=True)
+            if g_base.apply(x) == x:
+                return False, x
+        return True, None
     for lets in iter_reduced_letter_tuples(alphabet.rank, max_len, min_len=1):
         if not any(abs(l) in marked for l in lets):
             continue
@@ -361,25 +368,14 @@ def dcl_separation_check(
 
 
 @dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Report):
     a0_size: int
     rank: int
     l_solution: int
     l_separation: int
-    checks: tuple[Check, ...]
     # Solutions found by the bounded sweep; empty when the pipeline
     # stopped before reaching it.
     solutions: tuple[Word, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 CHECK_ORDER = (
@@ -418,7 +414,12 @@ def verify_counterexample(
 
     def report() -> CounterexampleReport:
         return CounterexampleReport(
-            a0_size, a0_size + 4, l_solution, l_separation, tuple(checks), solutions
+            checks=tuple(checks),
+            a0_size=a0_size,
+            rank=a0_size + 4,
+            l_solution=l_solution,
+            l_separation=l_separation,
+            solutions=solutions,
         )
 
     # (a) the splitting hypotheses: u, v root-free and non-conjugate.
@@ -489,17 +490,19 @@ def verify_counterexample(
     ):
         return report()
 
-    # (f) g fixes nothing outside A at the separation bound.
+    # (f) g fixes nothing outside A: at every length for a letter map,
+    # else up to the separation bound.
     ok, witness = dcl_separation_check(setup.g_base, setup.a_names, l_separation)
-    push(
-        Check(
-            "dcl_separation_ok",
-            ok,
-            f"no fixed word up to length {l_separation}"
-            if ok
-            else f"fixed witness {format_word(witness)}",
+    if not ok:
+        detail = f"fixed witness {format_word(witness)}"
+    elif setup.g_base.is_letter_permutation():
+        detail = (
+            "no fixed word at any length "
+            "(exact: g permutes letters and fixes no generator outside A)"
         )
-    )
+    else:
+        detail = f"no fixed word up to length {l_separation}"
+    push(Check("dcl_separation_ok", ok, detail))
     return report()
 
 

@@ -189,8 +189,12 @@ def order_bounded(f: Endomorphism, max_order: int) -> Optional[int]:
 def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
     """Folded graph of all reduced words of length <= max_len fixed by f.
 
-    A bounded under-approximation of the fixed subgroup.  Letter
-    permutations sweep in bulk via numpy; general maps fall back to a
+    Exact when f sends every generator to a single letter: f then
+    rewrites a word letter by letter and free reduction can only shorten
+    the result, so f fixes a reduced word iff it fixes each of its
+    letters.  For max_len >= 1 the graph is then the whole fixed
+    subgroup, generated by the fixed generators.  For any other map it
+    is a bounded under-approximation of the fixed subgroup, found by a
     word-by-word scan.
     """
     if not isinstance(f.domain, Alphabet):
@@ -198,13 +202,8 @@ def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
     alphabet = f.domain
     fixed: list[Word]
     if f.is_letter_permutation():
-        from . import _bulk
-
-        table = _bulk.letter_table(f)
-        fixed = [
-            Word(alphabet, lets, _reduced=True)
-            for lets in _bulk.fixed_letter_tuples(alphabet.rank, max_len, table)
-        ]
+        generators = [f.generator_word(name) for name in alphabet.generators] if max_len >= 1 else []
+        fixed = [x for x in generators if f.apply(x) == x]
     else:
         from .words import iter_reduced_words
 

@@ -256,13 +256,20 @@ def test_usage_errors(capsys):
 
 
 def test_workers_validation(capsys, monkeypatch):
-    monkeypatch.setenv("FREEGROUPS_WORKERS", "0")
-    code, _, err = run(
-        capsys, "verify-counterexample", "--l-solution", "1", "--l-separation", "1"
-    )
-    assert code == 2 and "worker" in err
-    monkeypatch.setenv("FREEGROUPS_WORKERS", "2")
-    code, _, _ = run(
-        capsys, "verify-counterexample", "--l-solution", "1", "--l-separation", "1"
-    )
+    argv = ["verify-counterexample", "--l-solution", "1", "--l-separation", "1"]
+    code, _, _ = run(capsys, *argv, "--workers", "2")
+    assert code == 2
+    code, plain, _ = run(capsys, *argv)
     assert code == 0
+    monkeypatch.setenv("FREEGROUPS_WORKERS", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == plain
+
+
+def test_rank_limit_of_int8_codes(capsys):
+    # --a0 k gives rank k + 4; int8 letter codes hold ranks up to 127.
+    argv = ["verify-counterexample", "--l-solution", "1", "--l-separation", "1"]
+    code, out, err = run(capsys, *argv, "--a0", "124")
+    assert code == 2 and out == "" and err.startswith("error:") and "rank 128" in err
+    code, out, _ = run(capsys, *argv, "--a0", "123")
+    assert code == 0 and "rank: 127" in out.splitlines()

@@ -15,8 +15,9 @@ from freegroups.closure import (
     verify_counterexample,
     CHECK_ORDER,
 )
-from freegroups.endos import Endomorphism
-from freegroups.words import commutator, identity, parse_word
+from freegroups.endos import Endomorphism, fixed_words
+from freegroups.splittings import hnn_equal
+from freegroups.words import Word, commutator, identity, iter_reduced_words, parse_word
 
 from conftest import random_reduced, w
 
@@ -169,6 +170,69 @@ def test_dcl_separation_generic_path():
     ok, witness = dcl_separation_check(f, setup.a_names, 3)
     assert not ok
     assert witness == setup.y
+
+
+def _scanned(f):
+    """The same map, forced onto the word-by-word scan paths."""
+    scanned = Endomorphism(f.domain, f.images)
+    scanned.is_letter_permutation = lambda: False
+    return scanned
+
+
+# Letter maps on H = <a, b, u, y>, as images that differ from the identity.
+LETTER_MAPS = {
+    "identity": {},
+    "g_base": {"y": "y^-1"},
+    "swap u y": {"u": "y", "y": "u"},
+    "a -> b": {"a": "b"},
+}
+
+
+@pytest.mark.parametrize("name", LETTER_MAPS)
+def test_letter_map_paths_match_scan(name):
+    setup = build_counterexample(0)
+    alphabet = setup.h_alphabet
+    moves = LETTER_MAPS[name]
+    f = Endomorphism(
+        alphabet, {x: parse_word(alphabet, moves.get(x, x)) for x in alphabet.generators}
+    )
+    assert f.is_letter_permutation()
+    assert (f == setup.g_base) == (name == "g_base")
+    scanned = _scanned(f)
+    # A, a set with u and y both marked, and every generator (none marked).
+    for a_names in (setup.a_names, ("a", "b"), alphabet.generators):
+        for max_len in range(1, 5):
+            assert dcl_separation_check(f, a_names, max_len) == (
+                dcl_separation_check(scanned, a_names, max_len)
+            )
+    # The lemma itself: a word is fixed iff each of its letters is.
+    fixed_letters = set()
+    for letter in alphabet.letters():
+        x = Word(alphabet, (letter,))
+        if f.apply(x) == x:
+            fixed_letters.add(letter)
+    for word_ in iter_reduced_words(alphabet, 4):
+        assert (f.apply(word_) == word_) == (set(word_.letters) <= fixed_letters)
+    # Length 4 is left out here: folding the identity's 3,201 fixed words
+    # of length <= 4 on the scan path takes about a minute.
+    for max_len in range(0, 4):
+        exact, oracle = fixed_words(f, max_len), fixed_words(scanned, max_len)
+        assert exact == oracle and exact.to_text() == oracle.to_text()
+
+
+def test_g_fixes_no_bounded_word_with_stable_letter():
+    # Fix(g) lies in Fix(g^2) = H, since g^2 is a twist of t by a
+    # root-free word; the bounded sweep cross-checks that lift to F.
+    setup = build_counterexample(0)
+    pres = setup.pres
+    t = pres.t_letter
+    with_t = [
+        word_
+        for word_ in iter_reduced_words(pres.extended, 4)
+        if t in word_.letters or -t in word_.letters
+    ]
+    assert len(with_t) == 5000
+    assert not any(hnn_equal(pres, setup.g.apply(word_), word_) for word_ in with_t)
 
 
 def test_verify_counterexample_passes():
