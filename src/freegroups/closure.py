@@ -352,7 +352,7 @@ def dcl_separation_check(
     )
     if not marked:
         return True, None
-    if g_base.is_letter_permutation():
+    if g_base.is_letter_map():
         for i in sorted(marked):
             x = Word(alphabet, (i,), _reduced=True)
             if g_base.apply(x) == x:
@@ -495,7 +495,7 @@ def verify_counterexample(
     ok, witness = dcl_separation_check(setup.g_base, setup.a_names, l_separation)
     if not ok:
         detail = f"fixed witness {format_word(witness)}"
-    elif setup.g_base.is_letter_permutation():
+    elif setup.g_base.is_letter_map():
         detail = (
             "no fixed word at any length "
             "(exact: g permutes letters and fixes no generator outside A)"

@@ -118,7 +118,8 @@ class Endomorphism:
         fc2 = self.substitute(pres.to_union(2, pres.c2))
         return amalgam_equal(pres, fc1, fc2)
 
-    def is_letter_permutation(self) -> bool:
+    def is_letter_map(self) -> bool:
+        """True iff every generator maps to one letter; non-injective maps like ``a -> b`` count."""
         return all(len(img) == 1 for img in self.images.values())
 
     def generator_word(self, name: str) -> Word:
@@ -201,7 +202,7 @@ def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
         raise ValueError("fixed_words applies to free-group endomorphisms")
     alphabet = f.domain
     fixed: list[Word]
-    if f.is_letter_permutation():
+    if f.is_letter_map():
         generators = [f.generator_word(name) for name in alphabet.generators] if max_len >= 1 else []
         fixed = [x for x in generators if f.apply(x) == x]
     else:

@@ -148,13 +148,12 @@ class Word:
         return Word(self.alphabet, tuple(-l for l in reversed(self.letters)), _reduced=True)
 
     def __pow__(self, n: int) -> "Word":
+        """conjugator * core^n * conjugator^-1, with no reduction left to do."""
         if n == 0:
             return Word(self.alphabet, (), _reduced=True)
-        base = self if n > 0 else ~self
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        core, conj = cyclically_reduce(self if n > 0 else ~self)
+        lets = conj.letters + core.letters * abs(n) + (~conj).letters
+        return Word(self.alphabet, lets, _reduced=True)
 
     def conjugate_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from freegroups.words import Alphabet, Word, parse_word
 
@@ -37,3 +38,13 @@ def random_raw_letters(rng: random.Random, rank: int, max_len: int) -> list[int]
 
 def w(alphabet: Alphabet, text: str) -> Word:
     return parse_word(alphabet, text)
+
+
+@st.composite
+def reduced_words(draw, alphabet: Alphabet, max_len: int) -> Word:
+    """Hypothesis strategy: a freely reduced word of length 0..max_len."""
+    letters: list[int] = []
+    for _ in range(draw(st.integers(0, max_len))):
+        options = [l for l in alphabet.letters() if not letters or l != -letters[-1]]
+        letters.append(draw(st.sampled_from(options)))
+    return Word(alphabet, tuple(letters), _reduced=True)

@@ -162,11 +162,11 @@ def test_dcl_separation(f2):
 def test_dcl_separation_generic_path():
     setup = build_counterexample(0)
     alphabet = setup.h_alphabet
-    # A non-letter-permutation map (u doubles) that still fixes y.
+    # A map that is not a letter map (u doubles) that still fixes y.
     images = {name: parse_word(alphabet, name) for name in alphabet.generators}
     images["u"] = parse_word(alphabet, "u^2")
     f = Endomorphism(alphabet, images)
-    assert not f.is_letter_permutation()
+    assert not f.is_letter_map()
     ok, witness = dcl_separation_check(f, setup.a_names, 3)
     assert not ok
     assert witness == setup.y
@@ -175,7 +175,7 @@ def test_dcl_separation_generic_path():
 def _scanned(f):
     """The same map, forced onto the word-by-word scan paths."""
     scanned = Endomorphism(f.domain, f.images)
-    scanned.is_letter_permutation = lambda: False
+    scanned.is_letter_map = lambda: False
     return scanned
 
 
@@ -196,7 +196,7 @@ def test_letter_map_paths_match_scan(name):
     f = Endomorphism(
         alphabet, {x: parse_word(alphabet, moves.get(x, x)) for x in alphabet.generators}
     )
-    assert f.is_letter_permutation()
+    assert f.is_letter_map()
     assert (f == setup.g_base) == (name == "g_base")
     scanned = _scanned(f)
     # A, a set with u and y both marked, and every generator (none marked).

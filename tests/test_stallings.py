@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stallings_oracle as oracle
 from freegroups.stallings import (
     SubgroupGraph,
     graph_from_text,
@@ -10,9 +13,16 @@ from freegroups.stallings import (
     is_malnormal,
     subgroup_graph,
 )
-from freegroups.words import extract_root, identity, iter_reduced_words
+from freegroups.words import (
+    Alphabet,
+    Word,
+    extract_root,
+    identity,
+    is_cyclically_reduced,
+    iter_reduced_words,
+)
 
-from conftest import random_reduced, w
+from conftest import random_reduced, reduced_words, w
 
 
 def test_single_loop(f2):
@@ -184,3 +194,110 @@ def test_express_in_basis(f2):
             rebuilt = rebuilt * (basis[idx - 1] if idx > 0 else ~basis[-idx - 1])
         assert rebuilt == member
     assert g.express_in_basis(w(f2, "y")) is None
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the original quadratic path (stallings_oracle).
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=200, deadline=None)
+ALPHABETS = [Alphabet([f"g{i}" for i in range(1, rank + 1)]) for rank in range(1, 5)]
+
+
+@st.composite
+def generator_lists(draw):
+    """An alphabet of rank 1-4 and 0-5 reduced words of length 0-12."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    return alphabet, draw(st.lists(reduced_words(alphabet, 12), max_size=5))
+
+
+@st.composite
+def graph_texts(draw):
+    """A connected folded graph in file form, core or not (hairs and all)."""
+    rank = draw(st.integers(1, 3))
+    out, inc, lines = set(), set(), []
+    vertices = 1
+    for _ in range(draw(st.integers(0, 14))):
+        src = draw(st.integers(0, vertices - 1))
+        dst = draw(st.integers(0, vertices))  # == vertices: a new one
+        if draw(st.booleans()):
+            src, dst = dst, src
+        g = draw(st.integers(1, rank))
+        if (src, g) in out or (dst, g) in inc:
+            continue
+        out.add((src, g))
+        inc.add((dst, g))
+        lines.append(f"{src} g{g} {dst}")
+        vertices += vertices in (src, dst)
+    gens = " ".join(f"g{g}" for g in range(1, rank + 1))
+    return "\n".join([f"gens {gens}", "base 0"] + lines) + "\n"
+
+
+@DIFFERENTIAL
+@given(generator_lists())
+def test_fold_matches_oracle(case):
+    alphabet, gens = case
+    assert subgroup_graph(alphabet, gens).edges == oracle.subgroup_edges(alphabet.rank, gens)
+
+
+@DIFFERENTIAL
+@given(generator_lists(), st.data())
+def test_fold_invariant_under_order_and_inversion(case, data):
+    alphabet, gens = case
+    flips = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    moved = data.draw(st.permutations([~x if f else x for x, f in zip(gens, flips)]))
+    assert subgroup_graph(alphabet, moved) == subgroup_graph(alphabet, gens)
+
+
+@DIFFERENTIAL
+@given(generator_lists(), st.data())
+def test_malnormal_and_intersect_match_oracle(case, data):
+    alphabet, gens = case
+    graph = subgroup_graph(alphabet, gens)
+    assert is_malnormal(graph) == oracle.is_malnormal(graph.edges)
+    other = subgroup_graph(alphabet, data.draw(st.lists(reduced_words(alphabet, 12), max_size=3)))
+    expected = oracle.intersect_edges(alphabet.rank, graph.edges, other.edges)
+    assert intersect(graph, other).edges == expected
+
+
+@DIFFERENTIAL
+@given(graph_texts())
+def test_malnormal_matches_oracle_on_non_core_graphs(text):
+    graph = graph_from_text(text)
+    assert is_malnormal(graph) == oracle.is_malnormal(graph.edges)
+
+
+# ---------------------------------------------------------------------------
+# Sizes at which a super-linear fold or malnormality test would not finish.
+# The answers are known by construction; nothing is timed.
+
+
+def _root_free_cyclic(rng: random.Random, alphabet: Alphabet, length: int) -> Word:
+    while True:
+        word_ = random_reduced(rng, alphabet, length, min_len=length)
+        if is_cyclically_reduced(word_) and extract_root(word_) == (word_, 1):
+            return word_
+
+
+def test_fold_long_conjugator(f3):
+    # p ends in z, so p x^i y x^-i p^-1 is reduced; the x^i y x^-i
+    # (i = 0..5) are a free basis, so the conjugates generate rank 6.
+    rng = random.Random(61)
+    p = random_reduced(rng, f3, 999, min_len=999)
+    while p.letters[-1] == -3:
+        p = random_reduced(rng, f3, 999, min_len=999)
+    p = p * w(f3, "z")
+    assert len(p) == 1000
+    gens = [p * w(f3, "x") ** i * w(f3, "y") * w(f3, "x") ** -i * ~p for i in range(6)]
+    graph = subgroup_graph(f3, gens)
+    assert graph.rank() == 6
+    assert all(graph.contains(g) for g in gens)
+
+
+def test_malnormal_long_root_free_word(f2):
+    word_ = _root_free_cyclic(random.Random(67), f2, 600)
+    assert is_malnormal(subgroup_graph(f2, [word_]))
+
+
+def test_not_malnormal_long_square(f2):
+    word_ = _root_free_cyclic(random.Random(71), f2, 300)
+    assert not is_malnormal(subgroup_graph(f2, [word_**2]))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freegroups.words import (
     Alphabet,
@@ -21,7 +23,7 @@ from freegroups.words import (
     power_of,
 )
 
-from conftest import random_raw_letters, random_reduced, w
+from conftest import random_raw_letters, random_reduced, reduced_words, w
 
 
 def test_alphabet_validation():
@@ -81,6 +83,21 @@ def test_mul_inverse_pow(f2):
     assert a**3 == w(f2, "x y x y x y")
     assert a**-2 == ~(a**2)
     assert a**0 == identity(f2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=reduced_words(Alphabet("x y z"), 12), n=st.integers(-6, 6))
+@example(x=identity(Alphabet("x y z")), n=0)
+@example(x=identity(Alphabet("x y z")), n=-4)
+@example(x=Word(Alphabet("x y z"), (1, 2, -1)), n=0)
+@example(x=Word(Alphabet("x y z"), (1, 2, 3, -2, -1)), n=-5)
+def test_pow_matches_repeated_multiplication(x, n):
+    expected = identity(x.alphabet)
+    for _ in range(abs(n)):
+        expected = expected * (x if n > 0 else ~x)
+    power = x**n
+    assert power == expected
+    assert free_reduce(power.letters) == power.letters
 
 
 def test_cyclic_reduce_examples(f2, h_rank4):
