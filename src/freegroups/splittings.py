@@ -152,54 +152,46 @@ def validate_presentation(pres: HnnPresentation) -> Report:
     return Report(tuple(checks))
 
 
-def _split_syllables(pres: HnnPresentation, w: Word) -> tuple[list[Word], list[int]]:
-    """Split an extended word as g0 t^e1 g1 ...; returns (words, signs)."""
-    if w.alphabet != pres.extended:
-        raise ValueError("word is not over the extension alphabet")
-    t = pres.t_letter
-    words: list[list[int]] = [[]]
-    signs: list[int] = []
-    for letter in w.letters:
-        if abs(letter) == t:
-            signs.append(1 if letter > 0 else -1)
-            words.append([])
+def _push(out: list[int], letters) -> None:
+    """Append letters to a reduced letter list, cancelling as they come."""
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
         else:
-            words[-1].append(letter)
-    return [Word(pres.base, tuple(ls), _reduced=True) for ls in words], signs
+            out.append(letter)
 
 
 def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
-    """Rewrite leftmost pinches until none remains.
+    """Rewrite leftmost pinches until none remains, in one left-to-right pass.
 
     t^-1 u^p t -> v^p and t v^p t^-1 -> u^p; membership in <u> or <v> is
-    decided exactly through root extraction, no search.
+    decided exactly through root extraction, no search.  The syllables
+    read so far form a pinch-free stack, so a stable letter can only
+    close a pinch with the top base word, and that pinch is the leftmost
+    one in the word: the pinches are those of rescanning after each one.
+    A pinch appends its replacement and the next base syllable to the
+    base word below the top, cancelling as it goes.
     """
-    words, signs = _split_syllables(pres, w)
-    while True:
-        for i in range(len(signs) - 1):
-            mid = words[i + 1]
-            if signs[i] == -1 and signs[i + 1] == 1:
-                p = power_of(mid, pres.u)
-                if p is not None:
-                    replacement = pres.v**p
-                else:
-                    continue
-            elif signs[i] == 1 and signs[i + 1] == -1:
-                p = power_of(mid, pres.v)
-                if p is not None:
-                    replacement = pres.u**p
-                else:
-                    continue
-            else:
+    if w.alphabet != pres.extended:
+        raise ValueError("word is not over the extension alphabet")
+    lets, t = w.letters, pres.t_letter
+    cuts = [i for i, letter in enumerate(lets) if letter == t or letter == -t] + [len(lets)]
+    words = [list(lets[: cuts[0]])]
+    signs: list[int] = []
+    for i, j in zip(cuts, cuts[1:]):
+        eps = 1 if lets[i] > 0 else -1
+        if signs and signs[-1] == -eps:
+            edge, image = (pres.u, pres.v) if eps > 0 else (pres.v, pres.u)
+            p = power_of(Word(pres.base, tuple(words[-1]), _reduced=True), edge)
+            if p is not None:
+                signs.pop()
+                words.pop()
+                _push(words[-1], (image**p).letters + lets[i + 1 : j])
                 continue
-            merged = words[i] * replacement * words[i + 2]
-            words[i : i + 3] = [merged]
-            del signs[i : i + 2]
-            break
-        else:
-            break
-    tail = tuple((signs[k], words[k + 1]) for k in range(len(signs)))
-    return BrittonForm(words[0], tail)
+        signs.append(eps)
+        words.append(list(lets[i + 1 : j]))
+    base = [Word(pres.base, tuple(ls), _reduced=True) for ls in words]
+    return BrittonForm(base[0], tuple(zip(signs, base[1:])))
 
 
 def hnn_length(form: BrittonForm) -> int:

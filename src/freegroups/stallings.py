@@ -93,31 +93,33 @@ class SubgroupGraph:
     def is_rose(self) -> bool:
         return len(self._vertices) == 1 and len(self.edges) == self.alphabet.rank
 
-    def _spanning_tree(self) -> tuple[dict[int, tuple[int, ...]], list[Edge]]:
-        """BFS tree paths from the base plus the non-tree edges (sorted).
+    def _spanning_tree(self) -> tuple[dict, list[Edge]]:
+        """BFS tree steps from the base plus the non-tree edges (sorted).
 
-        Paths are letter tuples; exploration order is (generator index,
-        out before in), matching the canonical renumbering.
+        Each vertex maps to the (parent, letter) step that reached it, the
+        base to None; exploration order is (generator index, out before
+        in), matching the canonical renumbering.
         """
         found = _bfs(0, _neighbours(self.step, self.alphabet))
-        path: dict[int, tuple[int, ...]] = {0: ()}
-        tree_edges: set[Edge] = set()
-        for w, step in found.items():
-            if step is not None:
-                v, letter = step
-                path[w] = path[v] + (letter,)
-                tree_edges.add((v, letter, w) if letter > 0 else (w, -letter, v))
-        non_tree = sorted(e for e in self.edges if e not in tree_edges)
-        return path, non_tree
+        tree_edges = {(v, g, w) if g > 0 else (w, -g, v) for w, (v, g) in list(found.items())[1:]}
+        return found, sorted(e for e in self.edges if e not in tree_edges)
 
     def basis(self) -> list[Word]:
         """A free basis from the spanning-tree complement."""
-        path, non_tree = self._spanning_tree()
-        basis = []
-        for src, g, dst in non_tree:
-            lets = path[src] + (g,) + tuple(-l for l in reversed(path[dst]))
-            basis.append(Word(self.alphabet, free_reduce(lets), _reduced=True))
-        return basis
+        found, non_tree = self._spanning_tree()
+
+        def up(v: int) -> list[int]:
+            """Inverse letters of the tree path from v back to the base."""
+            out = []
+            while found[v] is not None:
+                v, letter = found[v]
+                out.append(-letter)
+            return out
+
+        return [
+            Word(self.alphabet, free_reduce([-l for l in reversed(up(src))] + [g] + up(dst)), _reduced=True)
+            for src, g, dst in non_tree
+        ]
 
     def express_in_basis(self, w: Word) -> Optional[tuple[int, ...]]:
         """Rewrite a member word over the spanning-tree basis.
@@ -125,7 +127,7 @@ class SubgroupGraph:
         Returns signed basis indices (1-based, aligned with ``basis()``),
         or None when w is not in the subgroup.
         """
-        path, non_tree = self._spanning_tree()
+        _, non_tree = self._spanning_tree()
         index = {e: k + 1 for k, e in enumerate(non_tree)}
         cur = 0
         out: list[int] = []
@@ -171,6 +173,7 @@ def graph_from_text(text: str) -> SubgroupGraph:
             edges.append((int(src), alphabet.index(label) + 1, int(dst)))
     if alphabet is None:
         raise ValueError("graph file missing gens line")
+    SubgroupGraph(alphabet, edges)  # raises ValueError("graph is not folded")
     declared = {0} | {v for e in edges for v in (e[0], e[2])}
     adjacency = _adjacency(edges)
     seen = _bfs(0, lambda v: adjacency.get(v, ())).keys()

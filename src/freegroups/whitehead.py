@@ -13,15 +13,25 @@ minimal total length in its automorphism orbit admits a single type-II
 move that strictly shortens it, and minimal tuples in the same orbit are
 connected through constant-length type-II chains.  Free-factor detection
 therefore minimizes, then searches the constant-length orbit
-breadth-first.  The search runs sequentially here; a parallel frontier
-would only need the visited set to offer atomic insert-if-absent.  The orbit search stores exact word tuples (not cyclic
+breadth-first.  The orbit search stores exact word tuples (not cyclic
 words) in its visited set; single-word primitivity minimizes cyclic
 length, per standard practice.
+
+No move is applied just to learn its length change.  The Whitehead
+(star) graph of a tuple has the 2n letters as vertices and, for every
+pair of adjacent letters ``x y``, an edge joining x and y^-1; cyclic
+words wrap around, and a linear word gets a sentinel letter, in no A,
+at both ends.  The move (A, a) changes the total length by cap(A) -
+deg(a), where cap(A) counts the edges leaving A (Lyndon & Schupp,
+Combinatorial Group Theory, Prop. I.4.16).  A descent step builds the
+graph in O(|w|) and the deltas of all M = 2n(4^(n-1) - 1) type-II moves
+in O(M), each from a smaller one; only the move it takes is applied.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,16 +83,7 @@ class WhiteheadMove:
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        out: list[int] = []
-        for letter in w.letters:
-            out.extend(self.letter_image(letter))
-        return Word(self.alphabet, free_reduce(out), _reduced=True)
-
-    def apply_letters(self, letters: tuple[int, ...]) -> tuple[int, ...]:
-        out: list[int] = []
-        for letter in letters:
-            out.extend(self.letter_image(letter))
-        return free_reduce(out)
+        return Word(self.alphabet, free_reduce(l for x in w.letters for l in self.letter_image(x)), _reduced=True)
 
     def inverse(self) -> "WhiteheadMove":
         if self.kind == "permutation":
@@ -142,10 +143,7 @@ def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMo
         for a in all_letters:
             others = [l for l in all_letters if l != a and l != -a]
             for mask in range(1, 1 << len(others)):
-                affected = frozenset(
-                    [a] + [others[i] for i in range(len(others)) if mask >> i & 1]
-                )
-                moves.append(WhiteheadMove(alphabet, "multiplier", multiplier=a, affected=affected))
+                moves.append(_multiplier_move(alphabet, a, others, mask))
     return moves
 
 
@@ -160,63 +158,66 @@ class MinimizationTrace:
         return sum(len(w) for w in self.final)
 
 
-def _total_length(words: Sequence[Word]) -> int:
-    return sum(len(w) for w in words)
+def _deltas(words: tuple[Word, ...], cyclic: bool):
+    """Yield (a, others, deltas) per multiplier a, in the order of ``whitehead_moves``.
+
+    deltas[mask] is the total length change under the move (A, a), A = {a}
+    + {others[i] : bit i of mask}: with gain(o) = deg(o) - 2 c(a, o), the
+    gains over A - {a} less twice the edges inside A - {a}.  A mask with
+    highest bit h adds others[h] to a smaller mask, so each costs O(1).
+    Letter 0 is the sentinel.
+    """
+    count, degree = Counter(), Counter()
+    for w in words:
+        lets = w.letters
+        for x, y in zip(lets, lets[1:] + lets[:1]) if cyclic else zip((0,) + lets, lets + (0,)):
+            count[x, -y] += 1
+            count[-y, x] += 1
+            degree[x] += 1
+            degree[-y] += 1
+    letters = words[0].alphabet.letters()
+    for a in letters:
+        others = [l for l in letters if l != a and l != -a]
+        deltas = [0]
+        for h, o in enumerate(others):
+            into = [0]  # into[mask]: edges from o into the letters of mask
+            for p in others[:h]:
+                c = count[o, p]
+                into += [e + c for e in into]
+            gain = degree[o] - 2 * count[a, o]
+            deltas += [d + gain - 2 * e for d, e in zip(deltas, into)]
+        yield a, others, deltas
 
 
-def _cyclic_length(words: Sequence[Word]) -> int:
-    return sum(len(cyclically_reduce(w)[0]) for w in words)
+def _multiplier_move(alphabet: Alphabet, a: int, others: list[int], mask: int) -> WhiteheadMove:
+    affected = frozenset([a] + [others[i] for i in range(len(others)) if mask >> i & 1])
+    return WhiteheadMove(alphabet, "multiplier", multiplier=a, affected=affected)
 
 
-def minimize_tuple(words: Sequence[Word]) -> MinimizationTrace:
+def minimize_tuple(words: Sequence[Word], cyclic: bool = False) -> MinimizationTrace:
     """Greedy descent: apply the first strictly shortening type-II move.
 
     Peak reduction guarantees the fixed point has globally minimal total
     length within the automorphism orbit.  Applying the recorded moves in
-    order to the initial tuple reproduces the final tuple exactly.
+    order to the initial tuple reproduces the final tuple exactly.  With
+    ``cyclic`` every word is replaced by its cyclic core, before the
+    descent and after each move, and cyclic length is minimized: the
+    trace then tracks conjugacy classes, which is all primitivity needs.
     """
-    words = tuple(words)
+    words = tuple(cyclically_reduce(w)[0] if cyclic else w for w in words)
     if not words:
         return MinimizationTrace((), (), ())
-    alphabet = words[0].alphabet
-    moves = whitehead_moves(alphabet, kinds="multiplier")
+    if any(w.alphabet != words[0].alphabet for w in words):
+        raise ValueError("alphabet mismatch")
     current = words
     applied: list[WhiteheadMove] = []
     while True:
-        best = _total_length(current)
-        for move in moves:
-            candidate = tuple(move.apply(w) for w in current)
-            if _total_length(candidate) < best:
-                current = candidate
-                applied.append(move)
-                break
-        else:
+        found = next(((a, o, m) for a, o, d in _deltas(current, cyclic) for m in range(1, len(d)) if d[m] < 0), None)
+        if found is None:
             return MinimizationTrace(words, current, tuple(applied))
-
-
-def _minimize_cyclic(words: Sequence[Word]) -> MinimizationTrace:
-    """Cyclic-length descent; words are replaced by their cyclic cores.
-
-    The trace therefore tracks conjugacy classes, which is all the
-    primitivity test needs.
-    """
-    words = tuple(cyclically_reduce(w)[0] for w in words)
-    if not words:
-        return MinimizationTrace((), (), ())
-    alphabet = words[0].alphabet
-    moves = whitehead_moves(alphabet, kinds="multiplier")
-    current = words
-    applied: list[WhiteheadMove] = []
-    while True:
-        best = _cyclic_length(current)
-        for move in moves:
-            candidate = tuple(cyclically_reduce(move.apply(w))[0] for w in current)
-            if _cyclic_length(candidate) < best:
-                current = candidate
-                applied.append(move)
-                break
-        else:
-            return MinimizationTrace(words, current, tuple(applied))
+        move = _multiplier_move(words[0].alphabet, *found)
+        current = tuple(cyclically_reduce(move.apply(w))[0] if cyclic else move.apply(w) for w in current)
+        applied.append(move)
 
 
 def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
@@ -225,8 +226,7 @@ def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
         raise ValueError("alphabet mismatch")
     if not w:
         raise ValueError("the empty word is not a candidate for primitivity")
-    trace = _minimize_cyclic((w,))
-    return _cyclic_length(trace.final) == 1
+    return minimize_tuple((w,), cyclic=True).final_length == 1
 
 
 def _is_basis_subtuple(words: tuple[Word, ...]) -> bool:
@@ -247,7 +247,7 @@ def is_free_factor(
 
     The tuple is a free-factor basis iff its Aut(F)-orbit contains a
     subtuple of the standard basis.  After greedy minimization the orbit
-    is searched breadth-first through constant-length type-II images; the
+    is searched breadth-first through the type-II images of delta 0; the
     target test ignores letter names and signs, which absorbs the type-I
     moves.  Raises SearchCapExceeded (inconclusive, not a "no") if the
     visited set would outgrow ``max_visited``.
@@ -268,34 +268,31 @@ def is_free_factor(
     start = trace.final
     if _is_basis_subtuple(start):
         return True
-    target_length = _total_length(start)
+    target_length = trace.final_length
     if target_length < len(words):
         raise AssertionError("total length below tuple size is impossible")
     if target_length == len(words):
         # Every word has length 1 but generators repeat; not independent,
         # already excluded by the rank check above.
         return False
-    moves = whitehead_moves(alphabet, kinds="multiplier")
     start_key = tuple(w.letters for w in start)
     visited = {start_key}
     frontier = [start]
     while frontier:
         next_frontier = []
         for tup in frontier:
-            for move in moves:
-                candidate = tuple(move.apply(w) for w in tup)
-                if _total_length(candidate) != target_length:
-                    continue
-                key = tuple(w.letters for w in candidate)
-                if key in visited:
-                    continue
-                if _is_basis_subtuple(candidate):
-                    return True
-                if len(visited) >= max_visited:
-                    raise SearchCapExceeded(
-                        f"orbit search cap of {max_visited} tuples exceeded"
-                    )
-                visited.add(key)
-                next_frontier.append(candidate)
+            for a, others, deltas in _deltas(tup, cyclic=False):
+                for mask in (m for m in range(1, len(deltas)) if deltas[m] == 0):
+                    move = _multiplier_move(alphabet, a, others, mask)
+                    candidate = tuple(move.apply(w) for w in tup)
+                    key = tuple(w.letters for w in candidate)
+                    if key in visited:
+                        continue
+                    if _is_basis_subtuple(candidate):
+                        return True
+                    if len(visited) >= max_visited:
+                        raise SearchCapExceeded(f"orbit search cap of {max_visited} tuples exceeded")
+                    visited.add(key)
+                    next_frontier.append(candidate)
         frontier = next_frontier
     return False

@@ -14,6 +14,7 @@ match ``[A-Za-z0-9_]+`` and the name ``1`` is reserved.
 from __future__ import annotations
 
 import re
+from operator import neg
 from typing import Iterable, Iterator, Optional
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -140,12 +141,19 @@ class Word:
         return hash((self.alphabet.generators, self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
+        """Both factors are reduced, so letters cancel only at the seam."""
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
-        return Word(self.alphabet, free_reduce(self.letters + other.letters), _reduced=True)
+        a, b = self.letters, other.letters
+        k = 0
+        for x, y in zip(reversed(a), b):
+            if x != -y:
+                break
+            k += 1
+        return Word(self.alphabet, a[: len(a) - k] + b[k:], _reduced=True)
 
     def __invert__(self) -> "Word":
-        return Word(self.alphabet, tuple(-l for l in reversed(self.letters)), _reduced=True)
+        return Word(self.alphabet, tuple(map(neg, reversed(self.letters))), _reduced=True)
 
     def __pow__(self, n: int) -> "Word":
         """conjugator * core^n * conjugator^-1, with no reduction left to do."""

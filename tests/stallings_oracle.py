@@ -2,10 +2,12 @@
 
 ``fold`` re-collects and re-sorts every edge after each merge, ``trim``
 and ``trim_all`` delete leaves by repeated full passes, and
-``is_malnormal`` trims every non-diagonal fiber-product component.  They
-are slow but simple, and the differential tests in ``test_stallings.py``
-require the library's near-linear versions to agree with them exactly.
-Everything here returns plain edge sets, never library objects, so the
+``is_malnormal`` trims every non-diagonal fiber-product component, and
+``tree_paths`` stores the whole letter path to every vertex for
+``basis`` and ``express``.  They are slow but simple, and the
+differential tests in ``test_stallings.py`` require the library's
+near-linear versions to agree with them exactly.  Everything here
+returns plain edge sets and letter tuples, never library objects, so the
 oracle shares no code with the path it checks.
 """
 
@@ -160,3 +162,54 @@ def is_malnormal(edges) -> bool:
         if trim_all({e for e in product if e[0] in component}):
             return False
     return True
+
+
+def tree_paths(rank: int, edges) -> tuple[dict, list]:
+    """Whole letter paths from vertex 0 in BFS order, plus the sorted non-tree edges."""
+    out = {(a, g): b for a, g, b in edges}
+    inc = {(b, g): a for a, g, b in edges}
+    path = {0: ()}
+    tree = set()
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for g in range(1, rank + 1):
+            for letter, nbr in ((g, out.get((v, g))), (-g, inc.get((v, g)))):
+                if nbr is not None and nbr not in path:
+                    path[nbr] = path[v] + (letter,)
+                    tree.add((v, g, nbr) if letter > 0 else (nbr, g, v))
+                    queue.append(nbr)
+    return path, sorted(e for e in edges if e not in tree)
+
+
+def basis(rank: int, edges) -> list[tuple[int, ...]]:
+    """path(src) g path(dst)^-1, freely reduced, for each non-tree edge."""
+    path, non_tree = tree_paths(rank, edges)
+    return [_reduce(path[a] + (g,) + tuple(-l for l in reversed(path[b]))) for a, g, b in non_tree]
+
+
+def express(rank: int, edges, letters) -> tuple[int, ...] | None:
+    """Signed 1-based indices of the non-tree edges a closed path at 0 crosses, reduced."""
+    out = {(a, g): b for a, g, b in edges}
+    inc = {(b, g): a for a, g, b in edges}
+    index = {e: k + 1 for k, e in enumerate(tree_paths(rank, edges)[1])}
+    cur, crossed = 0, []
+    for letter in letters:
+        nxt = out.get((cur, letter)) if letter > 0 else inc.get((cur, -letter))
+        if nxt is None:
+            return None
+        k = index.get((cur, letter, nxt) if letter > 0 else (nxt, -letter, cur))
+        if k is not None:
+            crossed.append(k if letter > 0 else -k)
+        cur = nxt
+    return _reduce(crossed) if cur == 0 else None
+
+
+def _reduce(letters) -> tuple[int, ...]:
+    out: list[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)

@@ -87,6 +87,14 @@ def test_fold_member_rank_roundtrip(capsys, tmp_path):
     assert code == 0 and out4.splitlines()[0] == "rank: 2"
 
 
+def test_unfolded_graph_file_is_a_usage_error(capsys, tmp_path):
+    graph_file = tmp_path / "unfolded.txt"
+    graph_file.write_text("gens x y\nbase 0\n0 x 1\n0 x 2\n")
+    for command in ("malnormal", "rank"):
+        code, out, err = run(capsys, command, "--graph", str(graph_file))
+        assert code == 2 and out == "" and err == "error: graph is not folded\n"
+
+
 def test_member_cyclic(capsys, tmp_path):
     graph_file = tmp_path / "gx.txt"
     graph_file.write_text("gens x\nbase 0\n0 x 0\n")

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegroups.splittings import (
     AmalgamPresentation,
+    BrittonForm,
     HnnPresentation,
     amalgam_equal,
     amalgam_reduce,
@@ -15,9 +18,9 @@ from freegroups.splittings import (
     parse_presentation,
     validate_presentation,
 )
-from freegroups.words import Alphabet, identity, parse_word
+from freegroups.words import Alphabet, Word, identity, parse_word, power_of
 
-from conftest import random_reduced, w
+from conftest import random_reduced, reduced_words, w
 
 
 @pytest.fixture
@@ -90,6 +93,91 @@ def test_britton_reverse_pinch(edge_pres):
     form = britton_reduce(pres, pres.word("t a y b y a y^-1 b y^-1 t^-1"))
     assert hnn_length(form) == 0
     assert form.to_word(pres) == pres.word("u")
+
+
+def _britton_rescan(pres, w):
+    """The rescanning definition: rewrite the leftmost pinch, then rescan from the left."""
+    t = pres.t_letter
+    syllables, signs = [[]], []
+    for letter in w.letters:
+        if abs(letter) == t:
+            signs.append(1 if letter > 0 else -1)
+            syllables.append([])
+        else:
+            syllables[-1].append(letter)
+    words = [Word(pres.base, ls) for ls in syllables]
+    while True:
+        for i in range(len(signs) - 1):
+            if (signs[i], signs[i + 1]) == (-1, 1):
+                edge, image = pres.u, pres.v
+            elif (signs[i], signs[i + 1]) == (1, -1):
+                edge, image = pres.v, pres.u
+            else:
+                continue
+            p = power_of(words[i + 1], edge)
+            if p is not None:
+                words[i : i + 3] = [words[i] * image**p * words[i + 2]]
+                del signs[i : i + 2]
+                break
+        else:
+            return BrittonForm(words[0], tuple(zip(signs, words[1:])))
+
+
+def _hnn(gens, u, v):
+    base = Alphabet(gens)
+    return HnnPresentation(base, "t", parse_word(base, u), parse_word(base, v))
+
+
+PINCH_PRESENTATIONS = [
+    _hnn("a b u y", "u", "a y b y a y^-1 b y^-1"),
+    _hnn("a b", "a", "b a b^-1"),
+    _hnn("a b", "a^2", "b"),
+]
+
+
+@st.composite
+def _edge_power(draw, pres, side, depth):
+    """Letters of a word equal to a power of u (side 0) or v (side 1) in the HNN group.
+
+    Powers of the edge word interleaved with pinches whose insides are
+    again such words, so reducing one pinch can complete another.
+    """
+    t = pres.t_letter
+    edge = (pres.u, pres.v)[side]
+    letters: list[int] = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(st.booleans()):
+            inner = draw(_edge_power(pres, 1 - side, depth - 1))
+            letters += [t] + inner + [-t] if side == 0 else [-t] + inner + [t]
+        else:
+            letters += (edge ** draw(st.sampled_from((-2, -1, 1, 2)))).letters
+    return letters
+
+
+@st.composite
+def hnn_words(draw):
+    """A presentation and a word of base syllables, stray stable letters and nested pinches."""
+    pres = draw(st.sampled_from(PINCH_PRESENTATIONS))
+    t = pres.t_letter
+    letters: list[int] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            letters += draw(reduced_words(pres.base, 3)).letters
+        elif kind == 1:
+            letters.append(draw(st.sampled_from((t, -t))))
+        elif kind == 2:
+            letters += [-t] + draw(_edge_power(pres, 0, 2)) + [t]
+        else:
+            letters += [t] + draw(_edge_power(pres, 1, 2)) + [-t]
+    return pres, Word(pres.extended, letters)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hnn_words())
+def test_britton_matches_rescan(case):
+    pres, word_ = case
+    assert britton_reduce(pres, word_) == _britton_rescan(pres, word_)
 
 
 def test_hnn_equal_examples(edge_pres):

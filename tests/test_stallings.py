@@ -171,6 +171,9 @@ def test_graph_from_text_errors():
         graph_from_text("gens x\nbase 1\n")
     with pytest.raises(ValueError):
         graph_from_text("gens x\n0 x 1\n2 x 3\n")
+    for unfolded in ("0 x 1\n0 x 2\n", "1 x 0\n2 x 0\n"):
+        with pytest.raises(ValueError, match="graph is not folded"):
+            graph_from_text("gens x y\nbase 0\n" + unfolded)
 
 
 def test_not_folded_rejected(f2):
@@ -269,6 +272,24 @@ def test_malnormal_matches_oracle_on_non_core_graphs(text):
 # ---------------------------------------------------------------------------
 # Sizes at which a super-linear fold or malnormality test would not finish.
 # The answers are known by construction; nothing is timed.
+
+
+@DIFFERENTIAL
+@given(generator_lists(), st.data())
+def test_basis_and_express_match_oracle(case, data):
+    alphabet, gens = case
+    graph = subgroup_graph(alphabet, gens)
+    edges, rank = graph.edges, alphabet.rank
+    assert [b.letters for b in graph.basis()] == oracle.basis(rank, edges)
+    probes = [data.draw(reduced_words(alphabet, 12)) for _ in range(3)]
+    for _ in range(3):  # members: products of generators and their inverses
+        factors = data.draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
+        member = Word(alphabet, ())
+        for g in factors:
+            member = member * (g if data.draw(st.booleans()) else ~g)
+        probes.append(member)
+    for probe in probes:
+        assert graph.express_in_basis(probe) == oracle.express(rank, edges, probe.letters)
 
 
 def _root_free_cyclic(rng: random.Random, alphabet: Alphabet, length: int) -> Word:

@@ -1,18 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import whitehead_oracle as oracle
+from freegroups import stallings
 from freegroups.whitehead import (
     SearchCapExceeded,
+    _deltas,
+    _multiplier_move,
     is_free_factor,
     is_primitive,
     minimize_tuple,
     type_ii_move_count,
     whitehead_moves,
 )
-from freegroups.words import Alphabet, commutator, identity, iter_reduced_words
+from freegroups.words import Alphabet, Word, commutator, cyclically_reduce, identity, iter_reduced_words
 
-from conftest import random_reduced, w
+from conftest import random_reduced, reduced_words, w
 
 
 def test_rank_one_moves():
@@ -144,3 +150,117 @@ def test_automorphism_invariance(f2):
         if not image:
             continue
         assert is_primitive(word_, f2) == is_primitive(image, f2)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against applying every move (whitehead_oracle).
+
+DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
+ALPHABETS = {rank: Alphabet([f"g{i}" for i in range(1, rank + 1)]) for rank in range(1, 6)}
+
+
+@st.composite
+def word_tuples(draw, ranks=(1, 2, 3, 4, 5), max_len=10, max_size=3):
+    """An alphabet of one of the given ranks and 1..max_size reduced words."""
+    alphabet = ALPHABETS[draw(st.sampled_from(ranks))]
+    return alphabet, tuple(draw(st.lists(reduced_words(alphabet, max_len), min_size=1, max_size=max_size)))
+
+
+@st.composite
+def moved_generators(draw, ranks, size):
+    """The images of ``size`` distinct generators under 0-4 random Whitehead moves."""
+    alphabet = ALPHABETS[draw(st.sampled_from(ranks))]
+    moves = whitehead_moves(alphabet)
+    words = [Word(alphabet, (g,)) for g in range(1, size + 1)]
+    for _ in range(draw(st.integers(0, 4))):
+        move = draw(st.sampled_from(moves))
+        words = [move.apply(x) for x in words]
+    return alphabet, tuple(words)
+
+
+def _assert_deltas_exact(alphabet, words, cyclic):
+    if cyclic:
+        words = tuple(cyclically_reduce(x)[0] for x in words)
+    before = sum(map(len, words))
+    shape = oracle.cyclic_core if cyclic else (lambda letters: letters)
+    deltas = [
+        (_multiplier_move(alphabet, a, others, mask), d[mask])
+        for a, others, d in _deltas(words, cyclic)
+        for mask in range(1, len(d))
+    ]
+    assert [m for m, _ in deltas] == whitehead_moves(alphabet, kinds="multiplier")
+    for move, delta in deltas:
+        after = sum(len(shape(oracle.apply(move, x.letters))) for x in words)
+        assert delta == after - before, (move, words)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_delta_exact_on_empty_and_one_letter_words(rank, cyclic):
+    alphabet = ALPHABETS[rank]
+    empty = Word(alphabet, ())
+    for letter in {1, -1, rank, -rank}:  # first and last generator, both signs
+        one = Word(alphabet, (letter,))
+        for words in ((empty,), (one,), (empty, one), (one, Word(alphabet, (letter, letter)))):
+            _assert_deltas_exact(alphabet, words, cyclic)
+
+
+@DIFFERENTIAL
+@given(word_tuples(max_len=12), st.booleans())
+def test_delta_equals_length_change(case, cyclic):
+    _assert_deltas_exact(*case, cyclic)
+
+
+def _assert_descent_matches(alphabet, words, cyclic):
+    trace = minimize_tuple(words, cyclic=cyclic)
+    moves, final = oracle.minimize(alphabet, [x.letters for x in words], cyclic)
+    assert list(trace.moves) == moves
+    assert tuple(x.letters for x in trace.final) == final
+
+
+@DIFFERENTIAL
+@given(word_tuples(ranks=(1, 2, 3, 4)), st.booleans())
+def test_descent_matches_oracle(case, cyclic):
+    _assert_descent_matches(*case, cyclic)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(word_tuples(ranks=(5,), max_len=6, max_size=2), st.booleans())
+def test_descent_matches_oracle_rank_five(case, cyclic):
+    _assert_descent_matches(*case, cyclic)
+
+
+@DIFFERENTIAL
+@given(st.one_of(word_tuples(ranks=(1, 2, 3, 4), max_size=1), moved_generators((2, 3, 4), 1)))
+def test_is_primitive_matches_oracle(case):
+    alphabet, (word_,) = case
+    if word_:
+        assert is_primitive(word_) == oracle.is_primitive(alphabet, word_.letters)
+
+
+def _outcome(decide):
+    try:
+        return decide()
+    except SearchCapExceeded:
+        return "cap"
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        word_tuples(ranks=(2, 3), max_len=6, max_size=2),
+        moved_generators((2, 3), 1),
+        moved_generators((2, 3), 2),
+    ),
+    st.integers(1, 40),
+)
+def test_is_free_factor_matches_oracle(case, cap):
+    # A small cap stops the orbit search part way, so the size of the
+    # orbit it reaches is compared too, not only the answer.
+    alphabet, words = case
+    if stallings.subgroup_graph(alphabet, words).rank() != len(words):
+        with pytest.raises(ValueError):
+            is_free_factor(words, alphabet)
+        return
+    expected = _outcome(lambda: oracle.is_free_factor(alphabet, [x.letters for x in words], cap))
+    assert _outcome(lambda: is_free_factor(words, alphabet, max_visited=cap)) == expected

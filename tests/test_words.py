@@ -100,6 +100,18 @@ def test_pow_matches_repeated_multiplication(x, n):
     assert free_reduce(power.letters) == power.letters
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(reduced_words(Alphabet("x y"), 10), reduced_words(Alphabet("x y"), 10), st.integers(0, 10))
+def test_product_matches_full_reduction(x, z, overlap):
+    # y starts with the inverse of up to ``overlap`` letters of x, so the
+    # seam cancels anywhere from nothing to all of x.
+    y = ~Word(x.alphabet, x.letters[len(x.letters) - min(overlap, len(x)) :]) * z
+    for left, right in ((x, z), (x, y), (y, x), (x, ~x)):
+        product = left * right
+        assert product.letters == free_reduce(left.letters + right.letters)
+    assert (~x).letters == tuple(-l for l in reversed(x.letters))
+
+
 def test_cyclic_reduce_examples(f2, h_rank4):
     core, conj = cyclically_reduce(w(f2, "x y x^-1"))
     assert core == w(f2, "y") and conj == w(f2, "x")
