@@ -32,7 +32,7 @@ def main():
         print(f"is_primitive({text}) =", is_primitive(w(text), f2))
 
     print()
-    print("# Free factors (constant-length orbit search after minimizing)")
+    print("# Free factors (total length descent to one letter per word)")
     print("<x> free factor ?", is_free_factor([w("x")], f2))
     print("<x^2> free factor ?", is_free_factor([w("x^2")], f2))
     print("<y x y^-1> free factor ?", is_free_factor([w("y x y^-1")], f2))

@@ -30,7 +30,6 @@ from .words import (
 from .stallings import SubgroupGraph, graph_from_text, intersect, is_malnormal, subgroup_graph
 from .whitehead import (
     MinimizationTrace,
-    SearchCapExceeded,
     WhiteheadMove,
     is_free_factor,
     is_primitive,

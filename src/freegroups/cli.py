@@ -3,8 +3,8 @@
 Every library operation is reachable from exactly one subcommand.  All
 output is plain text, byte-identical across runs for identical inputs;
 randomized checks live in the test suite, never here.  Exit status: 0
-for success / true / PASS, 1 for a mathematical false / FAIL (including
-an inconclusive capped search), 2 for usage or parse errors.
+for success / true / PASS, 1 for a mathematical false / FAIL, 2 for
+usage or parse errors.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import closure, endos, splittings, stallings, whitehead, words
-from .whitehead import SearchCapExceeded
 
 FORMATS = ("text", "tsv")
 
@@ -176,7 +175,7 @@ def cmd_is_primitive(args) -> int:
 def cmd_is_free_factor(args) -> int:
     alphabet = _alphabet(args)
     basis = [words.parse_word(alphabet, w) for w in args.words]
-    return _bool_exit(whitehead.is_free_factor(basis, alphabet, max_visited=args.cap))
+    return _bool_exit(whitehead.is_free_factor(basis, alphabet))
 
 
 def cmd_whitehead_min(args) -> int:
@@ -393,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("intersect", graph=True, graph2=True)
     add("malnormal", graph=True)
     add("is-primitive", gens=True).add_argument("word")
-    p = add("is-free-factor", gens=True)
-    p.add_argument("words", nargs="+")
-    p.add_argument("--cap", type=int, default=10**6, help="orbit search cap")
+    add("is-free-factor", gens=True).add_argument("words", nargs="+")
     add("whitehead-min", gens=True).add_argument("words", nargs="+")
     add("britton", pres=True).add_argument("word")
     p = add("hnn-equal", pres=True)
@@ -434,9 +431,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except SearchCapExceeded:
-        print("inconclusive: cap exceeded")
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

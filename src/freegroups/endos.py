@@ -8,8 +8,6 @@ edge words must have equal images.
 
 Applying a map substitutes images and renormalizes in the codomain:
 free reduction, Britton reduction, or amalgam reduction respectively.
-Everything is pure; orbit and fixed-word sweeps are embarrassingly
-parallel over candidate ranges, and run sequentially here.
 """
 
 from __future__ import annotations

@@ -10,12 +10,11 @@ Two families of moves over a rank-n alphabet:
 
 Peak reduction makes greedy length descent complete: a tuple not of
 minimal total length in its automorphism orbit admits a single type-II
-move that strictly shortens it, and minimal tuples in the same orbit are
-connected through constant-length type-II chains.  Free-factor detection
-therefore minimizes, then searches the constant-length orbit
-breadth-first.  The orbit search stores exact word tuples (not cyclic
-words) in its visited set; single-word primitivity minimizes cyclic
-length, per standard practice.
+move that strictly shortens it (Lyndon & Schupp, Combinatorial Group
+Theory, Prop. I.4.17; Higgins & Lyndon, J. London Math. Soc. 1974).  So
+one descent decides both questions asked here: primitivity of a single
+word, by its cyclic length, and free factors, by the total length of a
+tuple.
 
 No move is applied just to learn its length change.  The Whitehead
 (star) graph of a tuple has the 2n letters as vertices and, for every
@@ -37,13 +36,6 @@ from typing import Optional, Sequence
 
 from . import stallings
 from .words import Alphabet, Word, cyclically_reduce, free_reduce, letter_key
-
-
-class SearchCapExceeded(RuntimeError):
-    """Raised when the orbit search visits more tuples than its cap allows.
-
-    Distinct from a negative answer: the search was inconclusive.
-    """
 
 
 @dataclass(frozen=True)
@@ -229,28 +221,17 @@ def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
     return minimize_tuple((w,), cyclic=True).final_length == 1
 
 
-def _is_basis_subtuple(words: tuple[Word, ...]) -> bool:
-    gens = set()
-    for w in words:
-        if len(w) != 1:
-            return False
-        gens.add(abs(w.letters[0]))
-    return len(gens) == len(words)
-
-
-def is_free_factor(
-    basis: Sequence[Word],
-    alphabet: Alphabet,
-    max_visited: int = 10**6,
-) -> bool:
+def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     """Decide whether the subgroup with the given basis is a free factor.
 
-    The tuple is a free-factor basis iff its Aut(F)-orbit contains a
-    subtuple of the standard basis.  After greedy minimization the orbit
-    is searched breadth-first through the type-II images of delta 0; the
-    target test ignores letter names and signs, which absorbs the type-I
-    moves.  Raises SearchCapExceeded (inconclusive, not a "no") if the
-    visited set would outgrow ``max_visited``.
+    An independent k-tuple U generates a free factor iff it extends to a
+    basis of F, iff some automorphism maps it to k distinct generators up
+    to sign, iff its Aut(F)-orbit holds a tuple of total length k: k
+    nontrivial words of total length k are single letters, and
+    independence, which automorphisms preserve, makes their generators
+    distinct.  Type-I moves keep lengths, and peak reduction makes the
+    greedy type-II descent reach the least total length in the orbit.
+    So U is a free-factor basis iff its descent ends at length k.
 
     Raises ValueError when the words are not independent (the subgroup
     graph rank must equal the tuple length).
@@ -259,40 +240,6 @@ def is_free_factor(
     for w in words:
         if w.alphabet != alphabet:
             raise ValueError("alphabet mismatch")
-    if not words:
-        return True
-    graph = stallings.subgroup_graph(alphabet, words)
-    if graph.rank() != len(words):
+    if stallings.subgroup_graph(alphabet, words).rank() != len(words):
         raise ValueError("words are not an independent basis")
-    trace = minimize_tuple(words)
-    start = trace.final
-    if _is_basis_subtuple(start):
-        return True
-    target_length = trace.final_length
-    if target_length < len(words):
-        raise AssertionError("total length below tuple size is impossible")
-    if target_length == len(words):
-        # Every word has length 1 but generators repeat; not independent,
-        # already excluded by the rank check above.
-        return False
-    start_key = tuple(w.letters for w in start)
-    visited = {start_key}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for tup in frontier:
-            for a, others, deltas in _deltas(tup, cyclic=False):
-                for mask in (m for m in range(1, len(deltas)) if deltas[m] == 0):
-                    move = _multiplier_move(alphabet, a, others, mask)
-                    candidate = tuple(move.apply(w) for w in tup)
-                    key = tuple(w.letters for w in candidate)
-                    if key in visited:
-                        continue
-                    if _is_basis_subtuple(candidate):
-                        return True
-                    if len(visited) >= max_visited:
-                        raise SearchCapExceeded(f"orbit search cap of {max_visited} tuples exceeded")
-                    visited.add(key)
-                    next_frontier.append(candidate)
-        frontier = next_frontier
-    return False
+    return minimize_tuple(words).final_length == len(words)

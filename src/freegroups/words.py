@@ -163,10 +163,6 @@ class Word:
         lets = conj.letters + core.letters * abs(n) + (~conj).letters
         return Word(self.alphabet, lets, _reduced=True)
 
-    def conjugate_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * ~g
-
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
 
@@ -242,24 +238,14 @@ def is_cyclically_reduced(w: Word) -> bool:
     return len(lets) < 2 or lets[0] != -lets[-1]
 
 
-def canonical_rotation(w: Word) -> Word:
-    """Lexicographically least rotation of a cyclically reduced word."""
-    lets = w.letters
-    if len(lets) < 2:
-        return w
-    best = min(
-        range(len(lets)),
-        key=lambda k: tuple(letter_key(l) for l in lets[k:] + lets[:k]),
-    )
-    return Word(w.alphabet, lets[best:] + lets[:best], _reduced=True)
-
-
 def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     """Witness g with g * w1 * g^-1 == w2, or None.
 
     Two words are conjugate iff their cyclic cores are rotations of each
     other; the witness uses the smallest rotation offset, so it is
-    deterministic.
+    deterministic.  That offset is the first occurrence of the second
+    core in the first core doubled, found by one linear-time substring
+    search over the letters encoded as characters.
     """
     if w1.alphabet != w2.alphabet:
         raise ValueError("alphabet mismatch")
@@ -267,14 +253,15 @@ def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     s2, c2 = cyclically_reduce(w2)
     if len(s1) != len(s2):
         return None
-    n = len(s1)
-    if n == 0:
+    if not s1:
         return identity(w1.alphabet)
-    for k in range(n):
-        if s1.letters[k:] + s1.letters[:k] == s2.letters:
-            g0 = () if k == 0 else s1.letters[k:]
-            return Word(w1.alphabet, free_reduce(c2.letters + g0 + (~c1).letters), _reduced=True)
-    return None
+    rank = w1.alphabet.rank
+    t1 = "".join(chr(l + rank) for l in s1.letters)
+    k = (t1 + t1[:-1]).find("".join(chr(l + rank) for l in s2.letters))
+    if k < 0:
+        return None
+    g0 = s1.letters[k:] if k else ()
+    return Word(w1.alphabet, free_reduce(c2.letters + g0 + (~c1).letters), _reduced=True)
 
 
 def _divisors(n: int) -> Iterator[int]:

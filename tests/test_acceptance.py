@@ -177,7 +177,7 @@ def test_criterion_6_whitehead_suite(capsys):
         # to a gcd-1 vector, and these do not.
         assert math.gcd(*abelianize(word_)) != 1
         assert not is_primitive(word_, F2)
-        assert not is_free_factor([word_], F2)  # default cap, never reached
+        assert not is_free_factor([word_], F2)
     mismatches = []
     for word_ in iter_reduced_words(F2, 6, min_len=1):
         primitive = is_primitive(word_, F2)

@@ -125,8 +125,10 @@ def test_whitehead_commands(capsys):
     assert code == 0 and out == "true\n"
     code, out, _ = run(capsys, "is-free-factor", "--gens", "x y", "x^2")
     assert code == 1 and out == "false\n"
+    code, out, _ = run(capsys, "is-free-factor", "--gens", "x y", "x^2 y^2")
+    assert code == 1 and out == "false\n"
     code, out, _ = run(capsys, "is-free-factor", "--gens", "x y", "--cap", "1", "x^2 y^2")
-    assert code == 1 and out == "inconclusive: cap exceeded\n"
+    assert code == 2 and out == ""
     code, out, _ = run(capsys, "whitehead-min", "--gens", "x y", "x y")
     lines = out.splitlines()
     assert code == 0

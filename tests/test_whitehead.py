@@ -1,13 +1,15 @@
+import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whitehead_oracle as oracle
 from freegroups import stallings
+from freegroups.endos import integer_determinant
 from freegroups.whitehead import (
-    SearchCapExceeded,
     _deltas,
     _multiplier_move,
     is_free_factor,
@@ -16,7 +18,7 @@ from freegroups.whitehead import (
     type_ii_move_count,
     whitehead_moves,
 )
-from freegroups.words import Alphabet, Word, commutator, cyclically_reduce, identity, iter_reduced_words
+from freegroups.words import Alphabet, Word, abelianize, commutator, cyclically_reduce, identity, iter_reduced_words
 
 from conftest import random_reduced, reduced_words, w
 
@@ -120,6 +122,7 @@ def test_is_free_factor_examples(f2):
     assert is_free_factor([], f2)
     assert is_free_factor([w(f2, "y x y^-1")], f2)
     assert not is_free_factor([w(f2, "x^2"), w(f2, "y")], f2)
+    assert not is_free_factor([w(f2, "x^2 y^2")], f2)
 
 
 def test_is_free_factor_precondition(f2):
@@ -130,8 +133,10 @@ def test_is_free_factor_precondition(f2):
 
 
 def test_is_free_factor_cap(f2):
-    with pytest.raises(SearchCapExceeded):
+    """The test is exact: there is no search cap, and the input that once exceeded one is decided."""
+    with pytest.raises(TypeError):
         is_free_factor([w(f2, "x^2 y^2")], f2, max_visited=1)
+    assert is_free_factor([w(f2, "x^2 y^2")], f2) is False
 
 
 def test_primitive_iff_singleton_free_factor_small(f2):
@@ -157,6 +162,7 @@ def test_automorphism_invariance(f2):
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
 ALPHABETS = {rank: Alphabet([f"g{i}" for i in range(1, rank + 1)]) for rank in range(1, 6)}
+MOVES = {rank: whitehead_moves(alphabet) for rank, alphabet in ALPHABETS.items()}
 
 
 @st.composite
@@ -169,11 +175,11 @@ def word_tuples(draw, ranks=(1, 2, 3, 4, 5), max_len=10, max_size=3):
 @st.composite
 def moved_generators(draw, ranks, size):
     """The images of ``size`` distinct generators under 0-4 random Whitehead moves."""
-    alphabet = ALPHABETS[draw(st.sampled_from(ranks))]
-    moves = whitehead_moves(alphabet)
+    rank = draw(st.sampled_from(ranks))
+    alphabet = ALPHABETS[rank]
     words = [Word(alphabet, (g,)) for g in range(1, size + 1)]
     for _ in range(draw(st.integers(0, 4))):
-        move = draw(st.sampled_from(moves))
+        move = draw(st.sampled_from(MOVES[rank]))
         words = [move.apply(x) for x in words]
     return alphabet, tuple(words)
 
@@ -238,29 +244,60 @@ def test_is_primitive_matches_oracle(case):
         assert is_primitive(word_) == oracle.is_primitive(alphabet, word_.letters)
 
 
-def _outcome(decide):
-    try:
-        return decide()
-    except SearchCapExceeded:
-        return "cap"
+ORACLE_CAP = 3_000
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(
     st.one_of(
         word_tuples(ranks=(2, 3), max_len=6, max_size=2),
+        word_tuples(ranks=(2, 3), max_len=10, max_size=2),
         moved_generators((2, 3), 1),
         moved_generators((2, 3), 2),
-    ),
-    st.integers(1, 40),
+    )
 )
-def test_is_free_factor_matches_oracle(case, cap):
-    # A small cap stops the orbit search part way, so the size of the
-    # orbit it reaches is compared too, not only the answer.
+# The orbit search reaches its cap on this non-factor (minors gcd 2).
+@example((ALPHABETS[3], (Word(ALPHABETS[3], (2, 2, -1, -1, -3)), Word(ALPHABETS[3], (3,)))))
+def test_is_free_factor_matches_oracle(case):
+    # The orbit search answers True only by reaching a basis subtuple, and
+    # False only by exhausting the orbit; where it runs out of cap first,
+    # the descent alone must still say False.
     alphabet, words = case
     if stallings.subgroup_graph(alphabet, words).rank() != len(words):
         with pytest.raises(ValueError):
             is_free_factor(words, alphabet)
         return
-    expected = _outcome(lambda: oracle.is_free_factor(alphabet, [x.letters for x in words], cap))
-    assert _outcome(lambda: is_free_factor(words, alphabet, max_visited=cap)) == expected
+    try:
+        expected = oracle.is_free_factor(alphabet, [x.letters for x in words], ORACLE_CAP)
+    except oracle.OrbitCapExceeded:
+        expected = False
+    assert is_free_factor(words, alphabet) == expected
+
+
+# Images of 1-3 generators at ranks 2-5 (never more generators than the rank).
+BASES = st.one_of(*(moved_generators(tuple(r for r in (2, 3, 4, 5) if r >= k), k) for k in (1, 2, 3)))
+
+
+@DIFFERENTIAL
+@given(BASES)
+def test_moved_generators_are_free_factors(case):
+    alphabet, words = case
+    assert is_free_factor(words, alphabet)
+
+
+@DIFFERENTIAL
+@given(BASES, st.data())
+def test_squared_basis_word_is_not_a_free_factor(case, data):
+    # Independent certificate: the abelianized basis of a free factor spans
+    # a direct summand of Z^n, so the gcd of its k x k minors is 1.
+    # Squaring one word doubles every minor.
+    alphabet, words = case
+    i = data.draw(st.integers(0, len(words) - 1))
+    words = words[:i] + (words[i] ** 2,) + words[i + 1 :]
+    rows = [abelianize(x) for x in words]
+    minors = [
+        integer_determinant([[row[j] for j in columns] for row in rows])
+        for columns in itertools.combinations(range(alphabet.rank), len(rows))
+    ]
+    assert math.gcd(*minors) != 1
+    assert not is_free_factor(words, alphabet)

@@ -8,7 +8,6 @@ from freegroups.words import (
     Alphabet,
     Word,
     abelianize,
-    canonical_rotation,
     centralizer,
     commutator,
     cyclically_reduce,
@@ -153,6 +152,48 @@ def test_is_conjugate_random_witness(f2):
         assert witness * base * ~witness == other
 
 
+def _is_conjugate_by_rotations(w1: Word, w2: Word):
+    """Reference: try every rotation offset of the first core in turn (quadratic)."""
+    s1, c1 = cyclically_reduce(w1)
+    s2, c2 = cyclically_reduce(w2)
+    if len(s1) != len(s2):
+        return None
+    if not s1:
+        return identity(w1.alphabet)
+    for k in range(len(s1)):
+        if s1.letters[k:] + s1.letters[:k] == s2.letters:
+            g0 = () if k == 0 else s1.letters[k:]
+            return Word(w1.alphabet, c2.letters + g0 + (~c1).letters)
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    root=reduced_words(Alphabet("x y z"), 8),
+    power=st.integers(1, 4),
+    conjugator=reduced_words(Alphabet("x y z"), 6),
+    other=reduced_words(Alphabet("x y z"), 16),
+    data=st.data(),
+)
+def test_is_conjugate_matches_rotation_loop(root, power, conjugator, other, data):
+    # Powers of a root match at several offsets; the smallest must win.
+    w1 = root**power
+    core = cyclically_reduce(w1)[0].letters
+    k = data.draw(st.integers(0, max(len(core) - 1, 0)))
+    w2 = conjugator * Word(w1.alphabet, core[k:] + core[:k]) * ~conjugator
+    for left, right in ((w1, w2), (w2, w1), (w1, other), (other, w1), (other, other)):
+        assert is_conjugate(left, right) == _is_conjugate_by_rotations(left, right)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_is_conjugate_periodic_smallest_offset(f2, k):
+    xy, yx = w(f2, "x y") ** k, w(f2, "y x") ** k
+    assert is_conjugate(xy, xy) == identity(f2)
+    # Offsets 1, 3, ..., 2k - 1 all rotate xy onto yx; the witness is from offset 1.
+    assert is_conjugate(xy, yx) == Word(f2, xy.letters[1:]) == _is_conjugate_by_rotations(xy, yx)
+    assert is_conjugate(xy, w(f2, "x y^-1") ** k) is None
+
+
 def test_extract_root_examples(f2, h_rank4):
     assert extract_root(w(f2, "x^6")) == (w(f2, "x"), 6)
     assert extract_root(w(f2, "x y x y x y")) == (w(f2, "x y"), 3)
@@ -225,12 +266,6 @@ def test_power_of(f2):
     assert power_of(identity(f2), w(f2, "x")) == 0
     assert power_of(w(f2, "x y x^-1") ** 4, w(f2, "x y x^-1")) == 4
     assert power_of(w(f2, "y"), w(f2, "x")) is None
-
-
-def test_canonical_rotation(f2):
-    word_ = w(f2, "y x")
-    assert canonical_rotation(word_) == w(f2, "x y")
-    assert canonical_rotation(w(f2, "x^-1 x^-1 x^-1")) == w(f2, "x^-3")
 
 
 def test_iter_reduced_words_counts(f2):

@@ -2,17 +2,23 @@
 
 ``minimize`` applies every type-II move to the whole tuple, in the
 canonical order of ``whitehead_moves``, and takes the first whose image
-is shorter in total (cyclic, with ``cyclic``) length; ``is_free_factor``
-searches the orbit through every move image of the same total length.
-This is the plain definition the library's star-graph deltas replace,
-and the differential tests in ``test_whitehead.py`` require the two to
-agree move for move.  Words are plain letter tuples, and moves act
-through ``letter_image`` with a free reduction of this module's own.
+is shorter in total (cyclic, with ``cyclic``) length.  This is the plain
+definition the library's star-graph deltas replace, and the differential
+tests in ``test_whitehead.py`` require the two to agree move for move.
+``is_free_factor`` searches the orbit of the minimized tuple through
+every move image of the same total length, up to a cap on the tuples it
+visits: the search that peak reduction lets the library leave out.
+Words are plain letter tuples, and moves act through ``letter_image``
+with a free reduction of this module's own.
 """
 
 from __future__ import annotations
 
-from freegroups.whitehead import SearchCapExceeded, whitehead_moves
+from freegroups.whitehead import whitehead_moves
+
+
+class OrbitCapExceeded(RuntimeError):
+    """The orbit search would visit more tuples than its cap: no answer."""
 
 
 def reduce(letters) -> tuple[int, ...]:
@@ -86,7 +92,7 @@ def is_free_factor(alphabet, words, max_visited: int) -> bool:
                 if _is_basis_subtuple(candidate):
                     return True
                 if len(visited) >= max_visited:
-                    raise SearchCapExceeded("cap")
+                    raise OrbitCapExceeded(f"orbit search cap of {max_visited} tuples exceeded")
                 visited.add(candidate)
                 next_frontier.append(candidate)
         frontier = next_frontier
