@@ -5,7 +5,7 @@ roots, centralizers, abelianization); folded subgroup graphs
 (membership, rank and basis, intersections, malnormality); Whitehead
 minimization (primitivity and free-factor detection); HNN extensions
 with Britton normal forms and amalgams with alternating normal forms;
-endomorphisms, bounded fixed subgroups and orbit counts; and the
+endomorphisms, bounded fixed subgroups and orbit periods; and the
 closure procedures built from them, including a verified rank-4 family
 of splittings in which one element is algebraic but not definable over
 a distinguished subgroup.
@@ -25,7 +25,6 @@ from .words import (
     iter_reduced_words,
     parse_word,
     power_of,
-    word,
 )
 from .stallings import SubgroupGraph, graph_from_text, intersect, is_malnormal, subgroup_graph
 from .whitehead import (

@@ -98,8 +98,7 @@ def compressed_step_check(cert) -> Report:
 
     The edge word must be primitive in at least one side (decided by
     Whitehead minimization after rewriting it in that factor's own
-    basis), and the surviving side's rank must not exceed the rank the
-    one-edge splitting gives the whole group.
+    basis).
     """
     checks: list[Check] = []
     if isinstance(cert, AmalgamCertificate):
@@ -116,14 +115,6 @@ def compressed_step_check(cert) -> Report:
             f"in b2 coordinates c = {format_word(c2)} ({'primitive' if prim2 else 'not primitive'})"
         )
         checks.append(Check("edge_primitive_in_a_factor", prim1 or prim2, detail))
-        r1, r2 = g1.rank(), g2.rank()
-        whole = r1 + r2 - 1
-        if prim1 or prim2:
-            passing = [r for r, prim in ((r1, prim1), (r2, prim2)) if prim]
-            ok = all(r <= whole for r in passing)
-            checks.append(Check("rank_bound", ok, f"rk(B_i) <= {whole} for passing sides {passing}"))
-        else:
-            checks.append(Check("rank_bound", False, "no side passed the primitivity test"))
         return Report(tuple(checks))
     if isinstance(cert, HnnCertificate):
         g = _basis_graph(cert.ambient, cert.base, "base")
@@ -138,8 +129,6 @@ def compressed_step_check(cert) -> Report:
             f"v = {format_word(v_expr)} ({'primitive' if prim_v else 'not primitive'})"
         )
         checks.append(Check("edge_primitive_in_base", prim_u or prim_v, detail))
-        r = g.rank()
-        checks.append(Check("rank_bound", r <= r + 1, f"rk(base) = {r} <= rk(K) = {r + 1}"))
         return Report(tuple(checks))
     raise TypeError("certificate must be an AmalgamCertificate or HnnCertificate")
 
@@ -288,32 +277,10 @@ def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
     return solutions
 
 
-def _solution_set_python(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
-    """Reference sweep; same enumeration order as the bulk path."""
-    a_code = alphabet.letter("a")
-    b_code = alphabet.letter("b")
-    core = cyclically_reduce(v)[0].letters
-    rotations = _rotation_set(core)
-    solutions: list[Word] = []
-    for h in iter_reduced_letter_tuples(alphabet.rank, max_len):
-        inv = tuple(-l for l in reversed(h))
-        lets = free_reduce(
-            (a_code,) + h + (b_code,) + h + (a_code,) + inv + (b_code,) + inv
-        )
-        i, j = 0, len(lets)
-        while j - i >= 2 and lets[i] == -lets[j - 1]:
-            i += 1
-            j -= 1
-        if j - i == len(core) and lets[i:j] in rotations:
-            solutions.append(Word(alphabet, h, _reduced=True))
-    return solutions
-
-
 def counterexample_solution_set(
     a0_size: int = 0,
     max_len: int = 6,
     v_override: Optional[Word] = None,
-    method: str = "bulk",
 ) -> list[Word]:
     """All reduced h with |h| <= max_len whose equation word is conjugate to v.
 
@@ -323,11 +290,7 @@ def counterexample_solution_set(
     outcome {y, y^-1} must be stable as max_len grows.
     """
     setup = build_counterexample(a0_size, v_override)
-    if method == "bulk":
-        return _solution_set_bulk(setup.h_alphabet, setup.v, max_len)
-    if method == "python":
-        return _solution_set_python(setup.h_alphabet, setup.v, max_len)
-    raise ValueError(f"unknown method {method!r}")
+    return _solution_set_bulk(setup.h_alphabet, setup.v, max_len)
 
 
 def dcl_separation_check(

@@ -225,30 +225,25 @@ def orbit_bounded(
     bound: int,
     description: str = "family",
 ) -> OrbitReport:
-    """Apply f_n for 0 <= n <= bound and count pairwise-distinct images.
+    """Count the distinct images f_n(element) for 0 <= n <= bound.
 
-    Distinctness is decided in the codomain group (normal forms are not
-    canonical, so each new image is compared against one representative
-    per class found so far).
+    Contract: f_n = tau^n for one automorphism tau, as for the Dehn
+    twists ``dehn_twist(pres, n)`` (inverse ``dehn_twist(pres, -1)``).
+    Then f_n(w) = f_m(w) iff tau^(n-m) fixes w, so the orbit is periodic
+    and its least period d is the first k >= 1 with f_k(w) = w.  The
+    images f_0 .. f_(d-1) are pairwise distinct and (0, d) is the first
+    collision; with no fixed image up to the bound all bound + 1 images
+    are distinct (none for a negative bound).  The scan takes at most
+    ``bound`` equality tests in the codomain group.  d need not be 1
+    without the splitting hypotheses: over <a, b, t | t^-1 a^2 t = a^3>,
+    t t a t^-1 t^-1 has period 2.
     """
-    reps: list[tuple[int, Word]] = []
-    domain = None
-    first_collision: Optional[tuple[int, int]] = None
-    for n in range(bound + 1):
-        f = family(n)
-        if domain is None:
-            domain = f.domain
-        image = f.apply(element)
-        hit = None
-        for idx, rep in reps:
-            if words_equal(domain, rep, image):
-                hit = idx
-                break
-        if hit is None:
-            reps.append((n, image))
-        elif first_collision is None:
-            first_collision = (hit, n)
-    return OrbitReport(description, element, bound, len(reps), first_collision)
+    f = family(0)
+    start = f.apply(element)
+    for k in range(1, bound + 1):
+        if words_equal(f.domain, start, family(k).apply(element)):
+            return OrbitReport(description, element, bound, k, (0, k))
+    return OrbitReport(description, element, bound, max(bound + 1, 0), None)
 
 
 def abelianization_matrix(f: Endomorphism) -> list[list[int]]:

@@ -327,48 +327,47 @@ def _syllables_of(pres: AmalgamPresentation, w: Word) -> list[tuple[int, Word]]:
 def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
     """Normal form: merge syllables lying in the edge group across sides.
 
-    A syllable equal to c_i^p converts to c_j^p on the other side and is
-    absorbed by its right neighbour (left when it is last).  The result
-    is a single syllable, or an alternating sequence with no syllable a
-    power of its side's edge word.
+    The rule: the leftmost syllable equal to an edge power c_i^p becomes
+    c_j^p on the other side and joins its right neighbour (its left one
+    when it is last); a trivial syllable is dropped and its two
+    neighbours merge.  The result is a single syllable, or an
+    alternating sequence with no syllable a power of its side's edge
+    word.
+
+    One left-to-right pass applies the rule.  The syllables read so far
+    form a stack that alternates, has no trivial syllable and no edge
+    power below its top, so an edge power on top is the leftmost one:
+    the next syllable absorbs it, and the result merges with the
+    syllable below, which shares its side.  An edge power left on top at
+    the end joins its left neighbour.
     """
     if w.alphabet != pres.union_alphabet:
         raise ValueError("word is not over the amalgam alphabet")
-    syl = _syllables_of(pres, w)
-    changed = True
-    while changed:
-        changed = False
-        # Merge same-side neighbours and drop trivial syllables.
-        i = 0
-        while i < len(syl):
-            side, wd = syl[i]
-            if not wd:
-                del syl[i]
-                changed = True
-                continue
-            if i + 1 < len(syl) and syl[i + 1][0] == side:
-                syl[i] = (side, wd * syl[i + 1][1])
-                del syl[i + 1]
-                changed = True
-                continue
-            i += 1
-        if len(syl) < 2:
-            break
-        # Syllables now alternate strictly, so a converted edge power
-        # always lands on its neighbour's side.
-        for i, (side, wd) in enumerate(syl):
-            p = power_of(wd, pres.edge_word(side))
-            if p is None:
-                continue
-            other = 2 if side == 1 else 1
-            converted = pres.edge_word(other) ** p
-            if i + 1 < len(syl):
-                syl[i : i + 2] = [(other, converted * syl[i + 1][1])]
+    stack: list[tuple[int, Word]] = []
+    for side, wd in _syllables_of(pres, w):
+        while stack and wd:
+            top_side, top = stack[-1]
+            if top_side == side:
+                wd = top * wd
             else:
-                syl[i - 1 : i + 1] = [(other, syl[i - 1][1] * converted)]
-            changed = True
+                p = power_of(top, pres.edge_word(top_side))
+                if p is None:
+                    break
+                wd = pres.edge_word(side) ** p * wd
+            stack.pop()
+        if wd:
+            stack.append((side, wd))
+    while len(stack) >= 2:
+        side, last = stack[-1]
+        p = power_of(last, pres.edge_word(side))
+        if p is None:
             break
-    return AmalgamForm(tuple(syl))
+        stack.pop()
+        side, wd = stack.pop()
+        wd = wd * pres.edge_word(side) ** p
+        if wd:
+            stack.append((side, wd))
+    return AmalgamForm(tuple(stack))
 
 
 def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:

@@ -170,11 +170,6 @@ class Word:
         return format_word(self)
 
 
-def word(alphabet: Alphabet, text: str) -> Word:
-    """Shorthand for :func:`parse_word`."""
-    return parse_word(alphabet, text)
-
-
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     letters: list[int] = []
     for token in text.split():

@@ -196,6 +196,29 @@ def test_orbit(capsys, pres_file):
     assert "first_collision: none" in lines
 
 
+def test_apply_amalgam_merges_after_cancellation(capsys, tmp_path):
+    pres = tmp_path / "am.txt"
+    pres.write_text("gens p q\ngens r s\namalgam : p = r\n")
+    identity_map = tmp_path / "id.txt"
+    identity_map.write_text("map p -> p\nmap q -> q\nmap r -> r\nmap s -> s\n")
+    code, out, _ = run(
+        capsys, "apply", "--pres", str(pres), "--map", str(identity_map), "q s p r^-1 s^-1 p"
+    )
+    assert code == 0 and out == "q p\n"
+
+
+def test_orbit_least_period_two(capsys, tmp_path):
+    pres = tmp_path / "bs23.txt"
+    pres.write_text("gens a b\nhnn t : a^2 -> a^3\n")
+    code, out, _ = run(
+        capsys, "orbit", "--pres", str(pres), "--element", "t t a t^-1 t^-1", "--n", "5"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "distinct: 2" in lines
+    assert "first_collision: 0 2" in lines
+
+
 def test_abelian_acl(capsys):
     code, out, _ = run(capsys, "abelian-acl", "--gens", "x y", "x^2")
     assert code == 0 and out == "x\n"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freegroups.closure import build_counterexample
 from freegroups.endos import (
@@ -12,14 +14,16 @@ from freegroups.endos import (
     is_automorphism_free,
     orbit_bounded,
     order_bounded,
+    domain_alphabet,
     verify_automorphism_pair,
     words_equal,
 )
-from freegroups.splittings import AmalgamPresentation, dehn_twist, hnn_equal
+from freegroups.splittings import AmalgamPresentation, dehn_twist, hnn_equal, parse_presentation
 from freegroups.stallings import subgroup_graph
 from freegroups.words import Alphabet, parse_word
 
-from conftest import random_reduced, w
+import splittings_oracle as oracle
+from conftest import random_reduced, reduced_words, w
 
 
 @pytest.fixture
@@ -217,6 +221,50 @@ def test_orbit_never_undercounts(setup):
     )
     report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 20)
     assert all_distinct and report.distinct_count == 21
+
+
+# Baumslag-Solitar BS(2, 3): u = a^2 is not root-free, so the splitting
+# hypotheses fail and twist orbits need not be constant or injective.
+BS23 = parse_presentation("gens a b\nhnn t : a^2 -> a^3\n")
+
+ORBIT_SPLITTINGS = [
+    build_counterexample(0).pres,
+    parse_presentation("gens a b\nhnn t : a -> b\n"),
+    BS23,
+] + [
+    parse_presentation(f"gens p q\ngens r s\namalgam : {edge}\n")
+    for edge in ("p = r", "p^2 = r^3", "p = r^2")
+]
+
+
+@st.composite
+def orbit_cases(draw):
+    pres = draw(st.sampled_from(ORBIT_SPLITTINGS))
+    return pres, draw(reduced_words(domain_alphabet(pres), 9)), draw(st.integers(-1, 12))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(orbit_cases())
+def test_orbit_matches_pairwise(case):
+    pres, element, bound = case
+    family = lambda n: dehn_twist(pres, n)
+    assert orbit_bounded(family, element, bound) == oracle.orbit_pairwise(family, element, bound)
+
+
+@pytest.mark.parametrize("bound", range(9))
+def test_orbit_least_period_two(bound):
+    report = orbit_bounded(lambda n: dehn_twist(BS23, n), BS23.word("t t a t^-1 t^-1"), bound)
+    if bound >= 2:
+        assert (report.distinct_count, report.first_collision) == (2, (0, 2))
+    else:
+        assert (report.distinct_count, report.first_collision) == (bound + 1, None)
+
+
+def test_orbit_at_bound_one_thousand(setup):
+    pres = setup.pres
+    report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 1000)
+    assert report.distinct_count == 1001
+    assert report.first_collision is None
 
 
 def test_abelianization_matrix(f2):

@@ -20,6 +20,7 @@ from freegroups.splittings import (
 )
 from freegroups.words import Alphabet, Word, identity, parse_word, power_of
 
+import splittings_oracle as oracle
 from conftest import random_reduced, reduced_words, w
 
 
@@ -296,6 +297,44 @@ def test_amalgam_examples(amalgam):
 
     form2 = amalgam_reduce(am, am.word("q s"))
     assert [(side, str(word_)) for side, word_ in form2.syllables] == [(1, "q"), (2, "s")]
+
+
+def test_amalgam_merges_neighbours_of_a_dropped_syllable(amalgam):
+    # s p r^-1 s^-1 cancels to the identity once p becomes r; q and the
+    # last p are then neighbours in factor 1 and must merge.
+    form = amalgam_reduce(amalgam, amalgam.word("q s p r^-1 s^-1 p"))
+    assert [(side, str(word_)) for side, word_ in form.syllables] == [(1, "q p")]
+
+
+AMALGAMS = [
+    parse_presentation(f"gens p q\ngens r s\namalgam : {edge}\n")
+    for edge in ("p = r", "p^2 = r^3", "p = r^2")
+]
+
+
+@st.composite
+def amalgam_words(draw):
+    """An amalgam and a word of random letters, edge powers and conjugates of edge powers."""
+    pres = draw(st.sampled_from(AMALGAMS))
+    union = pres.union_alphabet
+    letters: list[int] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            letters += draw(reduced_words(union, 3)).letters
+            continue
+        side = draw(st.sampled_from((1, 2)))
+        power = pres.to_union(side, pres.edge_word(side) ** draw(st.sampled_from((-2, -1, 1, 2))))
+        g = draw(reduced_words(union, 3)) if kind == 2 else identity(union)
+        letters += (g * power * ~g).letters
+    return pres, Word(union, letters)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(amalgam_words())
+def test_amalgam_reduce_matches_rescan(case):
+    pres, word_ = case
+    assert amalgam_reduce(pres, word_).syllables == oracle.amalgam_rescan(pres, word_)
 
 
 def test_amalgam_validation():
