@@ -1,9 +1,10 @@
-"""Vectorized word sweeps (numpy) for the large brute-force searches.
+"""Vectorized word sweeps (numpy) for the bounded solution sweep.
 
-Words are rows of signed int8 letters, left-aligned with zero padding.
-Row order always matches ``words.iter_reduced_letter_tuples``: length
-ascending, then lexicographic in the canonical letter order (+1, -1,
-+2, -2, ...), so sequential and bulk sweeps enumerate identically.
+Words are rows of signed int8 letters, left-aligned with zero padding;
+``bulk_reduce`` reduces a block in one column-by-column stack pass.  Row
+order always matches ``words.iter_reduced_letter_tuples``: length
+ascending, then lexicographic in the canonical letter order (+1, -1, +2,
+-2, ...), so sequential and bulk sweeps enumerate identically.
 """
 
 from __future__ import annotations
@@ -48,45 +49,26 @@ def words_of_length(rank: int, length: int) -> np.ndarray:
 def bulk_reduce(arr: np.ndarray) -> np.ndarray:
     """Freely reduce every row (zero-padded, letters stay left-aligned).
 
-    Each pass removes, inside every maximal run of adjacent cancelling
-    positions, the alternate pairs starting at the run head; cascades
-    resolve over successive passes.  Rows with no remaining cancellation
-    are parked between passes, so late passes touch few rows.
+    One stack push/pop per column, for all rows at once: the stacks share
+    a flat int8 array whose column 0 holds -128, the inverse of no letter.
+    A letter cancels the top when it is its inverse, else it is pushed; a
+    zero letter does neither.  It is written above the top either way, and
+    every cell above a row's final depth is zeroed at the end.
     """
-    out = arr.astype(np.int8, copy=True)
-    m = out.shape[1]
-    if m < 2 or out.shape[0] == 0:
-        return out
-    idx = np.arange(out.shape[0])
-    work = out
-    cols = np.arange(m)
-    while True:
-        nxt = np.zeros_like(work)
-        nxt[:, :-1] = work[:, 1:]
-        cancel = (work != 0) & (work == -nxt)
-        has = cancel.any(axis=1)
-        if not has.any():
-            out[idx] = work
-            return out
-        done = ~has
-        if done.any():
-            out[idx[done]] = work[done]
-            idx = idx[has]
-            work = work[has]
-            cancel = cancel[has]
-        prev = np.zeros_like(cancel)
-        prev[:, 1:] = cancel[:, :-1]
-        run_start = cancel & ~prev
-        last_start = np.maximum.accumulate(np.where(run_start, cols, -1), axis=1)
-        select = cancel & ((cols - last_start) % 2 == 0) & (last_start >= 0)
-        remove = select.copy()
-        remove[:, 1:] |= select[:, :-1]
-        keep = (work != 0) & ~remove
-        counts = np.cumsum(keep, axis=1, dtype=np.int32)
-        compacted = np.zeros_like(work)
-        rows_k, cols_k = np.nonzero(keep)
-        compacted[rows_k, counts[rows_k, cols_k] - 1] = work[rows_k, cols_k]
-        work = compacted
+    cols = np.ascontiguousarray(np.asarray(arr, dtype=np.int8).T)
+    n, m = cols.shape
+    stack = np.zeros((m, n + 1), dtype=np.int8)
+    stack[:, 0] = -128
+    flat = stack.reshape(-1)
+    base = np.arange(m, dtype=np.intp) * (n + 1)
+    top = base.copy()
+    for letter in cols:
+        cancel = flat.take(top) == -letter
+        flat[top + 1] = letter
+        top += (letter != 0).view(np.int8) - 2 * cancel.view(np.int8)
+    out = stack[:, 1:]
+    out[np.arange(n) >= (top - base)[:, None]] = 0
+    return np.ascontiguousarray(out)
 
 
 def row_lengths(arr: np.ndarray) -> np.ndarray:

@@ -417,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-counterexample")
     p.add_argument("--a0", type=int, default=0)
     p.add_argument("--l-solution", type=int, default=6)
-    p.add_argument("--l-separation", type=int, default=8)
+    p.add_argument("--l-separation", type=int, default=8,
+                   help="changes only its header line: check 7 is exact for the letter map g")
     p.add_argument("--format", default="text", choices=FORMATS)
     return parser
 

@@ -253,27 +253,38 @@ def _rotation_set(core: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
+    """Halved sweep: E(h^-1) = a h^-1 b h^-1 a h b h is E(h) = a h b h a h^-1
+    b h^-1 read from its second a, so h solves iff h^-1 does, for every v;
+    and a nonempty reduced h never equals h^-1 (h^2 = 1 forces h = 1).  So
+    only rows with h before h^-1 in canonical order (letter key 2|x| + (x < 0),
+    at the first differing column) are reduced; each hit adds h^-1, and
+    sorting by the key restores enumeration order.
+    """
     a_code = alphabet.letter("a")
     b_code = alphabet.letter("b")
     core = cyclically_reduce(v)[0].letters
     rotations = _rotation_set(core)
     rank = alphabet.rank
     solutions: list[Word] = []
-    chunk_rows = 1 << 18
+    chunk_rows = 1 << 15
     for length in range(0, max_len + 1):
         block = _bulk.words_of_length(rank, length)
+        hits: list[tuple[int, ...]] = []
         for lo in range(0, block.shape[0], chunk_rows):
             h_rows = block[lo : lo + chunk_rows]
-            if h_rows.shape[0] == 0:
-                continue
+            if length:
+                key = 2 * np.abs(h_rows.astype(np.int16)) + (h_rows < 0)
+                diff = key - (key + np.sign(h_rows))[:, ::-1]  # key(x^-1) = key(x) + sign(x)
+                h_rows = h_rows[diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] < 0]
             reduced = _bulk.bulk_reduce(_equation_rows(h_rows, a_code, b_code))
             start, end = _bulk.cyclic_bounds(reduced)
-            hits = np.nonzero((end - start) == len(core))[0]
-            for i in hits:
+            for i in np.nonzero((end - start) == len(core))[0]:
                 row = reduced[i, start[i] : end[i]]
                 if tuple(int(x) for x in row) in rotations:
-                    lets = tuple(int(x) for x in h_rows[i])
-                    solutions.append(Word(alphabet, lets, _reduced=True))
+                    h = tuple(int(x) for x in h_rows[i])
+                    hits += [h, tuple(-x for x in reversed(h))] if h else [h]
+        hits.sort(key=lambda h: [2 * abs(x) + (x < 0) for x in h])
+        solutions += (Word(alphabet, h, _reduced=True) for h in hits)
     return solutions
 
 
@@ -285,9 +296,10 @@ def counterexample_solution_set(
     """All reduced h with |h| <= max_len whose equation word is conjugate to v.
 
     The equation word is a h b h a h^-1 b h^-1; candidates are returned
-    in enumeration order (length, then canonical letter order).  This
-    sweep is itself the brute-force oracle for the pipeline: the expected
-    outcome {y, y^-1} must be stable as max_len grows.
+    in enumeration order (length, then canonical letter order).  The sweep
+    is bounded, not a proof: the expected outcome {y, y^-1} must be stable
+    as max_len grows.  Its reference is the sequential Python sweep in
+    ``tests/closure_oracle.py``, which the tests require it to match.
     """
     setup = build_counterexample(a0_size, v_override)
     return _solution_set_bulk(setup.h_alphabet, setup.v, max_len)

@@ -1,4 +1,4 @@
-"""Reference path for the solution-set tests: the sequential Python sweep.
+"""Reference paths for the solution-set tests.
 
 ``solution_set`` visits every reduced h up to ``max_len`` in enumeration
 order (length, then canonical letter order), freely reduces the equation
@@ -6,9 +6,14 @@ word a h b h a h^-1 b h^-1 one candidate at a time, and keeps h when the
 cyclic core is a rotation of v's.  It is slow but simple, and
 ``test_closure.py`` requires the library's vectorized sweep to return
 exactly the same list.
+
+``bulk_reduce`` is the earlier pass-based numpy reduction of padded rows,
+kept as the reference for the column-stack kernel in ``_bulk``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from freegroups.words import Alphabet, Word, cyclically_reduce, free_reduce, iter_reduced_letter_tuples
 
@@ -32,3 +37,47 @@ def solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
         if j - i == len(core) and lets[i:j] in rotations:
             solutions.append(Word(alphabet, h, _reduced=True))
     return solutions
+
+
+def bulk_reduce(arr: np.ndarray) -> np.ndarray:
+    """Freely reduce every row (zero-padded, letters stay left-aligned).
+
+    Each pass removes, inside every maximal run of adjacent cancelling
+    positions, the alternate pairs starting at the run head; cascades
+    resolve over successive passes.  Rows with no remaining cancellation
+    are parked between passes, so late passes touch few rows.
+    """
+    out = arr.astype(np.int8, copy=True)
+    m = out.shape[1]
+    if m < 2 or out.shape[0] == 0:
+        return out
+    idx = np.arange(out.shape[0])
+    work = out
+    cols = np.arange(m)
+    while True:
+        nxt = np.zeros_like(work)
+        nxt[:, :-1] = work[:, 1:]
+        cancel = (work != 0) & (work == -nxt)
+        has = cancel.any(axis=1)
+        if not has.any():
+            out[idx] = work
+            return out
+        done = ~has
+        if done.any():
+            out[idx[done]] = work[done]
+            idx = idx[has]
+            work = work[has]
+            cancel = cancel[has]
+        prev = np.zeros_like(cancel)
+        prev[:, 1:] = cancel[:, :-1]
+        run_start = cancel & ~prev
+        last_start = np.maximum.accumulate(np.where(run_start, cols, -1), axis=1)
+        select = cancel & ((cols - last_start) % 2 == 0) & (last_start >= 0)
+        remove = select.copy()
+        remove[:, 1:] |= select[:, :-1]
+        keep = (work != 0) & ~remove
+        counts = np.cumsum(keep, axis=1, dtype=np.int32)
+        compacted = np.zeros_like(work)
+        rows_k, cols_k = np.nonzero(keep)
+        compacted[rows_k, counts[rows_k, cols_k] - 1] = work[rows_k, cols_k]
+        work = compacted

@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from freegroups import _bulk
 from freegroups.closure import (
     AmalgamCertificate,
     HnnCertificate,
@@ -17,7 +21,14 @@ from freegroups.closure import (
 )
 from freegroups.endos import Endomorphism, fixed_words
 from freegroups.splittings import hnn_equal
-from freegroups.words import Word, commutator, identity, iter_reduced_words, parse_word
+from freegroups.words import (
+    Word,
+    commutator,
+    cyclically_reduce,
+    identity,
+    iter_reduced_words,
+    parse_word,
+)
 
 import closure_oracle
 from conftest import random_reduced, w
@@ -120,11 +131,66 @@ def test_solution_set_examples():
 
 def test_solution_set_methods_agree():
     # The library's bulk sweep against the sequential reference sweep.
-    for a0_size, max_len in ((0, 1), (0, 2), (0, 3), (1, 2)):
+    for a0_size, max_len in ((0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (1, 4)):
         setup = build_counterexample(a0_size)
         assert counterexample_solution_set(a0_size, max_len) == (
             closure_oracle.solution_set(setup.h_alphabet, setup.v, max_len)
         )
+    # Perturbed v, and v set to the cyclic core of E(h0): solution sets
+    # other than {y, y^-1}, so the halved sweep's added inverses and its
+    # sort back into enumeration order are compared too.  E(1) = (a b)^2
+    # is solved by 1 and by powers of a; the commutator's core by two
+    # inverse pairs of one length, which only the sort puts in order.
+    setup = build_counterexample(0)
+    alphabet = setup.h_alphabet
+    a, b = parse_word(alphabet, "a"), parse_word(alphabet, "b")
+    overrides = v_perturbations(0)[::9][:5]
+    for text in ("y u", "a y", "u y^-1 b", "a a b", "1", "a b a^-1 b^-1"):
+        h = parse_word(alphabet, text)
+        core = cyclically_reduce(a * h * b * h * a * ~h * b * ~h)[0]
+        expected = closure_oracle.solution_set(alphabet, core, 4)
+        assert {h, ~h} <= set(expected)
+        assert len(expected) == {"1": 13, "a b a^-1 b^-1": 4}.get(text, 2)
+        overrides.append(core)
+    assert len(overrides) == 11
+    for v in overrides:
+        assert counterexample_solution_set(0, 4, v) == (
+            closure_oracle.solution_set(alphabet, v, 4)
+        )
+
+
+@st.composite
+def padded_rows(draw):
+    """Left-aligned zero-padded int8 rows, letter codes up to rank 127.
+
+    Letters come from a few generators so that rows cancel; some rows
+    are w w^-1, which reduce to empty, and some are all zero.
+    """
+    rank = draw(st.integers(1, _bulk.MAX_RANK))
+    width = draw(st.integers(0, 40))
+    gens = draw(st.lists(st.integers(1, rank), min_size=1, max_size=3))
+    letter = st.sampled_from(gens).flatmap(lambda g: st.sampled_from((g, -g)))
+    free = st.lists(letter, max_size=width)
+    empty = st.lists(letter, max_size=width // 2).map(
+        lambda w: w + [-x for x in reversed(w)]
+    )
+    rows = draw(st.lists(st.one_of(free, empty), max_size=12))
+    arr = np.zeros((len(rows), width), dtype=np.int8)
+    for i, row in enumerate(rows):
+        arr[i, : len(row)] = row
+    return arr
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(padded_rows())
+@example(np.zeros((0, 7), dtype=np.int8))
+@example(np.zeros((3, 0), dtype=np.int8))
+@example(np.zeros((4, 9), dtype=np.int8))
+@example(np.array([[1, -1, 0], [127, 2, -2], [-127, 127, 0]], dtype=np.int8))
+def test_bulk_reduce_matches_oracle(arr):
+    got = _bulk.bulk_reduce(arr)
+    assert got.dtype == np.int8 and got.shape == arr.shape
+    assert np.array_equal(got, closure_oracle.bulk_reduce(arr))
 
 
 def test_solution_set_growth_and_membership():
