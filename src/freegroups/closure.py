@@ -15,11 +15,13 @@ sweep, and that g fixes no word of H outside A at any length.  The
 latter is exact: g permutes the letters of H, and a map sending each
 generator to a single letter rewrites a word letter by letter, which
 free reduction can only shorten, so it fixes a reduced word iff it
-fixes each of its letters.  The solution sweep is a regression check
-at desk scale, not a proof: it exercises the construction, it does not
-re-derive it.  Candidates are always visited in enumeration order
-(length, then canonical letter order), so results and witnesses are
-deterministic.
+fixes each of its letters.  The solution sweep enumerates words over
+a, b and the letters of v only, then lifts the other generators in one
+at a time; that is exact, since killing one of them fixes a, b and v
+and never lengthens z.  It is a regression check at desk scale, not a
+proof: it exercises the construction, it does not re-derive it.
+Candidates are always visited in enumeration order (length, then
+canonical letter order), so results and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -253,39 +255,55 @@ def _rotation_set(core: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
-    """Halved sweep: E(h^-1) = a h^-1 b h^-1 a h b h is E(h) = a h b h a h^-1
-    b h^-1 read from its second a, so h solves iff h^-1 does, for every v;
-    and a nonempty reduced h never equals h^-1 (h^2 = 1 forces h = 1).  So
-    only rows with h before h^-1 in canonical order (letter key 2|x| + (x < 0),
-    at the first differing column) are reduced; each hit adds h^-1, and
-    sorting by the key restores enumeration order.
+    """Every reduced h, |h| <= max_len, with E(h) = a h b h a h^-1 b h^-1
+    conjugate to v, in enumeration order.
+
+    Let C be {a, b} and the generators of v.  For any other generator s,
+    kappa_s (kill s, fix the rest) fixes a, b and v, so kappa_s(E(h)) =
+    E(kappa_s(h)): if h solves, so does kappa_s(h), and it is no longer.
+    So the sweep runs over C only, and each other s in turn adds the
+    solving lifts (``_bulk.lifts``) of the solutions so far, each tested
+    directly.  The sweep is halved: E(h^-1) is E(h) read from its second a,
+    so h solves iff h^-1 does, and a nonempty reduced h never equals h^-1;
+    it keeps h before h^-1 in canonical order (letter key 2|x| + (x < 0),
+    first differing column) and adds h^-1 to each hit.
     """
-    a_code = alphabet.letter("a")
-    b_code = alphabet.letter("b")
+    rank = alphabet.rank
+    if rank > _bulk.MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds {_bulk.MAX_RANK}, the most int8 letter codes hold")
+    a_code, b_code = alphabet.letter("a"), alphabet.letter("b")
     core = cyclically_reduce(v)[0].letters
     rotations = _rotation_set(core)
-    rank = alphabet.rank
-    solutions: list[Word] = []
+
+    def solving(h_rows: np.ndarray) -> list[tuple[int, ...]]:
+        # Zero letters are no-ops in the stack pass, so rows may be padded.
+        reduced = _bulk.bulk_reduce(_equation_rows(h_rows, a_code, b_code))
+        start, end = _bulk.cyclic_bounds(reduced)
+        found = np.nonzero((end - start) == len(core))[0]
+        return [tuple(int(x) for x in h_rows[i] if x) for i in found
+                if tuple(int(x) for x in reduced[i, start[i] : end[i]]) in rotations]
+
+    gens = sorted({a_code, b_code} | {abs(x) for x in v.letters})
+    codes = np.array([0] + gens, dtype=np.int8)
+    hits: list[tuple[int, ...]] = []
     chunk_rows = 1 << 15
     for length in range(0, max_len + 1):
-        block = _bulk.words_of_length(rank, length)
-        hits: list[tuple[int, ...]] = []
+        block = _bulk.words_of_length(len(gens), length)
         for lo in range(0, block.shape[0], chunk_rows):
             h_rows = block[lo : lo + chunk_rows]
+            h_rows = np.sign(h_rows) * codes[np.abs(h_rows)]
             if length:
                 key = 2 * np.abs(h_rows.astype(np.int16)) + (h_rows < 0)
                 diff = key - (key + np.sign(h_rows))[:, ::-1]  # key(x^-1) = key(x) + sign(x)
                 h_rows = h_rows[diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] < 0]
-            reduced = _bulk.bulk_reduce(_equation_rows(h_rows, a_code, b_code))
-            start, end = _bulk.cyclic_bounds(reduced)
-            for i in np.nonzero((end - start) == len(core))[0]:
-                row = reduced[i, start[i] : end[i]]
-                if tuple(int(x) for x in row) in rotations:
-                    h = tuple(int(x) for x in h_rows[i])
-                    hits += [h, tuple(-x for x in reversed(h))] if h else [h]
-        hits.sort(key=lambda h: [2 * abs(x) + (x < 0) for x in h])
-        solutions += (Word(alphabet, h, _reduced=True) for h in hits)
-    return solutions
+            for h in solving(h_rows):
+                hits += [h, tuple(-x for x in reversed(h))] if h else [h]
+    for s in range(1, rank + 1):
+        if s not in gens:
+            gens = sorted(gens + [s])
+            hits = solving(_bulk.lifts(gens, s, hits, max_len))
+    hits.sort(key=lambda h: (len(h), [2 * abs(x) + (x < 0) for x in h]))
+    return [Word(alphabet, h, _reduced=True) for h in hits]
 
 
 def counterexample_solution_set(
@@ -296,8 +314,10 @@ def counterexample_solution_set(
     """All reduced h with |h| <= max_len whose equation word is conjugate to v.
 
     The equation word is a h b h a h^-1 b h^-1; candidates are returned
-    in enumeration order (length, then canonical letter order).  The sweep
-    is bounded, not a proof: the expected outcome {y, y^-1} must be stable
+    in enumeration order (length, then canonical letter order).  Only
+    a, b and the letters of v are swept; the other generators are lifted
+    in one at a time, exactly (see ``_solution_set_bulk``).  The sweep is
+    bounded, not a proof: the expected outcome {y, y^-1} must be stable
     as max_len grows.  Its reference is the sequential Python sweep in
     ``tests/closure_oracle.py``, which the tests require it to match.
     """

@@ -8,7 +8,9 @@ cyclic core is a rotation of v's.  It is slow but simple, and
 exactly the same list.
 
 ``bulk_reduce`` is the earlier pass-based numpy reduction of padded rows,
-kept as the reference for the column-stack kernel in ``_bulk``.
+kept as the reference for the column-stack kernel in ``_bulk``, and
+``cyclic_bounds`` the earlier loop that strips one end pair of every row
+per pass, the reference for the one-pass mirror comparison.
 """
 
 from __future__ import annotations
@@ -81,3 +83,22 @@ def bulk_reduce(arr: np.ndarray) -> np.ndarray:
         rows_k, cols_k = np.nonzero(keep)
         compacted[rows_k, counts[rows_k, cols_k] - 1] = work[rows_k, cols_k]
         work = compacted
+
+
+def cyclic_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (start, end) of the cyclic core of reduced rows."""
+    n, m = arr.shape
+    start = np.zeros(n, dtype=np.intp)
+    end = (arr != 0).sum(axis=1).astype(np.intp)
+    if m == 0:
+        return start, end
+    rows = np.arange(n)
+    while True:
+        active = end - start >= 2
+        first = arr[rows, np.minimum(start, m - 1)]
+        last = arr[rows, np.maximum(end - 1, 0)]
+        strip = active & (first == -last)
+        if not strip.any():
+            return start, end
+        start = start + strip
+        end = end - strip

@@ -25,7 +25,9 @@ from freegroups.words import (
     Word,
     commutator,
     cyclically_reduce,
+    free_reduce,
     identity,
+    iter_reduced_letter_tuples,
     iter_reduced_words,
     parse_word,
 )
@@ -131,7 +133,7 @@ def test_solution_set_examples():
 
 def test_solution_set_methods_agree():
     # The library's bulk sweep against the sequential reference sweep.
-    for a0_size, max_len in ((0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (1, 4)):
+    for a0_size, max_len in ((0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (1, 4), (2, 3)):
         setup = build_counterexample(a0_size)
         assert counterexample_solution_set(a0_size, max_len) == (
             closure_oracle.solution_set(setup.h_alphabet, setup.v, max_len)
@@ -156,6 +158,15 @@ def test_solution_set_methods_agree():
     for v in overrides:
         assert counterexample_solution_set(0, 4, v) == (
             closure_oracle.solution_set(alphabet, v, 4)
+        )
+    # Perturbations at a0 = 1, some of which put u or c1 into v and so
+    # change which generators are swept and which are lifted.
+    alphabet1 = build_counterexample(1).h_alphabet
+    perturbed = v_perturbations(1)[::9]
+    assert {"u", "c1"} <= {alphabet1.letter_name(x) for v in perturbed for x in v.letters}
+    for v in perturbed:
+        assert counterexample_solution_set(1, 4, v) == (
+            closure_oracle.solution_set(alphabet1, v, 4)
         )
 
 
@@ -193,6 +204,70 @@ def test_bulk_reduce_matches_oracle(arr):
     assert np.array_equal(got, closure_oracle.bulk_reduce(arr))
 
 
+@st.composite
+def reduced_rows(draw):
+    """Reduced zero-padded int8 rows, letter codes up to rank 127: free
+    rows, conjugates p c p^-1 that strip deep, and w w^-1, which reduce
+    to empty rows."""
+    rank = draw(st.integers(1, _bulk.MAX_RANK))
+    gens = draw(st.lists(st.integers(1, rank), min_size=1, max_size=3))
+    letter = st.sampled_from(gens).flatmap(lambda g: st.sampled_from((g, -g)))
+    word = st.lists(letter, max_size=12)
+    inverse = lambda w: [-x for x in reversed(w)]
+    conjugate = st.tuples(word, word).map(lambda pc: pc[0] + pc[1] + inverse(pc[0]))
+    empty = word.map(lambda w: w + inverse(w))
+    rows = draw(st.lists(st.one_of(word, conjugate, empty), max_size=12))
+    width = max(map(len, rows), default=0) + draw(st.integers(0, 3))
+    arr = np.zeros((len(rows), width), dtype=np.int8)
+    for i, row in enumerate(rows):
+        arr[i, : len(row)] = row
+    return _bulk.bulk_reduce(arr)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(reduced_rows())
+@example(np.zeros((0, 5), dtype=np.int8))
+@example(np.zeros((2, 0), dtype=np.int8))
+@example(np.zeros((3, 1), dtype=np.int8))
+@example(np.array([[1, 2, -1, 0], [127, 5, 3, -127], [4, 0, 0, 0]], dtype=np.int8))
+def test_cyclic_bounds_matches_oracle(arr):
+    start, end = _bulk.cyclic_bounds(arr)
+    want_start, want_end = closure_oracle.cyclic_bounds(arr)
+    assert np.array_equal(start, want_start) and np.array_equal(end, want_end)
+
+
+def test_lifts_match_brute_force():
+    # Every reduced word up to length 5 whose image after deleting s
+    # reduces into the target set, in enumeration order; over the codes
+    # 1..rank and over codes with gaps, as the peeling passes them.
+    rng = random.Random(14)
+    for rank in range(1, 6):
+        words = list(iter_reduced_letter_tuples(rank, 5))
+        for s in range(1, rank + 1):
+            image = [free_reduce(tuple(x for x in h if abs(x) != s)) for h in words]
+            rest = [g for g in range(1, rank + 1) if g != s]
+            target_sets = [[], [()]]
+            if rest:
+                target_sets.append([(rest[-1],), (-rest[-1],)])
+                for _ in range(3):
+                    target_sets.append(
+                        [
+                            free_reduce(tuple(rng.choice((1, -1)) * rng.choice(rest) for _ in range(rng.randint(0, 3))))
+                            for _ in range(rng.randint(1, 4))
+                        ]
+                    )
+            for targets in target_sets:
+                expected = [h for h, p in zip(words, image) if p in targets]
+                for codes in ((0, 1, 2, 3, 4, 5), (0, 2, 3, 5, 8, 9)):
+                    relabel = lambda w: tuple(codes[x] if x > 0 else -codes[-x] for x in w)
+                    gens = codes[1 : rank + 1]
+                    for max_len in range(6):
+                        rows = _bulk.lifts(gens, codes[s], [relabel(t) for t in targets], max_len)
+                        assert rows.dtype == np.int8 and rows.shape[1] == max_len
+                        got = [tuple(int(x) for x in row if x) for row in rows]
+                        assert got == [relabel(h) for h in expected if len(h) <= max_len]
+
+
 def test_solution_set_growth_and_membership():
     setup = build_counterexample(0)
     previous: set = set()
@@ -205,6 +280,13 @@ def test_solution_set_growth_and_membership():
 
 def test_solution_set_with_spectators():
     sols = counterexample_solution_set(2, 2)
+    assert [str(s) for s in sols] == ["y", "y^-1"]
+
+
+def test_solution_set_six_generators_length_seven():
+    # Rank 6: u, c1 and c2 are each lifted through the solutions over
+    # a, b and y.
+    sols = counterexample_solution_set(2, 7)
     assert [str(s) for s in sols] == ["y", "y^-1"]
 
 
