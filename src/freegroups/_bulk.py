@@ -2,11 +2,10 @@
 
 Words are rows of signed int8 letters, left-aligned with zero padding;
 ``bulk_reduce`` reduces a block in one column-by-column stack pass, and
-``lifts`` grows the words whose image after deleting one generator lies
-in a target set.  Row order always matches
-``words.iter_reduced_letter_tuples``: length ascending, then
-lexicographic in the canonical letter order (+1, -1, +2, -2, ...), so
-sequential and bulk sweeps enumerate identically.
+``cyclic_bounds`` finds the cyclic core of each reduced row.  Row order
+always matches ``words.iter_reduced_letter_tuples``: length ascending,
+then lexicographic in the canonical letter order (+1, -1, +2, -2, ...),
+so sequential and bulk sweeps enumerate identically.
 """
 
 from __future__ import annotations
@@ -16,16 +15,11 @@ import numpy as np
 MAX_RANK = 127
 
 
-def _canonical_letters(gens) -> np.ndarray:
-    """+g, -g for each generator code g, in the order given."""
-    return np.array([x for g in gens for x in (g, -g)], dtype=np.int8)
-
-
 def words_of_length(rank: int, length: int) -> np.ndarray:
     """All reduced words of exactly this length, one row each."""
     if rank == 0 or length == 0:
         return np.zeros((1 if length == 0 else 0, length), dtype=np.int8)
-    letters = _canonical_letters(range(1, rank + 1))
+    letters = np.array([x for g in range(1, rank + 1) for x in (g, -g)], dtype=np.int8)
     arr = letters.reshape(-1, 1)
     if length == 1:
         return arr
@@ -67,41 +61,6 @@ def bulk_reduce(arr: np.ndarray) -> np.ndarray:
     out = stack[:, 1:]
     out[np.arange(n) >= (top - base)[:, None]] = 0
     return np.ascontiguousarray(out)
-
-
-def lifts(gens, s: int, targets, max_len: int) -> np.ndarray:
-    """Reduced words over ``gens`` (ascending codes) of length <= max_len
-    that reduce into ``targets`` once their s letters are deleted, as
-    zero-padded rows in enumeration order.
-
-    Each reduced prefix carries the stack of its projection (the
-    ``bulk_reduce`` step, with s letters as zeros) and its depth d; it is
-    dropped once d - (letters left) > max |t|, since each later letter
-    cancels at most one projected letter.  Children follow their parents
-    in canonical letter order, so every level stays in enumeration order.
-    """
-    letters = _canonical_letters(gens)
-    proj = np.where(np.abs(letters) == s, 0, letters)
-    targets = [t for t in targets if len(t) <= max_len]
-    reach = max(map(len, targets), default=-1)
-    # Column 0 of a prefix is a dummy 0, the inverse of no letter.
-    prefix, depth = np.zeros((1, 1), dtype=np.int8), np.zeros(1, dtype=np.intp)
-    stack = np.full((1, max_len + 1), -128, dtype=np.int8)
-    out = [np.zeros((0, max_len), dtype=np.int8)]
-    for length in range(max_len + 1 if targets else 0):
-        if length:
-            top = stack[np.arange(len(depth)), depth]
-            child = depth[:, None] + (proj != 0) - 2 * (top[:, None] == -proj)
-            parent, j = np.nonzero((letters != -prefix[:, -1:]) & (child <= reach + max_len - length))
-            prefix = np.concatenate([prefix[parent], letters[j, None]], axis=1)
-            stack = stack[parent]
-            stack[np.arange(len(parent)), depth[parent] + 1] = proj[j]
-            depth = child[parent, j]
-        hit = np.zeros(len(depth), dtype=bool)
-        for t in targets:
-            hit |= (depth == len(t)) & (stack[:, 1 : len(t) + 1] == t).all(axis=1)
-        out.append(np.pad(prefix[hit, 1:], ((0, 0), (0, max_len - length))))
-    return np.concatenate(out)
 
 
 def cyclic_bounds(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

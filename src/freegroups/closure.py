@@ -16,10 +16,10 @@ latter is exact: g permutes the letters of H, and a map sending each
 generator to a single letter rewrites a word letter by letter, which
 free reduction can only shorten, so it fixes a reduced word iff it
 fixes each of its letters.  The solution sweep enumerates words over
-a, b and the letters of v only, then lifts the other generators in one
-at a time; that is exact, since killing one of them fixes a, b and v
-and never lengthens z.  It is a regression check at desk scale, not a
-proof: it exercises the construction, it does not re-derive it.
+a, b and the letters of v only; that is exact, since by a free-product
+syllable argument no z using another generator solves.  It is bounded
+in |z|, a regression check at desk scale, not a proof: it exercises
+the construction, it does not re-derive it.
 Candidates are always visited in enumeration order (length, then
 canonical letter order), so results and witnesses are deterministic.
 """
@@ -199,9 +199,9 @@ class CounterexampleSetup:
 def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) -> CounterexampleSetup:
     """Assemble the splitting and the automorphism pair (g, g^-1).
 
-    Spectator generators c1..ck are inert: every map fixes them, but all
-    bounded sweeps quantify over the full alphabet, so k > 0 genuinely
-    enlarges the search space.
+    Spectator generators c1..ck are inert: every map fixes them, and no
+    solution of the equation uses them, so the solution sweep skips them
+    (see ``_solution_set_bulk``).
     """
     if a0_size < 0:
         raise ValueError("a0 size must be nonnegative")
@@ -258,14 +258,24 @@ def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
     """Every reduced h, |h| <= max_len, with E(h) = a h b h a h^-1 b h^-1
     conjugate to v, in enumeration order.
 
-    Let C be {a, b} and the generators of v.  For any other generator s,
-    kappa_s (kill s, fix the rest) fixes a, b and v, so kappa_s(E(h)) =
-    E(kappa_s(h)): if h solves, so does kappa_s(h), and it is no longer.
-    So the sweep runs over C only, and each other s in turn adds the
-    solving lifts (``_bulk.lifts``) of the solutions so far, each tested
-    directly.  The sweep is halved: E(h^-1) is E(h) read from its second a,
-    so h solves iff h^-1 does, and a nonempty reduced h never equals h^-1;
-    it keeps h before h^-1 in canonical order (letter key 2|x| + (x < 0),
+    Every solution lies in <C>, C being {a, b} and the generators of v,
+    so the sweep runs over C only.  Split F = <C> * B, with B generated
+    by the other generators.  A reduced h outside <C> is g0 M gm with
+    g0, gm in <C> and M reduced, beginning and ending with B-letters, and
+    E(h) is cyclically M J1 M J2 M^-1 J3 M^-1 J4 with J1 = gm b g0,
+    J2 = gm a gm^-1, J3 = g0^-1 b gm^-1 and J4 = g0^-1 a g0.  J2 and J4
+    are never 1, and J1 = 1 gives J3 = gm b^2 gm^-1 (symmetrically for
+    J3 = 1), so J1 and J3 are never both 1.  If one is, M M or M^-1 M^-1
+    merges but keeps M's end letters: M = p c p^-1 with c cyclically
+    reduced gives M^2 = p c^2 p^-1.  So E(h) is cyclically reduced in the
+    free product and has a B-syllable, while v lies in the factor <C>;
+    conjugacy in a free product is cyclic permutation of cyclically
+    reduced syllable sequences (Lyndon & Schupp IV.1), so E(h) is not
+    conjugate to v.
+
+    The sweep is halved: E(h^-1) is E(h) read from its second a, so h
+    solves iff h^-1 does, and a nonempty reduced h never equals h^-1; it
+    keeps h before h^-1 in canonical order (letter key 2|x| + (x < 0),
     first differing column) and adds h^-1 to each hit.
     """
     rank = alphabet.rank
@@ -274,15 +284,6 @@ def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
     a_code, b_code = alphabet.letter("a"), alphabet.letter("b")
     core = cyclically_reduce(v)[0].letters
     rotations = _rotation_set(core)
-
-    def solving(h_rows: np.ndarray) -> list[tuple[int, ...]]:
-        # Zero letters are no-ops in the stack pass, so rows may be padded.
-        reduced = _bulk.bulk_reduce(_equation_rows(h_rows, a_code, b_code))
-        start, end = _bulk.cyclic_bounds(reduced)
-        found = np.nonzero((end - start) == len(core))[0]
-        return [tuple(int(x) for x in h_rows[i] if x) for i in found
-                if tuple(int(x) for x in reduced[i, start[i] : end[i]]) in rotations]
-
     gens = sorted({a_code, b_code} | {abs(x) for x in v.letters})
     codes = np.array([0] + gens, dtype=np.int8)
     hits: list[tuple[int, ...]] = []
@@ -296,12 +297,12 @@ def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
                 key = 2 * np.abs(h_rows.astype(np.int16)) + (h_rows < 0)
                 diff = key - (key + np.sign(h_rows))[:, ::-1]  # key(x^-1) = key(x) + sign(x)
                 h_rows = h_rows[diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] < 0]
-            for h in solving(h_rows):
-                hits += [h, tuple(-x for x in reversed(h))] if h else [h]
-    for s in range(1, rank + 1):
-        if s not in gens:
-            gens = sorted(gens + [s])
-            hits = solving(_bulk.lifts(gens, s, hits, max_len))
+            reduced = _bulk.bulk_reduce(_equation_rows(h_rows, a_code, b_code))
+            start, end = _bulk.cyclic_bounds(reduced)
+            for i in np.nonzero((end - start) == len(core))[0]:
+                if tuple(int(x) for x in reduced[i, start[i] : end[i]]) in rotations:
+                    h = tuple(int(x) for x in h_rows[i])
+                    hits += [h, tuple(-x for x in reversed(h))] if h else [h]
     hits.sort(key=lambda h: (len(h), [2 * abs(x) + (x < 0) for x in h]))
     return [Word(alphabet, h, _reduced=True) for h in hits]
 
@@ -315,9 +316,9 @@ def counterexample_solution_set(
 
     The equation word is a h b h a h^-1 b h^-1; candidates are returned
     in enumeration order (length, then canonical letter order).  Only
-    a, b and the letters of v are swept; the other generators are lifted
-    in one at a time, exactly (see ``_solution_set_bulk``).  The sweep is
-    bounded, not a proof: the expected outcome {y, y^-1} must be stable
+    a, b and the letters of v are swept, exactly: no solution uses any
+    other generator (see ``_solution_set_bulk``).  The sweep is bounded
+    in |h|, not a proof: the expected outcome {y, y^-1} must be stable
     as max_len grows.  Its reference is the sequential Python sweep in
     ``tests/closure_oracle.py``, which the tests require it to match.
     """

@@ -10,7 +10,8 @@ exactly the same list.
 ``bulk_reduce`` is the earlier pass-based numpy reduction of padded rows,
 kept as the reference for the column-stack kernel in ``_bulk``, and
 ``cyclic_bounds`` the earlier loop that strips one end pair of every row
-per pass, the reference for the one-pass mirror comparison.
+per pass, the reference for the active-row loop in ``_bulk``, which
+compares only the rows still matching.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freegroups import _bulk
@@ -25,9 +25,7 @@ from freegroups.words import (
     Word,
     commutator,
     cyclically_reduce,
-    free_reduce,
     identity,
-    iter_reduced_letter_tuples,
     iter_reduced_words,
     parse_word,
 )
@@ -160,7 +158,7 @@ def test_solution_set_methods_agree():
             closure_oracle.solution_set(alphabet, v, 4)
         )
     # Perturbations at a0 = 1, some of which put u or c1 into v and so
-    # change which generators are swept and which are lifted.
+    # change which generators are swept.
     alphabet1 = build_counterexample(1).h_alphabet
     perturbed = v_perturbations(1)[::9]
     assert {"u", "c1"} <= {alphabet1.letter_name(x) for v in perturbed for x in v.letters}
@@ -236,36 +234,50 @@ def test_cyclic_bounds_matches_oracle(arr):
     assert np.array_equal(start, want_start) and np.array_equal(end, want_end)
 
 
-def test_lifts_match_brute_force():
-    # Every reduced word up to length 5 whose image after deleting s
-    # reduces into the target set, in enumeration order; over the codes
-    # 1..rank and over codes with gaps, as the peeling passes them.
-    rng = random.Random(14)
-    for rank in range(1, 6):
-        words = list(iter_reduced_letter_tuples(rank, 5))
-        for s in range(1, rank + 1):
-            image = [free_reduce(tuple(x for x in h if abs(x) != s)) for h in words]
-            rest = [g for g in range(1, rank + 1) if g != s]
-            target_sets = [[], [()]]
-            if rest:
-                target_sets.append([(rest[-1],), (-rest[-1],)])
-                for _ in range(3):
-                    target_sets.append(
-                        [
-                            free_reduce(tuple(rng.choice((1, -1)) * rng.choice(rest) for _ in range(rng.randint(0, 3))))
-                            for _ in range(rng.randint(1, 4))
-                        ]
-                    )
-            for targets in target_sets:
-                expected = [h for h, p in zip(words, image) if p in targets]
-                for codes in ((0, 1, 2, 3, 4, 5), (0, 2, 3, 5, 8, 9)):
-                    relabel = lambda w: tuple(codes[x] if x > 0 else -codes[-x] for x in w)
-                    gens = codes[1 : rank + 1]
-                    for max_len in range(6):
-                        rows = _bulk.lifts(gens, codes[s], [relabel(t) for t in targets], max_len)
-                        assert rows.dtype == np.int8 and rows.shape[1] == max_len
-                        got = [tuple(int(x) for x in row if x) for row in rows]
-                        assert got == [relabel(h) for h in expected if len(h) <= max_len]
+@st.composite
+def words_outside_letters_of_v(draw):
+    """(v, h) at ranks 4-6: v is the default v or a drawn cyclically
+    reduced word that leaves out some generator other than a and b, and
+    h is a reduced word using a generator outside C = {a, b} + letters(v)."""
+    setup = build_counterexample(draw(st.integers(0, 2)))
+    alphabet, v = setup.h_alphabet, setup.v
+    signed = lambda gens: st.sampled_from(gens).flatmap(lambda g: st.sampled_from((g, -g)))
+    everything = list(range(1, alphabet.rank + 1))
+    a, b = alphabet.letter("a"), alphabet.letter("b")
+    if draw(st.booleans()):
+        others = [g for g in everything if g not in (a, b)]
+        gens = [a, b] + draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others) - 1))
+        v = cyclically_reduce(Word(alphabet, draw(st.lists(signed(gens), max_size=10))))[0]
+    outside = [g for g in everything if g not in {a, b} | {abs(x) for x in v.letters}]
+    letters = draw(st.lists(signed(everything), max_size=8))
+    letters.insert(draw(st.integers(0, len(letters))), draw(signed(outside)))
+    h = Word(alphabet, letters)
+    assume(any(abs(x) in outside for x in h.letters))
+    return v, h
+
+
+def _planted(a0_size, text):
+    setup = build_counterexample(a0_size)
+    return setup.v, parse_word(setup.h_alphabet, text)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(words_outside_letters_of_v())
+# h = g0 M gm with J1 = gm b g0 = 1 (g0 = b^-1 gm^-1), so M M merges in E(h).
+@example(_planted(0, "b^-1 y^-1 a^-1 u a y"))
+@example(_planted(2, "b^-1 c1 u^-1 c2"))
+# J3 = g0^-1 b gm^-1 = 1 (g0 = b gm^-1), so M^-1 M^-1 merges.
+@example(_planted(0, "b y^-1 u y u^-1 y"))
+@example(_planted(2, "b c2 a c2"))
+def test_solutions_lie_in_letters_of_a_b_v(v_h):
+    # The free-product argument of _solution_set_bulk: the cyclic core of
+    # E(h) keeps a letter outside C, so E(h) is not conjugate to v.
+    v, h = v_h
+    alphabet = v.alphabet
+    a, b = parse_word(alphabet, "a"), parse_word(alphabet, "b")
+    C = {alphabet.letter("a"), alphabet.letter("b")} | {abs(x) for x in v.letters}
+    core = cyclically_reduce(a * h * b * h * a * ~h * b * ~h)[0]
+    assert any(abs(x) not in C for x in core.letters)
 
 
 def test_solution_set_growth_and_membership():
@@ -284,8 +296,7 @@ def test_solution_set_with_spectators():
 
 
 def test_solution_set_six_generators_length_seven():
-    # Rank 6: u, c1 and c2 are each lifted through the solutions over
-    # a, b and y.
+    # Rank 6: no solution uses u, c1 or c2, so only a, b and y are swept.
     sols = counterexample_solution_set(2, 7)
     assert [str(s) for s in sols] == ["y", "y^-1"]
 
