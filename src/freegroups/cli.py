@@ -10,6 +10,7 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -355,7 +356,9 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="freegroups",
         description="free groups, subgroup graphs, Whitehead moves, one-edge splittings",
@@ -416,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="certificate file")
     p = add("verify-counterexample")
     p.add_argument("--a0", type=int, default=0)
-    p.add_argument("--l-solution", type=int, default=6)
+    p.add_argument("--l-solution", type=int, default=6,
+                   help="lists the solutions up to this length: check 6 itself is exact over F")
     p.add_argument("--l-separation", type=int, default=8,
                    help="changes only its header line: check 7 is exact for the letter map g")
     p.add_argument("--format", default="text", choices=FORMATS)

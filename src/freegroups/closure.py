@@ -10,28 +10,24 @@ a free group of rank k + 4 presented with one stable letter.  The map g
 fixes A, inverts y, and sends t to t d^-1 with d = a y^-1 b y^-1; it is
 an automorphism fixing A pointwise (certified here by its explicit
 inverse t -> t a y b y).  The pipeline checks that the equation
-u^s = a z b z a z^-1 b z^-1 pins z down to {y, y^-1} inside a bounded
-sweep, and that g fixes no word of H outside A at any length.  The
-latter is exact: g permutes the letters of H, and a map sending each
+u^s = a z b z a z^-1 b z^-1 pins z down to {y, y^-1} over all of F,
+and that g fixes no word of H outside A at any length.  Both are exact.
+The first is decided by a free-product syllable argument (see
+``_solution_set``); only the list it reports is cut at a length bound.
+For the second, g permutes the letters of H, and a map sending each
 generator to a single letter rewrites a word letter by letter, which
 free reduction can only shorten, so it fixes a reduced word iff it
-fixes each of its letters.  The solution sweep enumerates words over
-a, b and the letters of v only; that is exact, since by a free-product
-syllable argument no z using another generator solves.  It is bounded
-in |z|, a regression check at desk scale, not a proof: it exercises
-the construction, it does not re-derive it.
-Candidates are always visited in enumeration order (length, then
-canonical letter order), so results and witnesses are deterministic.
+fixes each of its letters.
+Solutions and witnesses are listed in enumeration order (length, then
+canonical letter order), so they are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Optional
 
-import numpy as np
-
-from . import _bulk
 from .endos import Endomorphism, verify_automorphism_pair
 from .splittings import Check, HnnPresentation, Report, validate_presentation
 from .stallings import SubgroupGraph, subgroup_graph
@@ -44,6 +40,7 @@ from .words import (
     cyclically_reduce,
     format_word,
     free_reduce,
+    is_conjugate,
     iter_reduced_letter_tuples,
     parse_word,
 )
@@ -200,8 +197,7 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
     """Assemble the splitting and the automorphism pair (g, g^-1).
 
     Spectator generators c1..ck are inert: every map fixes them, and no
-    solution of the equation uses them, so the solution sweep skips them
-    (see ``_solution_set_bulk``).
+    solution of the equation uses them (see ``_solution_set``).
     """
     if a0_size < 0:
         raise ValueError("a0 size must be nonnegative")
@@ -234,76 +230,94 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
     )
 
 
-def _equation_rows(h_rows: np.ndarray, a_code: int, b_code: int) -> np.ndarray:
-    """Rows a h b h a h^-1 b h^-1 for a block of candidate rows h."""
-    n, length = h_rows.shape
-    out = np.empty((n, 4 * length + 4), dtype=np.int8)
-    inv = -h_rows[:, ::-1]
-    out[:, 0] = a_code
-    out[:, 1 : 1 + length] = h_rows
-    out[:, 1 + length] = b_code
-    out[:, 2 + length : 2 + 2 * length] = h_rows
-    out[:, 2 + 2 * length] = a_code
-    out[:, 3 + 2 * length : 3 + 3 * length] = inv
-    out[:, 3 + 3 * length] = b_code
-    out[:, 4 + 3 * length :] = inv
-    return out
-
-
-def _rotation_set(core: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return {core[k:] + core[:k] for k in range(max(len(core), 1))}
-
-
-def _solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
+def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
     """Every reduced h, |h| <= max_len, with E(h) = a h b h a h^-1 b h^-1
-    conjugate to v, in enumeration order.
+    conjugate to v, in enumeration order (length, then canonical letter
+    order).  Exact over F: the whole solution set is decided, then cut at
+    max_len, unless the cyclic core c of v lies in P = <a, b>.
 
-    Every solution lies in <C>, C being {a, b} and the generators of v,
-    so the sweep runs over C only.  Split F = <C> * B, with B generated
-    by the other generators.  A reduced h outside <C> is g0 M gm with
-    g0, gm in <C> and M reduced, beginning and ending with B-letters, and
-    E(h) is cyclically M J1 M J2 M^-1 J3 M^-1 J4 with J1 = gm b g0,
-    J2 = gm a gm^-1, J3 = g0^-1 b gm^-1 and J4 = g0^-1 a g0.  J2 and J4
-    are never 1, and J1 = 1 gives J3 = gm b^2 gm^-1 (symmetrically for
-    J3 = 1), so J1 and J3 are never both 1.  If one is, M M or M^-1 M^-1
-    merges but keeps M's end letters: M = p c p^-1 with c cyclically
-    reduced gives M^2 = p c^2 p^-1.  So E(h) is cyclically reduced in the
-    free product and has a B-syllable, while v lies in the factor <C>;
-    conjugacy in a free product is cyclic permutation of cyclically
-    reduced syllable sequences (Lyndon & Schupp IV.1), so E(h) is not
-    conjugate to v.
+    Split F = P * B, with B generated by the other generators.  E(h) is
+    nontrivial (it abelianizes to 2a + 2b), and E(h^-1) is E(h) read from
+    its second a, so h solves iff h^-1 does.  A reduced h outside P is
+    g0 M gm with g0, gm in P and M beginning and ending with B-letters,
+    with m B-syllables; cyclically E(h) = M J1 M J2 M^-1 J3 M^-1 J4 with
+    J1 = gm b g0, J2 = gm a gm^-1, J3 = g0^-1 b gm^-1, J4 = g0^-1 a g0.
+    J2 and J4 are never 1, and J1 = 1 gives J3 = gm b^2 gm^-1 != 1
+    (symmetrically for J3 = 1).  If J1 or J3 is 1, M M or M^-1 M^-1
+    merges but keeps M's end letters: M = s e s^-1 with e cyclically
+    reduced gives M^2 = s e^2 s^-1.  So E(h) is cyclically reduced in the
+    free product with a B-syllable, and conjugacy in a free product is
+    cyclic permutation of cyclically reduced syllable sequences (Lyndon &
+    Schupp IV.1).  Hence:
 
-    The sweep is halved: E(h^-1) is E(h) read from its second a, so h
-    solves iff h^-1 does, and a nonempty reduced h never equals h^-1; it
-    keeps h before h^-1 in canonical order (letter key 2|x| + (x < 0),
-    first differing column) and adds h^-1 to each hit.
+    * c has no letter of P (c = 1 included): no h solves, since E(h) has
+      a P-syllable (J2) or lies in P and is nontrivial.
+    * c lies in P: every solution lies in P, and there may be infinitely
+      many (every a^k solves for c = (a b)^2), so words over {a, b} are
+      swept up to max_len; the only bounded case.
+    * c has letters of both: c is cut cyclically into N B-syllables
+      alternating with N P-syllables, and each of the N rotations that
+      starts at a B-syllable is read in three shapes.  (A) No junction
+      is 1: N = 4m and the syllables read M J1 M J2 M^-1 J3 M^-1 J4.  J2
+      is literally p a p^-1 with p not ending in a^+-1, so gm = p a^k;
+      likewise J4 = q a q^-1 gives g0 = a^-j q^-1, and p^-1 J1 q reduces
+      to a^k b a^-j, which fixes k and j.  (B) J1 = 1: g0 = b^-1 gm^-1,
+      the syllables read red(M M) J2 M^-1 J3 M^-1 J4 for some 2m < N, and
+      p^-1 J3 p = a^k b^2 a^-k fixes k.  (C) J3 = 1: g0 = b gm^-1, the
+      syllables read M J1 M J2 red(M^-1 M^-1) J4, and p^-1 J1 p =
+      a^k b^2 a^-k fixes k.  Each (rotation, m, shape) gives at most one
+      h.  The patterns are not checked on the way: every candidate is
+      kept only if E(h) is conjugate to v, so no wrong h is returned.
     """
-    rank = alphabet.rank
-    if rank > _bulk.MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds {_bulk.MAX_RANK}, the most int8 letter codes hold")
-    a_code, b_code = alphabet.letter("a"), alphabet.letter("b")
-    core = cyclically_reduce(v)[0].letters
-    rotations = _rotation_set(core)
-    gens = sorted({a_code, b_code} | {abs(x) for x in v.letters})
-    codes = np.array([0] + gens, dtype=np.int8)
-    hits: list[tuple[int, ...]] = []
-    chunk_rows = 1 << 15
-    for length in range(0, max_len + 1):
-        block = _bulk.words_of_length(len(gens), length)
-        for lo in range(0, block.shape[0], chunk_rows):
-            h_rows = block[lo : lo + chunk_rows]
-            h_rows = np.sign(h_rows) * codes[np.abs(h_rows)]
-            if length:
-                key = 2 * np.abs(h_rows.astype(np.int16)) + (h_rows < 0)
-                diff = key - (key + np.sign(h_rows))[:, ::-1]  # key(x^-1) = key(x) + sign(x)
-                h_rows = h_rows[diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] < 0]
-            reduced = _bulk.bulk_reduce(_equation_rows(h_rows, a_code, b_code))
-            start, end = _bulk.cyclic_bounds(reduced)
-            for i in np.nonzero((end - start) == len(core))[0]:
-                if tuple(int(x) for x in reduced[i, start[i] : end[i]]) in rotations:
-                    h = tuple(int(x) for x in h_rows[i])
-                    hits += [h, tuple(-x for x in reversed(h))] if h else [h]
-    hits.sort(key=lambda h: (len(h), [2 * abs(x) + (x < 0) for x in h]))
+    a, b = alphabet.letter("a"), alphabet.letter("b")
+    c = cyclically_reduce(v)[0].letters
+    in_p = lambda x: abs(x) in (a, b)
+    inv = lambda w: tuple(-x for x in reversed(w))
+    solves = lambda h: is_conjugate(
+        Word(alphabet, (a,) + h + (b,) + h + (a,) + inv(h) + (b,) + inv(h)), v
+    ) is not None
+    if not any(map(in_p, c)):
+        return []
+    if all(map(in_p, c)):
+        p_letters = {1: a, -1: -a, 2: b, -2: -b}
+        words = (tuple(p_letters[x] for x in h) for h in iter_reduced_letter_tuples(2, max_len))
+        found = set(filter(solves, words))
+    else:
+        start = next(i for i in range(len(c)) if in_p(c[i - 1]) and not in_p(c[i]))
+        runs: list[tuple[int, ...]] = []
+        for x in c[start:] + c[:start]:
+            if runs and in_p(runs[-1][-1]) == in_p(x):
+                runs[-1] += (x,)
+            else:
+                runs.append((x,))
+        n = len(runs) // 2  # N in the docstring
+        power = lambda k: (a,) * k if k >= 0 else (-a,) * -k
+        lead = lambda w: sum(x // a for x in takewhile(lambda x: abs(x) == a, w))
+        half = lambda j: j[: len(j) // 2]
+        candidates = []
+        for r in range(n):
+            seq = runs[2 * r :] + runs[: 2 * r]
+            span = lambda i, j: sum(seq[2 * i : 2 * j - 1], ())  # B-syllables i+1..j
+            if n % 4 == 0:  # (A)
+                m = n // 4
+                p, q = half(seq[4 * m - 1]), half(seq[-1])
+                w = free_reduce(inv(p) + seq[2 * m - 1] + q)
+                candidates.append(power(-lead(inv(w))) + inv(q) + span(0, m) + p + power(lead(w)))
+            for m in range(1, (n + 1) // 2):
+                # (B): M^-1 is read off after red(M M) J2; (C): M comes first.
+                r0 = n - 2 * m
+                for M, j2, j, g0 in (
+                    (inv(span(r0, r0 + m)), seq[2 * r0 - 1], seq[2 * (r0 + m) - 1], (-b,)),
+                    (span(0, m), seq[4 * m - 1], seq[2 * m - 1], (b,)),
+                ):
+                    p = half(j2)
+                    gm = p + power(lead(free_reduce(inv(p) + j + p)))
+                    candidates.append(g0 + inv(gm) + M + gm)
+        found = {h for h in map(free_reduce, candidates) if solves(h)}
+    hits = sorted(
+        (h for h in found if len(h) <= max_len),
+        key=lambda h: (len(h), [2 * abs(x) + (x < 0) for x in h]),
+    )
     return [Word(alphabet, h, _reduced=True) for h in hits]
 
 
@@ -314,16 +328,16 @@ def counterexample_solution_set(
 ) -> list[Word]:
     """All reduced h with |h| <= max_len whose equation word is conjugate to v.
 
-    The equation word is a h b h a h^-1 b h^-1; candidates are returned
-    in enumeration order (length, then canonical letter order).  Only
-    a, b and the letters of v are swept, exactly: no solution uses any
-    other generator (see ``_solution_set_bulk``).  The sweep is bounded
-    in |h|, not a proof: the expected outcome {y, y^-1} must be stable
-    as max_len grows.  Its reference is the sequential Python sweep in
-    ``tests/closure_oracle.py``, which the tests require it to match.
+    The equation word is a h b h a h^-1 b h^-1; solutions are returned
+    in enumeration order (length, then canonical letter order).  The
+    solution set is decided exactly over F and then cut at max_len,
+    unless v is conjugate into <a, b>, where words over a and b are swept
+    up to max_len (see ``_solution_set``).  Its references are the
+    sequential and vectorized sweeps in ``tests/closure_oracle.py``,
+    which the tests require it to match.
     """
     setup = build_counterexample(a0_size, v_override)
-    return _solution_set_bulk(setup.h_alphabet, setup.v, max_len)
+    return _solution_set(setup.h_alphabet, setup.v, max_len)
 
 
 def dcl_separation_check(
@@ -369,8 +383,8 @@ class CounterexampleReport(Report):
     rank: int
     l_solution: int
     l_separation: int
-    # Solutions found by the bounded sweep; empty when the pipeline
-    # stopped before reaching it.
+    # Solutions of length <= l_solution (exact over F, cut at that
+    # length); empty when the pipeline stopped before reaching check 6.
     solutions: tuple[Word, ...] = ()
 
 
@@ -473,8 +487,8 @@ def verify_counterexample(
     ):
         return report()
 
-    # (e) the bounded solution set of the defining equation.
-    solutions = tuple(_solution_set_bulk(setup.h_alphabet, setup.v, l_solution))
+    # (e) the solution set of the defining equation, listed up to l_solution.
+    solutions = tuple(_solution_set(setup.h_alphabet, setup.v, l_solution))
     expected = (setup.y, ~setup.y)
     sol_text = "{" + ", ".join(format_word(s) for s in solutions) + "}"
     if not push(

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from freegroups import cli
 from freegroups.cli import SUBCOMMANDS, main
 
 EXPECTED_SUBCOMMANDS = {
@@ -299,10 +305,38 @@ def test_workers_validation(capsys, monkeypatch):
     assert code == 0 and out == plain
 
 
-def test_rank_limit_of_int8_codes(capsys):
-    # --a0 k gives rank k + 4; int8 letter codes hold ranks up to 127.
+def test_a0_has_no_rank_limit_and_rejects_negatives(capsys):
+    # --a0 k gives rank k + 4; check 6 is exact at every rank, so ranks
+    # past 127 (the int8 letter codes of the old sweep) pass too.
     argv = ["verify-counterexample", "--l-solution", "1", "--l-separation", "1"]
-    code, out, err = run(capsys, *argv, "--a0", "124")
-    assert code == 2 and out == "" and err.startswith("error:") and "rank 128" in err
+    code, out, _ = run(capsys, *argv, "--a0", "124")
+    assert code == 0 and {"rank: 128", "overall: PASS"} <= set(out.splitlines())
     code, out, _ = run(capsys, *argv, "--a0", "123")
     assert code == 0 and "rank: 127" in out.splitlines()
+    code, out, err = run(capsys, *argv, "--a0", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_cached_parser_matches_fresh_parser(capsys, monkeypatch):
+    argvs = [
+        ["verify-counterexample", "--l-solution", "2", "--format", "tsv"],
+        ["reduce", "--gens", "x y", "x x^-1 y"],
+        ["reduce", "--gens", "x y", "x", "--bogus"],
+        ["verify-counterexample", "--help"],
+        ["conjugate", "--gens", "x y", "x y", "y x"],
+        ["nosuch"],
+        ["--help"],
+    ]
+    cached = [run(capsys, *argv) for argv in argvs + argvs]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in argvs + argvs]
+    assert cached == fresh
+    assert [code for code, _, _ in fresh[: len(argvs)]] == [0, 0, 2, 0, 0, 2, 0]
+
+
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, freegroups.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

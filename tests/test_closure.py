@@ -130,17 +130,18 @@ def test_solution_set_examples():
 
 
 def test_solution_set_methods_agree():
-    # The library's bulk sweep against the sequential reference sweep.
+    # The library's decider against the sequential reference sweep.
     for a0_size, max_len in ((0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (1, 4), (2, 3)):
         setup = build_counterexample(a0_size)
         assert counterexample_solution_set(a0_size, max_len) == (
             closure_oracle.solution_set(setup.h_alphabet, setup.v, max_len)
         )
     # Perturbed v, and v set to the cyclic core of E(h0): solution sets
-    # other than {y, y^-1}, so the halved sweep's added inverses and its
-    # sort back into enumeration order are compared too.  E(1) = (a b)^2
-    # is solved by 1 and by powers of a; the commutator's core by two
-    # inverse pairs of one length, which only the sort puts in order.
+    # other than {y, y^-1}, so the order of the decider's output is
+    # compared too.  For h0 in <a, b> (1, a a b and the commutator) the
+    # swept case is taken: E(1) = (a b)^2 is solved by 1 and by powers of
+    # a, and the commutator's core by two inverse pairs of one length,
+    # which only the sort puts in order.
     setup = build_counterexample(0)
     alphabet = setup.h_alphabet
     a, b = parse_word(alphabet, "a"), parse_word(alphabet, "b")
@@ -158,7 +159,7 @@ def test_solution_set_methods_agree():
             closure_oracle.solution_set(alphabet, v, 4)
         )
     # Perturbations at a0 = 1, some of which put u or c1 into v and so
-    # change which generators are swept.
+    # change its B-syllables.
     alphabet1 = build_counterexample(1).h_alphabet
     perturbed = v_perturbations(1)[::9]
     assert {"u", "c1"} <= {alphabet1.letter_name(x) for v in perturbed for x in v.letters}
@@ -166,6 +167,22 @@ def test_solution_set_methods_agree():
         assert counterexample_solution_set(1, 4, v) == (
             closure_oracle.solution_set(alphabet1, v, 4)
         )
+    # Against the vectorized sweep: every perturbation, the default v at
+    # length 8, and a v that uses every generator of rank 6.
+    for a0_size, max_len in ((0, 5), (1, 4)):
+        alphabet_k = build_counterexample(a0_size).h_alphabet
+        for v in v_perturbations(a0_size):
+            assert counterexample_solution_set(a0_size, max_len, v) == (
+                closure_oracle.solution_set_bulk(alphabet_k, v, max_len)
+            )
+    assert counterexample_solution_set(0, 8) == (
+        closure_oracle.solution_set_bulk(alphabet, setup.v, 8)
+    )
+    alphabet2 = build_counterexample(2).h_alphabet
+    v = parse_word(alphabet2, "c1 c2 u a y b y^-1")
+    assert counterexample_solution_set(2, 5, v) == (
+        closure_oracle.solution_set_bulk(alphabet2, v, 5)
+    )
 
 
 @st.composite
@@ -270,7 +287,7 @@ def _planted(a0_size, text):
 @example(_planted(0, "b y^-1 u y u^-1 y"))
 @example(_planted(2, "b c2 a c2"))
 def test_solutions_lie_in_letters_of_a_b_v(v_h):
-    # The free-product argument of _solution_set_bulk: the cyclic core of
+    # The free-product argument of _solution_set: the cyclic core of
     # E(h) keeps a letter outside C, so E(h) is not conjugate to v.
     v, h = v_h
     alphabet = v.alphabet
@@ -280,10 +297,49 @@ def test_solutions_lie_in_letters_of_a_b_v(v_h):
     assert any(abs(x) not in C for x in core.letters)
 
 
+@st.composite
+def planted_solutions(draw):
+    """(a0, h0): h0 = g0 M gm with g0, gm over a, b and M beginning and
+    ending with a letter outside a, b, in the three shapes of
+    ``closure._solution_set``: (A) g0 drawn freely, (B) J1 = gm b g0 = 1,
+    (C) J3 = g0^-1 b gm^-1 = 1.  |h0| <= 5 keeps the oracle sweep short."""
+    a0_size = draw(st.integers(0, 2))
+    alphabet = build_counterexample(a0_size).h_alphabet
+    a, b = alphabet.letter("a"), alphabet.letter("b")
+    signed = lambda gens: st.sampled_from(gens).flatmap(lambda g: st.sampled_from((g, -g)))
+    in_p = signed([a, b])
+    outside = signed([g for g in range(1, alphabet.rank + 1) if g not in (a, b)])
+    anything = signed(list(range(1, alphabet.rank + 1)))
+    gm = Word(alphabet, draw(st.lists(in_p, max_size=2)))
+    middle = draw(st.lists(anything, max_size=2))
+    m = Word(alphabet, [draw(outside)] + middle + [draw(outside)] * draw(st.integers(0, 1)))
+    assume(m and all(abs(x) not in (a, b) for x in (m.letters[0], m.letters[-1])))
+    shape = draw(st.sampled_from("ABC"))
+    if shape == "A":
+        g0 = Word(alphabet, draw(st.lists(in_p, max_size=2)))
+    else:
+        g0 = Word(alphabet, (-b if shape == "B" else b,)) * ~gm
+    h0 = g0 * m * gm
+    assume(len(h0) <= 5)
+    return a0_size, h0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(planted_solutions())
+def test_planted_solutions_are_found(a0_h0):
+    a0_size, h0 = a0_h0
+    alphabet = h0.alphabet
+    a, b = parse_word(alphabet, "a"), parse_word(alphabet, "b")
+    v = cyclically_reduce(a * h0 * b * h0 * a * ~h0 * b * ~h0)[0]
+    found = counterexample_solution_set(a0_size, len(h0), v)
+    assert h0 in found and ~h0 in found
+    assert found == closure_oracle.solution_set_bulk(alphabet, v, len(h0))
+
+
 def test_solution_set_growth_and_membership():
     setup = build_counterexample(0)
     previous: set = set()
-    for max_len in (1, 2, 3, 4):
+    for max_len in (1, 2, 3, 4, 40):
         sols = set(counterexample_solution_set(0, max_len))
         assert previous <= sols
         assert setup.y in sols and ~setup.y in sols
