@@ -14,10 +14,9 @@ u^s = a z b z a z^-1 b z^-1 pins z down to {y, y^-1} over all of F,
 and that g fixes no word of H outside A at any length.  Both are exact.
 The first is decided by a free-product syllable argument (see
 ``_solution_set``); only the list it reports is cut at a length bound.
-For the second, g permutes the letters of H, and a map sending each
-generator to a single letter rewrites a word letter by letter, which
-free reduction can only shorten, so it fixes a reduced word iff it
-fixes each of its letters.
+For the second, g permutes the letters of H, so it fixes a reduced word
+iff it fixes each of its letters (the lemma is proved at
+``endos.iter_fixed_words``).
 Solutions and witnesses are listed in enumeration order (length, then
 canonical letter order), so they are deterministic.
 """
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import Optional
 
-from .endos import Endomorphism, verify_automorphism_pair
+from .endos import Endomorphism, iter_fixed_words, verify_automorphism_pair
 from .splittings import Check, HnnPresentation, Report, validate_presentation
 from .stallings import SubgroupGraph, subgroup_graph
 from .whitehead import is_primitive
@@ -348,33 +347,13 @@ def dcl_separation_check(
     """Confirm g fixes no reduced word containing a generator outside a_names.
 
     Returns (ok, first fixed witness or None), the witness first in
-    enumeration order.  When g sends every generator to a single letter
-    the answer is exact at every length: such a map fixes a reduced
-    word iff it fixes each of its letters, so a fixed word outside
-    <a_names> exists iff g fixes one of the other generators, and the
-    first such generator is the first witness.  Any other map is scanned word by word up to max_len.
+    enumeration order among the words ``iter_fixed_words`` yields: exact
+    at every length when g sends every generator to a single letter,
+    else a scan up to max_len.
     """
-    alphabet = g_base.domain
-    if not isinstance(alphabet, Alphabet):
-        raise ValueError("separation check runs over the free base group")
-    marked = frozenset(
-        i + 1 for i, name in enumerate(alphabet.generators) if name not in a_names
-    )
-    if not marked:
-        return True, None
-    if g_base.is_letter_map():
-        for i in sorted(marked):
-            x = Word(alphabet, (i,), _reduced=True)
-            if g_base.apply(x) == x:
-                return False, x
-        return True, None
-    for lets in iter_reduced_letter_tuples(alphabet.rank, max_len, min_len=1):
-        if not any(abs(l) in marked for l in lets):
-            continue
-        w = Word(alphabet, lets, _reduced=True)
-        if g_base.apply(w) == w:
-            return False, w
-    return True, None
+    outside = lambda w: any(w.alphabet.generators[abs(x) - 1] not in a_names for x in w.letters)
+    witness = next(filter(outside, iter_fixed_words(g_base, max_len)), None)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -383,9 +362,8 @@ class CounterexampleReport(Report):
     rank: int
     l_solution: int
     l_separation: int
-    # Solutions of length <= l_solution (exact over F, cut at that
-    # length); empty when the pipeline stopped before reaching check 6.
-    solutions: tuple[Word, ...] = ()
+    # Solutions of length <= l_solution (exact over F, cut at that length).
+    solutions: tuple[Word, ...]
 
 
 CHECK_ORDER = (
@@ -404,101 +382,41 @@ def verify_counterexample(
     l_solution: int = 6,
     l_separation: int = 8,
     v_override: Optional[Word] = None,
-    stop_on_failure: bool = False,
 ) -> CounterexampleReport:
-    """Run the full check list, in order, against the splitting.
-
-    With ``stop_on_failure`` the report ends at the first failed check
-    (used by the perturbation suite, where one failure already detects
-    the perturbation).
-    """
+    """Run the full check list, in order, against the splitting."""
     if l_solution < 1 or l_separation < 1:
         raise ValueError("bounds must be at least 1")
     setup = build_counterexample(a0_size, v_override)
     checks: list[Check] = []
-    solutions: tuple[Word, ...] = ()
-
-    def push(check: Check) -> bool:
-        checks.append(check)
-        return check.passed or not stop_on_failure
-
-    def report() -> CounterexampleReport:
-        return CounterexampleReport(
-            checks=tuple(checks),
-            a0_size=a0_size,
-            rank=a0_size + 4,
-            l_solution=l_solution,
-            l_separation=l_separation,
-            solutions=solutions,
-        )
 
     # (a) the splitting hypotheses: u, v root-free and non-conjugate.
     validation = validate_presentation(setup.pres)
     failing = ", ".join(c.name for c in validation.checks if not c.passed)
-    if not push(
-        Check(
-            "presentation_valid",
-            validation.ok,
-            "u, v root-free and non-conjugate" if validation.ok else f"failed: {failing}",
-        )
-    ):
-        return report()
+    detail = "u, v root-free and non-conjugate" if validation.ok else f"failed: {failing}"
+    checks.append(Check("presentation_valid", validation.ok, detail))
 
     # (b) no base solution: the equation word never abelianizes to u.
     ab_v, ab_u = abelianize(setup.v), abelianize(setup.u)
-    if not push(
-        Check(
-            "abelianization_obstruction_ok",
-            ab_v != ab_u,
-            f"ab(v) = {ab_v} != ab(u) = {ab_u}" if ab_v != ab_u else f"ab(v) = ab(u) = {ab_u}",
-        )
-    ):
-        return report()
+    detail = f"ab(v) = {ab_v} != ab(u) = {ab_u}" if ab_v != ab_u else f"ab(v) = ab(u) = {ab_u}"
+    checks.append(Check("abelianization_obstruction_ok", ab_v != ab_u, detail))
 
     # (c) g preserves the relation; certified automorphism via explicit inverse.
-    hom = setup.g.is_homomorphism
-    if not push(
-        Check(
-            "g_is_homomorphism",
-            hom,
-            "g(t)^-1 u g(t) = g(v) in the extension",
-        )
-    ):
-        return report()
+    detail = "g(t)^-1 u g(t) = g(v) in the extension"
+    checks.append(Check("g_is_homomorphism", setup.g.is_homomorphism, detail))
     auto = setup.g_inv.is_homomorphism and verify_automorphism_pair(setup.g, setup.g_inv)
-    if not push(
-        Check(
-            "g_is_automorphism",
-            auto,
-            f"explicit inverse sends t to t {format_word(setup.g_base.apply(setup.d))}",
-        )
-    ):
-        return report()
+    detail = f"explicit inverse sends t to t {format_word(setup.g_base.apply(setup.d))}"
+    checks.append(Check("g_is_automorphism", auto, detail))
 
     # (d) the conjugation witness for g(v).
-    gv = setup.g_base.apply(setup.v)
-    conj_ok = gv == setup.d * setup.v * ~setup.d
-    if not push(
-        Check(
-            "gv_conjugate_to_v",
-            conj_ok,
-            f"g(v) = d v d^-1 with d = {format_word(setup.d)}",
-        )
-    ):
-        return report()
+    conj_ok = setup.g_base.apply(setup.v) == setup.d * setup.v * ~setup.d
+    detail = f"g(v) = d v d^-1 with d = {format_word(setup.d)}"
+    checks.append(Check("gv_conjugate_to_v", conj_ok, detail))
 
     # (e) the solution set of the defining equation, listed up to l_solution.
     solutions = tuple(_solution_set(setup.h_alphabet, setup.v, l_solution))
-    expected = (setup.y, ~setup.y)
     sol_text = "{" + ", ".join(format_word(s) for s in solutions) + "}"
-    if not push(
-        Check(
-            "solution_set",
-            solutions == expected,
-            f"solutions up to length {l_solution}: {sol_text}",
-        )
-    ):
-        return report()
+    detail = f"solutions up to length {l_solution}: {sol_text}"
+    checks.append(Check("solution_set", solutions == (setup.y, ~setup.y), detail))
 
     # (f) g fixes nothing outside A: at every length for a letter map,
     # else up to the separation bound.
@@ -512,8 +430,15 @@ def verify_counterexample(
         )
     else:
         detail = f"no fixed word up to length {l_separation}"
-    push(Check("dcl_separation_ok", ok, detail))
-    return report()
+    checks.append(Check("dcl_separation_ok", ok, detail))
+    return CounterexampleReport(
+        checks=tuple(checks),
+        a0_size=a0_size,
+        rank=a0_size + 4,
+        l_solution=l_solution,
+        l_separation=l_separation,
+        solutions=solutions,
+    )
 
 
 def v_perturbations(a0_size: int = 0) -> list[Word]:

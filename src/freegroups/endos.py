@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import stallings
 from .splittings import (
@@ -25,7 +25,7 @@ from .splittings import (
     britton_reduce,
     hnn_equal,
 )
-from .words import Alphabet, Word, abelianize, free_reduce
+from .words import Alphabet, Word, free_reduce, iter_reduced_words
 
 
 def domain_alphabet(domain) -> Alphabet:
@@ -185,29 +185,30 @@ def order_bounded(f: Endomorphism, max_order: int) -> Optional[int]:
     return None
 
 
-def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
-    """Folded graph of all reduced words of length <= max_len fixed by f.
+def iter_fixed_words(f: Endomorphism, max_len: int) -> Iterator[Word]:
+    """Reduced words of length <= max_len fixed by f, in enumeration order.
 
-    Exact when f sends every generator to a single letter: f then
+    When f sends every generator to a single letter the fixed generators
+    are yielded, which is exact at every length for max_len >= 1: f then
     rewrites a word letter by letter and free reduction can only shorten
     the result, so f fixes a reduced word iff it fixes each of its
-    letters.  For max_len >= 1 the graph is then the whole fixed
-    subgroup, generated by the fixed generators.  For any other map it
-    is a bounded under-approximation of the fixed subgroup, found by a
-    word-by-word scan.
+    letters, and Fix(f) is generated by the fixed generators.  Any other
+    map is scanned word by word up to max_len, a bounded
+    under-approximation of the fixed subgroup.
     """
     if not isinstance(f.domain, Alphabet):
-        raise ValueError("fixed_words applies to free-group endomorphisms")
-    alphabet = f.domain
-    fixed: list[Word]
+        raise ValueError("fixed words are found over free groups only")
     if f.is_letter_map():
-        generators = [f.generator_word(name) for name in alphabet.generators] if max_len >= 1 else []
-        fixed = [x for x in generators if f.apply(x) == x]
+        words = map(f.generator_word, f.domain.generators if max_len >= 1 else ())
     else:
-        from .words import iter_reduced_words
+        words = iter_reduced_words(f.domain, max_len, min_len=1)
+    return (w for w in words if f.apply(w) == w)
 
-        fixed = [w for w in iter_reduced_words(alphabet, max_len) if f.apply(w) == w]
-    return stallings.subgroup_graph(alphabet, fixed)
+
+def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
+    """Folded graph of the words ``iter_fixed_words`` yields: the whole
+    fixed subgroup for a letter map, else a bounded under-approximation."""
+    return stallings.subgroup_graph(f.domain, list(iter_fixed_words(f, max_len)))
 
 
 @dataclass(frozen=True)
@@ -244,36 +245,3 @@ def orbit_bounded(
         if words_equal(f.domain, start, family(k).apply(element)):
             return OrbitReport(description, element, bound, k, (0, k))
     return OrbitReport(description, element, bound, max(bound + 1, 0), None)
-
-
-def abelianization_matrix(f: Endomorphism) -> list[list[int]]:
-    """Integer matrix: column j is the exponent vector of the j-th image."""
-    if not isinstance(f.domain, Alphabet):
-        raise ValueError("abelianization matrix applies to free-group endomorphisms")
-    n = f.domain.rank
-    cols = [abelianize(f.images[name]) for name in f.domain.generators]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def integer_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -112,13 +112,6 @@ class WhiteheadMove:
         return name if letter > 0 else name + "^-1"
 
 
-def type_ii_move_count(rank: int) -> int:
-    """Closed form: 2n multipliers, 2^(2n-2) - 1 nontrivial sets each."""
-    if rank == 0:
-        return 0
-    return 2 * rank * (2 ** (2 * rank - 2) - 1)
-
-
 def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMove]:
     """The complete finite list of Whitehead moves, deterministically ordered."""
     if alphabet.rank == 0:

@@ -228,11 +228,6 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     return core, conj
 
 
-def is_cyclically_reduced(w: Word) -> bool:
-    lets = w.letters
-    return len(lets) < 2 or lets[0] != -lets[-1]
-
-
 def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     """Witness g with g * w1 * g^-1 == w2, or None.
 

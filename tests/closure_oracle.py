@@ -10,6 +10,10 @@ for length 8 and for the one-letter perturbations of v.
 ``test_closure.py`` requires the library's exact decider, cut at
 ``max_len``, to return exactly the list of each.
 
+``dcl_scan`` is the former word-by-word scan of check 7, the reference
+for ``closure.dcl_separation_check``, which takes its words from
+``endos.iter_fixed_words`` (only the fixed generators for a letter map).
+
 ``bulk_reduce`` is the earlier pass-based numpy reduction of padded rows,
 kept as the reference for the column-stack kernel in ``_bulk``, and
 ``cyclic_bounds`` the earlier loop that strips one end pair of every row
@@ -19,9 +23,12 @@ compares only the rows still matching.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from freegroups import _bulk
+from freegroups.endos import Endomorphism
 from freegroups.words import Alphabet, Word, cyclically_reduce, free_reduce, iter_reduced_letter_tuples
 
 
@@ -162,3 +169,17 @@ def solution_set_bulk(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
                     hits += [h, tuple(-x for x in reversed(h))] if h else [h]
     hits.sort(key=lambda h: (len(h), [2 * abs(x) + (x < 0) for x in h]))
     return [Word(alphabet, h, _reduced=True) for h in hits]
+
+
+def dcl_scan(g: Endomorphism, a_names: tuple[str, ...], max_len: int) -> tuple[bool, Optional[Word]]:
+    """(ok, first word of length 1..max_len with a generator outside
+    a_names that g fixes, or None), scanning every reduced word in
+    enumeration order."""
+    alphabet = g.domain
+    marked = {i + 1 for i, name in enumerate(alphabet.generators) if name not in a_names}
+    for lets in iter_reduced_letter_tuples(alphabet.rank, max_len, min_len=1):
+        if any(abs(x) in marked for x in lets):
+            w = Word(alphabet, lets, _reduced=True)
+            if g.apply(w) == w:
+                return False, w
+    return True, None

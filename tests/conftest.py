@@ -40,6 +40,30 @@ def w(alphabet: Alphabet, text: str) -> Word:
     return parse_word(alphabet, text)
 
 
+def integer_determinant(matrix: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 @st.composite
 def reduced_words(draw, alphabet: Alphabet, max_len: int) -> Word:
     """Hypothesis strategy: a freely reduced word of length 0..max_len."""

@@ -275,6 +275,28 @@ def test_verify_counterexample_text_and_tsv(capsys):
     assert all(row[1] == "PASS" for row in rows)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("verify_a0_0_l3_l3.txt", ["--a0", "0", "--l-solution", "3", "--l-separation", "3"]),
+        (
+            "verify_a0_0_l3_l3.tsv",
+            ["--a0", "0", "--l-solution", "3", "--l-separation", "3", "--format", "tsv"],
+        ),
+        ("verify_a0_2_l7.txt", ["--a0", "2", "--l-solution", "7"]),
+    ],
+)
+def test_verify_counterexample_golden(capsys, golden, argv):
+    # The whole report, byte for byte; the same file backs the packaging
+    # smoke test in CI.
+    code, out, err = run(capsys, "verify-counterexample", *argv)
+    assert code == 0 and err == ""
+    assert out == (DATA / golden).read_text()
+
+
 def test_cli_determinism(capsys):
     argv = ["verify-counterexample", "--l-solution", "3", "--l-separation", "3"]
     _, first, _ = run(capsys, *argv)

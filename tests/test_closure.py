@@ -22,6 +22,7 @@ from freegroups.closure import (
 from freegroups.endos import Endomorphism, fixed_words
 from freegroups.splittings import hnn_equal
 from freegroups.words import (
+    Alphabet,
     Word,
     commutator,
     cyclically_reduce,
@@ -31,7 +32,7 @@ from freegroups.words import (
 )
 
 import closure_oracle
-from conftest import random_reduced, w
+from conftest import random_reduced, reduced_words, w
 
 
 def test_abelian_closure_examples(f2):
@@ -358,7 +359,7 @@ def test_solution_set_six_generators_length_seven():
 
 
 def test_solution_set_stable_at_length_eight():
-    # The widest sweep exercised anywhere: ~7.7M candidates.
+    # The exact decider's set, cut at length 8, is still {y, y^-1}.
     sols = counterexample_solution_set(0, 8)
     assert [str(s) for s in sols] == ["y", "y^-1"]
 
@@ -388,6 +389,31 @@ def test_dcl_separation_generic_path():
     ok, witness = dcl_separation_check(f, setup.a_names, 3)
     assert not ok
     assert witness == setup.y
+
+
+@st.composite
+def maps_with_names(draw):
+    """(g, a_names, max_len) at ranks 4-5: g sends each generator to
+    itself, to a drawn letter, or (about one time in four) to a drawn
+    reduced word of length 0-3, so letter maps and other maps both occur."""
+    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(draw(st.integers(4, 5)))))
+    images = {}
+    for i, name in enumerate(alphabet.generators):
+        kind = draw(st.sampled_from(("self", "letter", "letter", "word")))
+        if kind == "word":
+            images[name] = draw(reduced_words(alphabet, 3))
+        else:
+            letter = i + 1 if kind == "self" else draw(st.sampled_from(alphabet.letters()))
+            images[name] = Word(alphabet, (letter,))
+    a_names = tuple(draw(st.lists(st.sampled_from(alphabet.generators), unique=True)))
+    return Endomorphism(alphabet, images), a_names, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(maps_with_names())
+def test_dcl_separation_matches_scan(case):
+    g, a_names, max_len = case
+    assert dcl_separation_check(g, a_names, max_len) == closure_oracle.dcl_scan(g, a_names, max_len)
 
 
 def _scanned(f):
@@ -431,9 +457,7 @@ def test_letter_map_paths_match_scan(name):
             fixed_letters.add(letter)
     for word_ in iter_reduced_words(alphabet, 4):
         assert (f.apply(word_) == word_) == (set(word_.letters) <= fixed_letters)
-    # Length 4 is left out here: folding the identity's 3,201 fixed words
-    # of length <= 4 on the scan path takes about a minute.
-    for max_len in range(0, 4):
+    for max_len in range(0, 5):
         exact, oracle = fixed_words(f, max_len), fixed_words(scanned, max_len)
         assert exact == oracle and exact.to_text() == oracle.to_text()
 
@@ -470,21 +494,29 @@ def test_verify_counterexample_spectators():
 
 
 def test_verify_counterexample_negative_control():
+    # The perturbed v breaks checks 3-6; every check still runs and reports.
     setup = build_counterexample(0)
     perturbed = parse_word(setup.h_alphabet, "a y b y a y^-1 b y")
     report = verify_counterexample(0, 4, 4, v_override=perturbed)
-    assert not report.ok
-    failed = [c.name for c in report.checks if not c.passed]
-    assert failed
-
-
-def test_verify_counterexample_stop_on_failure():
-    setup = build_counterexample(0)
-    perturbed = parse_word(setup.h_alphabet, "a y b y a y^-1 b y")
-    report = verify_counterexample(0, 4, 4, v_override=perturbed, stop_on_failure=True)
-    assert not report.ok
-    assert not report.checks[-1].passed
-    assert all(c.passed for c in report.checks[:-1])
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("presentation_valid", True, "u, v root-free and non-conjugate"),
+        (
+            "abelianization_obstruction_ok",
+            True,
+            "ab(v) = (2, 2, 0, 2) != ab(u) = (0, 0, 1, 0)",
+        ),
+        ("g_is_homomorphism", False, "g(t)^-1 u g(t) = g(v) in the extension"),
+        ("g_is_automorphism", False, "explicit inverse sends t to t a y b y"),
+        ("gv_conjugate_to_v", False, "g(v) = d v d^-1 with d = a y^-1 b y^-1"),
+        ("solution_set", False, "solutions up to length 4: {}"),
+        (
+            "dcl_separation_ok",
+            True,
+            "no fixed word at any length "
+            "(exact: g permutes letters and fixes no generator outside A)",
+        ),
+    ]
+    assert not report.ok and report.solutions == ()
 
 
 def test_verify_counterexample_bad_bounds():

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from freegroups.closure import build_counterexample
 from freegroups.endos import (
     Endomorphism,
-    abelianization_matrix,
     compose,
     fixed_words,
-    integer_determinant,
     is_automorphism_free,
     orbit_bounded,
     order_bounded,
@@ -20,10 +18,17 @@ from freegroups.endos import (
 )
 from freegroups.splittings import AmalgamPresentation, dehn_twist, hnn_equal, parse_presentation
 from freegroups.stallings import subgroup_graph
-from freegroups.words import Alphabet, parse_word
+from freegroups.words import Alphabet, abelianize, parse_word
 
 import splittings_oracle as oracle
-from conftest import random_reduced, reduced_words, w
+from conftest import integer_determinant, random_reduced, reduced_words, w
+
+
+def abelianization_matrix(f: Endomorphism) -> list[list[int]]:
+    """Integer matrix: column j is the exponent vector of the j-th image."""
+    n = f.domain.rank
+    cols = [abelianize(f.images[name]) for name in f.domain.generators]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 @pytest.fixture

@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 
 import whitehead_oracle as oracle
 from freegroups import stallings
-from freegroups.endos import integer_determinant
 from freegroups.whitehead import (
     _deltas,
     _multiplier_move,
     is_free_factor,
     is_primitive,
     minimize_tuple,
-    type_ii_move_count,
     whitehead_moves,
 )
 from freegroups.words import Alphabet, Word, abelianize, commutator, cyclically_reduce, identity, iter_reduced_words
 
-from conftest import random_reduced, reduced_words, w
+from conftest import integer_determinant, random_reduced, reduced_words, w
+
+
+def type_ii_move_count(rank: int) -> int:
+    """Closed form: 2n multipliers, 2^(2n-2) - 1 nontrivial sets each."""
+    if rank == 0:
+        return 0
+    return 2 * rank * (2 ** (2 * rank - 2) - 1)
 
 
 def test_rank_one_moves():
