@@ -5,6 +5,12 @@ output is plain text, byte-identical across runs for identical inputs;
 randomized checks live in the test suite, never here.  Exit status: 0
 for success / true / PASS, 1 for a mathematical false / FAIL, 2 for
 usage or parse errors.
+
+Each fact of the text boundary is stated once: ``build_parser`` declares
+every subcommand with its handler and options, ``_given`` rejects a
+missing required option, ``_print_report`` writes every check report,
+and the file formats skip blank and ``#`` lines through
+``words.content_lines``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,21 @@ from pathlib import Path
 
 from . import closure, endos, splittings, stallings, whitehead, words
 
-FORMATS = ("text", "tsv")
+OPTION_HELP = {
+    "gens": "space-separated generator names",
+    "pres": "presentation file",
+    "graph": "graph file",
+    "graph2": "second graph file",
+    "map": "endomorphism file",
+    "map2": "second endomorphism file",
+    "cert": "certificate file",
+}
+
+# One line of a report, per --format: (check name, PASS or FAIL, detail).
+REPORT_LINE = {
+    "text": lambda name, status, detail: f"{name}: {status}" + (f" [{detail}]" if detail else ""),
+    "tsv": lambda name, status, detail: f"{name}\t{status}\t{detail}",
+}
 
 
 def _read(path: str) -> str:
@@ -26,16 +46,20 @@ def _read(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _given(args, option: str) -> str:
+    """The value of a required option; every option but --gens names a file."""
+    value = getattr(args, option)
+    if not value:
+        raise ValueError(f"this subcommand needs --{option}" + ("" if option == "gens" else " FILE"))
+    return value
+
+
 def _alphabet(args) -> words.Alphabet:
-    if not getattr(args, "gens", None):
-        raise ValueError("this subcommand needs --gens")
-    return words.Alphabet(args.gens)
+    return words.Alphabet(_given(args, "gens"))
 
 
 def _presentation(args):
-    if not getattr(args, "pres", None):
-        raise ValueError("this subcommand needs --pres FILE")
-    return splittings.parse_presentation(_read(args.pres))
+    return splittings.parse_presentation(_read(_given(args, "pres")))
 
 
 def _hnn(args) -> splittings.HnnPresentation:
@@ -45,17 +69,12 @@ def _hnn(args) -> splittings.HnnPresentation:
     return pres
 
 
-def _graph(args, attr: str = "graph") -> stallings.SubgroupGraph:
-    path = getattr(args, attr, None)
-    if not path:
-        raise ValueError(f"this subcommand needs --{attr} FILE")
-    return stallings.graph_from_text(_read(path))
+def _graph(args, option: str = "graph") -> stallings.SubgroupGraph:
+    return stallings.graph_from_text(_read(_given(args, option)))
 
 
 def _domain(args):
-    if getattr(args, "pres", None):
-        return _presentation(args)
-    return _alphabet(args)
+    return _presentation(args) if args.pres else _alphabet(args)
 
 
 def _domain_word(domain, text: str) -> words.Word:
@@ -65,10 +84,7 @@ def _domain_word(domain, text: str) -> words.Word:
 def _map_from_text(domain, text: str) -> endos.Endomorphism:
     alphabet = endos.domain_alphabet(domain)
     images = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in words.content_lines(text):
         if not line.startswith("map "):
             raise ValueError(f"bad map line {line!r}")
         name, sep, image = line[4:].partition("->")
@@ -78,11 +94,8 @@ def _map_from_text(domain, text: str) -> endos.Endomorphism:
     return endos.Endomorphism(domain, images)
 
 
-def _load_map(args, domain, attr: str = "map"):
-    path = getattr(args, attr, None)
-    if not path:
-        raise ValueError(f"this subcommand needs --{attr} FILE")
-    return _map_from_text(domain, _read(path))
+def _load_map(args, domain, option: str = "map"):
+    return _map_from_text(domain, _read(_given(args, option)))
 
 
 def _print_map(f: endos.Endomorphism) -> None:
@@ -93,6 +106,15 @@ def _print_map(f: endos.Endomorphism) -> None:
 def _bool_exit(value: bool) -> int:
     print("true" if value else "false")
     return 0 if value else 1
+
+
+def _print_report(report, fmt: str = "text") -> int:
+    """One line per check, then the overall verdict; the exit code of the verdict."""
+    line = REPORT_LINE[fmt]
+    for check in report.checks:
+        print(line(check.name, "PASS" if check.passed else "FAIL", check.detail))
+    print(line("overall", "PASS" if report.ok else "FAIL", ""))
+    return 0 if report.ok else 1
 
 
 # --- word algebra -----------------------------------------------------------
@@ -295,65 +317,17 @@ def cmd_abelian_acl(args) -> int:
 
 
 def cmd_compressed_check(args) -> int:
-    if not args.cert:
-        raise ValueError("this subcommand needs --cert FILE")
-    report = closure.compressed_step_check(closure.parse_certificate(_read(args.cert)))
-    for check in report.checks:
-        suffix = f" [{check.detail}]" if check.detail else ""
-        print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}{suffix}")
-    print(f"overall: {'PASS' if report.ok else 'FAIL'}")
-    return 0 if report.ok else 1
+    return _print_report(closure.compressed_step_check(closure.parse_certificate(_read(_given(args, "cert")))))
 
 
 def cmd_verify_counterexample(args) -> int:
-    if args.format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}")
     report = closure.verify_counterexample(args.a0, args.l_solution, args.l_separation)
-    if args.format == "tsv":
-        for check in report.checks:
-            status = "PASS" if check.passed else "FAIL"
-            print(f"{check.name}\t{status}\t{check.detail}")
-        print(f"overall\t{'PASS' if report.ok else 'FAIL'}\t")
-        return 0 if report.ok else 1
-    print(f"a0_size: {report.a0_size}")
-    print(f"rank: {report.rank}")
-    print(f"l_solution: {report.l_solution}")
-    print(f"l_separation: {report.l_separation}")
-    for check in report.checks:
-        suffix = f" [{check.detail}]" if check.detail else ""
-        print(f"{check.name}: {'PASS' if check.passed else 'FAIL'}{suffix}")
-    print(f"overall: {'PASS' if report.ok else 'FAIL'}")
-    return 0 if report.ok else 1
-
-
-SUBCOMMANDS = {
-    "reduce": cmd_reduce,
-    "conjugate": cmd_conjugate,
-    "root": cmd_root,
-    "centralizer": cmd_centralizer,
-    "abelianize": cmd_abelianize,
-    "fold": cmd_fold,
-    "member": cmd_member,
-    "rank": cmd_rank,
-    "intersect": cmd_intersect,
-    "malnormal": cmd_malnormal,
-    "is-primitive": cmd_is_primitive,
-    "is-free-factor": cmd_is_free_factor,
-    "whitehead-min": cmd_whitehead_min,
-    "britton": cmd_britton,
-    "hnn-equal": cmd_hnn_equal,
-    "classify": cmd_classify,
-    "dehn-twist": cmd_dehn_twist,
-    "apply": cmd_apply,
-    "compose": cmd_compose,
-    "is-auto": cmd_is_auto,
-    "order": cmd_order,
-    "fixed": cmd_fixed,
-    "orbit": cmd_orbit,
-    "abelian-acl": cmd_abelian_acl,
-    "compressed-check": cmd_compressed_check,
-    "verify-counterexample": cmd_verify_counterexample,
-}
+    if args.format == "text":
+        print(f"a0_size: {report.a0_size}")
+        print(f"rank: {report.rank}")
+        print(f"l_solution: {report.l_solution}")
+        print(f"l_separation: {report.l_separation}")
+    return _print_report(report, args.format)
 
 
 @functools.cache
@@ -365,65 +339,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *, gens=False, pres=False, graph=False, graph2=False, mapfile=False, map2=False):
+    def add(name, handler, *options):
+        """Declare a subcommand once: its handler and its OPTION_HELP options."""
         p = sub.add_parser(name)
-        p.set_defaults(handler=SUBCOMMANDS[name])
-        if gens:
-            p.add_argument("--gens", help="space-separated generator names")
-        if pres:
-            p.add_argument("--pres", help="presentation file")
-        if graph:
-            p.add_argument("--graph", help="graph file")
-        if graph2:
-            p.add_argument("--graph2", help="second graph file")
-        if mapfile:
-            p.add_argument("--map", help="endomorphism file")
-        if map2:
-            p.add_argument("--map2", help="second endomorphism file")
+        p.set_defaults(handler=handler)
+        for option in options:
+            p.add_argument(f"--{option}", help=OPTION_HELP[option])
         return p
 
-    add("reduce", gens=True).add_argument("word")
-    p = add("conjugate", gens=True)
+    add("reduce", cmd_reduce, "gens").add_argument("word")
+    p = add("conjugate", cmd_conjugate, "gens")
     p.add_argument("word1")
     p.add_argument("word2")
-    add("root", gens=True).add_argument("word")
-    add("centralizer", gens=True).add_argument("word")
-    add("abelianize", gens=True).add_argument("word")
-    add("fold", gens=True).add_argument("words", nargs="*")
-    add("member", graph=True).add_argument("word")
-    add("rank", graph=True)
-    add("intersect", graph=True, graph2=True)
-    add("malnormal", graph=True)
-    add("is-primitive", gens=True).add_argument("word")
-    add("is-free-factor", gens=True).add_argument("words", nargs="+")
-    add("whitehead-min", gens=True).add_argument("words", nargs="+")
-    add("britton", pres=True).add_argument("word")
-    p = add("hnn-equal", pres=True)
+    add("root", cmd_root, "gens").add_argument("word")
+    add("centralizer", cmd_centralizer, "gens").add_argument("word")
+    add("abelianize", cmd_abelianize, "gens").add_argument("word")
+    add("fold", cmd_fold, "gens").add_argument("words", nargs="*")
+    add("member", cmd_member, "graph").add_argument("word")
+    add("rank", cmd_rank, "graph")
+    add("intersect", cmd_intersect, "graph", "graph2")
+    add("malnormal", cmd_malnormal, "graph")
+    add("is-primitive", cmd_is_primitive, "gens").add_argument("word")
+    add("is-free-factor", cmd_is_free_factor, "gens").add_argument("words", nargs="+")
+    add("whitehead-min", cmd_whitehead_min, "gens").add_argument("words", nargs="+")
+    add("britton", cmd_britton, "pres").add_argument("word")
+    p = add("hnn-equal", cmd_hnn_equal, "pres")
     p.add_argument("word1")
     p.add_argument("word2")
-    p = add("classify", pres=True)
+    p = add("classify", cmd_classify, "pres")
     p.add_argument("alpha")
     p.add_argument("beta")
-    add("dehn-twist", pres=True).add_argument("--power", type=int, default=1)
-    add("apply", gens=True, pres=True, mapfile=True).add_argument("word")
-    add("compose", gens=True, pres=True, mapfile=True, map2=True)
-    add("is-auto", gens=True, mapfile=True)
-    add("order", gens=True, pres=True, mapfile=True).add_argument("--max", type=int, default=20)
-    add("fixed", gens=True, mapfile=True).add_argument("--max-len", type=int, default=6)
-    p = add("orbit", pres=True)
+    add("dehn-twist", cmd_dehn_twist, "pres").add_argument("--power", type=int, default=1)
+    add("apply", cmd_apply, "gens", "pres", "map").add_argument("word")
+    add("compose", cmd_compose, "gens", "pres", "map", "map2")
+    add("is-auto", cmd_is_auto, "gens", "map")
+    add("order", cmd_order, "gens", "pres", "map").add_argument("--max", type=int, default=20)
+    add("fixed", cmd_fixed, "gens", "map").add_argument("--max-len", type=int, default=6)
+    p = add("orbit", cmd_orbit, "pres")
     p.add_argument("--element", required=True)
     p.add_argument("--n", type=int, default=20)
-    p = add("abelian-acl", gens=True)
-    p.add_argument("word")
-    p = add("compressed-check")
-    p.add_argument("--cert", help="certificate file")
-    p = add("verify-counterexample")
+    add("abelian-acl", cmd_abelian_acl, "gens").add_argument("word")
+    add("compressed-check", cmd_compressed_check, "cert")
+    p = add("verify-counterexample", cmd_verify_counterexample)
     p.add_argument("--a0", type=int, default=0)
     p.add_argument("--l-solution", type=int, default=6,
                    help="lists the solutions up to this length: check 6 itself is exact over F")
     p.add_argument("--l-separation", type=int, default=8,
                    help="changes only its header line: check 7 is exact for the letter map g")
-    p.add_argument("--format", default="text", choices=FORMATS)
+    p.add_argument("--format", default="text", choices=tuple(REPORT_LINE))
     return parser
 
 

@@ -36,6 +36,7 @@ from .words import (
     Word,
     abelianize,
     centralizer,
+    content_lines,
     cyclically_reduce,
     format_word,
     free_reduce,
@@ -76,13 +77,6 @@ class HnnCertificate:
     v: Word
 
 
-def _basis_graph(ambient: Alphabet, words: tuple[Word, ...], label: str) -> SubgroupGraph:
-    graph = subgroup_graph(ambient, words)
-    if graph.rank() != len(words):
-        raise ValueError(f"certificate error: {label} is not an independent basis")
-    return graph
-
-
 def _rewritten(graph: SubgroupGraph, w: Word, label: str) -> Word:
     expressed = graph.express_in_basis(w)
     if expressed is None:
@@ -94,41 +88,37 @@ def _rewritten(graph: SubgroupGraph, w: Word, label: str) -> Word:
 def compressed_step_check(cert) -> Report:
     """Certificate check for one step of a compressed-rank argument.
 
-    The edge word must be primitive in at least one side (decided by
-    Whitehead minimization after rewriting it in that factor's own
-    basis).
+    Each kind is two (factor label, basis, edge name, edge word, detail
+    prefix) rows.  Every basis must be independent and every edge word
+    must lie in its factor (else a usage error, in that order); the edge
+    word must be primitive in at least one row (decided by Whitehead
+    minimization after rewriting it in that factor's own basis).
     """
-    checks: list[Check] = []
     if isinstance(cert, AmalgamCertificate):
-        g1 = _basis_graph(cert.ambient, cert.b1, "b1")
-        g2 = _basis_graph(cert.ambient, cert.b2, "b2")
-        checks.append(Check("c_in_b1", True, "membership via folded graph"))
-        checks.append(Check("c_in_b2", True, "membership via folded graph"))
-        c1 = _rewritten(g1, cert.c, "b1")
-        c2 = _rewritten(g2, cert.c, "b2")
-        prim1 = is_primitive(c1)
-        prim2 = is_primitive(c2)
-        detail = (
-            f"in b1 coordinates c = {format_word(c1)} ({'primitive' if prim1 else 'not primitive'}); "
-            f"in b2 coordinates c = {format_word(c2)} ({'primitive' if prim2 else 'not primitive'})"
-        )
-        checks.append(Check("edge_primitive_in_a_factor", prim1 or prim2, detail))
-        return Report(tuple(checks))
-    if isinstance(cert, HnnCertificate):
-        g = _basis_graph(cert.ambient, cert.base, "base")
-        checks.append(Check("u_in_base", True, "membership via folded graph"))
-        checks.append(Check("v_in_base", True, "membership via folded graph"))
-        u_expr = _rewritten(g, cert.u, "base")
-        v_expr = _rewritten(g, cert.v, "base")
-        prim_u = is_primitive(u_expr)
-        prim_v = is_primitive(v_expr)
-        detail = (
-            f"u = {format_word(u_expr)} ({'primitive' if prim_u else 'not primitive'}); "
-            f"v = {format_word(v_expr)} ({'primitive' if prim_v else 'not primitive'})"
-        )
-        checks.append(Check("edge_primitive_in_base", prim_u or prim_v, detail))
-        return Report(tuple(checks))
-    raise TypeError("certificate must be an AmalgamCertificate or HnnCertificate")
+        verdict = "edge_primitive_in_a_factor"
+        rows = [
+            ("b1", cert.b1, "c", cert.c, "in b1 coordinates c"),
+            ("b2", cert.b2, "c", cert.c, "in b2 coordinates c"),
+        ]
+    elif isinstance(cert, HnnCertificate):
+        verdict = "edge_primitive_in_base"
+        rows = [("base", cert.base, "u", cert.u, "u"), ("base", cert.base, "v", cert.v, "v")]
+    else:
+        raise TypeError("certificate must be an AmalgamCertificate or HnnCertificate")
+    graphs = {}
+    for label, basis, *_ in rows:  # every basis before any rewrite
+        if label not in graphs:
+            graphs[label] = subgroup_graph(cert.ambient, basis)
+            if graphs[label].rank() != len(basis):
+                raise ValueError(f"certificate error: {label} is not an independent basis")
+    rewritten = [_rewritten(graphs[label], w, label) for label, _, _, w, _ in rows]
+    primitive = [is_primitive(w) for w in rewritten]
+    detail = "; ".join(
+        f"{prefix} = {format_word(w)} ({'primitive' if p else 'not primitive'})"
+        for (*_, prefix), w, p in zip(rows, rewritten, primitive)
+    )
+    members = [Check(f"{e}_in_{label}", True, "membership via folded graph") for label, _, e, *_ in rows]
+    return Report((*members, Check(verdict, any(primitive), detail)))
 
 
 def parse_certificate(text: str):
@@ -136,10 +126,7 @@ def parse_certificate(text: str):
     ambient: Optional[Alphabet] = None
     kind: Optional[str] = None
     fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         if line.startswith("gens "):
             ambient = Alphabet(line[5:])
             continue

@@ -21,6 +21,7 @@ from typing import Optional
 from .words import (
     Alphabet,
     Word,
+    content_lines,
     cyclically_reduce,
     extract_root,
     free_reduce,
@@ -423,17 +424,14 @@ def parse_presentation(text: str):
     gens_lines: list[Alphabet] = []
     hnn_line = None
     amalgam_line = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 1)
-        if parts[0] == "gens":
-            gens_lines.append(Alphabet(parts[1] if len(parts) > 1 else ""))
-        elif parts[0] == "hnn":
-            hnn_line = parts[1]
-        elif parts[0] == "amalgam":
-            amalgam_line = parts[1]
+    for line in content_lines(text):
+        keyword, rest = (line.split(None, 1) + [""])[:2]
+        if keyword == "gens":
+            gens_lines.append(Alphabet(rest))
+        elif keyword == "hnn":
+            hnn_line = rest
+        elif keyword == "amalgam":
+            amalgam_line = rest
         else:
             raise ValueError(f"unrecognized presentation line {line!r}")
     if hnn_line is not None:

@@ -24,18 +24,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Optional, Sequence
 
-from .words import Alphabet, Word, free_reduce
+from .words import Alphabet, Word, content_lines, free_reduce
 
 Edge = tuple[int, int, int]  # (src, generator letter > 0, dst)
 
 
 class SubgroupGraph:
-    __slots__ = ("alphabet", "edges", "generating_words", "_out", "_in", "_vertices")
+    __slots__ = ("alphabet", "edges", "_out", "_in", "_vertices")
 
-    def __init__(self, alphabet: Alphabet, edges: Iterable[Edge], generating_words: Sequence[Word] = ()):
+    def __init__(self, alphabet: Alphabet, edges: Iterable[Edge]):
         self.alphabet = alphabet
         self.edges = frozenset(edges)
-        self.generating_words = tuple(generating_words)
         out: dict[tuple[int, int], int] = {}
         inc: dict[tuple[int, int], int] = {}
         verts = {0}
@@ -154,10 +153,7 @@ class SubgroupGraph:
 def graph_from_text(text: str) -> SubgroupGraph:
     alphabet = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if parts[0] == "gens":
             alphabet = Alphabet(parts[1:])
@@ -179,7 +175,7 @@ def graph_from_text(text: str) -> SubgroupGraph:
     seen = _bfs(0, lambda v: adjacency.get(v, ())).keys()
     if seen != declared:
         raise ValueError("graph file must be connected to base vertex 0")
-    return _canonical(alphabet, set(edges), 0, ())
+    return _canonical(alphabet, set(edges), 0)
 
 
 def _find(parent: dict, x):
@@ -288,7 +284,7 @@ def _trim(edges: set[Edge], base) -> set[Edge]:
     return alive
 
 
-def _canonical(alphabet: Alphabet, edges: set[Edge], base, generating_words) -> SubgroupGraph:
+def _canonical(alphabet: Alphabet, edges: set[Edge], base) -> SubgroupGraph:
     """Renumber vertices by BFS from the base; gives a unique labeled form."""
     out = {(a, g): b for a, g, b in edges}
     inc = {(b, g): a for a, g, b in edges}
@@ -298,7 +294,7 @@ def _canonical(alphabet: Alphabet, edges: set[Edge], base, generating_words) -> 
 
     rename = {v: i for i, v in enumerate(_bfs(base, _neighbours(step, alphabet)))}
     new_edges = {(rename[a], g, rename[b]) for a, g, b in edges}
-    return SubgroupGraph(alphabet, new_edges, generating_words)
+    return SubgroupGraph(alphabet, new_edges)
 
 
 def subgroup_graph(alphabet: Alphabet, words: Sequence[Word]) -> SubgroupGraph:
@@ -308,13 +304,11 @@ def subgroup_graph(alphabet: Alphabet, words: Sequence[Word]) -> SubgroupGraph:
     Folding is confluent: any generator order gives a label-isomorphic
     result.
     """
-    words = tuple(words)
-    for w in words:
-        if w.alphabet != alphabet:
-            raise ValueError("alphabet mismatch")
     edges: set[Edge] = set()
     fresh = 1
     for w in words:
+        if w.alphabet != alphabet:
+            raise ValueError("alphabet mismatch")
         cur = 0
         n = len(w.letters)
         for i, letter in enumerate(w.letters):
@@ -328,7 +322,7 @@ def subgroup_graph(alphabet: Alphabet, words: Sequence[Word]) -> SubgroupGraph:
             cur = nxt
     folded, base = _fold(edges, 0)
     cored = _trim(folded, base)
-    return _canonical(alphabet, cored, base, words)
+    return _canonical(alphabet, cored, base)
 
 
 def _product_edges(g1: SubgroupGraph, g2: SubgroupGraph):
@@ -353,7 +347,7 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
 
     neighbours = _neighbours(step, g1.alphabet)
     kept = {(v, g, w) for v in _bfs((0, 0), neighbours) for g, w in neighbours(v) if g > 0}
-    return _canonical(g1.alphabet, _trim(kept, (0, 0)), (0, 0), ())
+    return _canonical(g1.alphabet, _trim(kept, (0, 0)), (0, 0))
 
 
 def is_malnormal(graph: SubgroupGraph) -> bool:

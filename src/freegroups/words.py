@@ -205,6 +205,12 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
+def content_lines(text: str) -> Iterator[str]:
+    """The stripped lines of a line-based file (graph, presentation, map,
+    certificate), without blank lines and ``#`` comment lines."""
+    return (line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#"))
+
+
 def identity(alphabet: Alphabet) -> Word:
     return Word(alphabet, (), _reduced=True)
 

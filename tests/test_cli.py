@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -5,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from freegroups import cli
-from freegroups.cli import SUBCOMMANDS, main
+from freegroups import cli, closure, splittings, stallings
+from freegroups.cli import main
+from freegroups.words import Alphabet
 
 EXPECTED_SUBCOMMANDS = {
     "reduce",
@@ -53,9 +55,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subcommands():
+    """Subcommand name -> handler, read from the parser, in declaration order."""
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: p.get_default("handler") for name, p in action.choices.items()}
+
+
 def test_subcommand_table_coverage():
-    assert set(SUBCOMMANDS) == EXPECTED_SUBCOMMANDS
-    handlers = list(SUBCOMMANDS.values())
+    table = subcommands()
+    assert set(table) == EXPECTED_SUBCOMMANDS
+    handlers = list(table.values())
+    assert all(map(callable, handlers))
     assert len({id(h) for h in handlers}) == len(handlers)
 
 
@@ -235,9 +245,60 @@ def test_compressed_check(capsys, tmp_path):
     cert.write_text(
         "gens a b u y\nkind hnn\nbase: a, b, u, y\nu: u\nv: a y b y a y^-1 b y^-1\n"
     )
-    code, out, _ = run(capsys, "compressed-check", "--cert", str(cert))
-    assert code == 0
-    assert out.splitlines()[-1] == "overall: PASS"
+    code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
+    assert code == 0 and err == ""
+    assert out == (
+        "u_in_base: PASS [membership via folded graph]\n"
+        "v_in_base: PASS [membership via folded graph]\n"
+        "edge_primitive_in_base: PASS [u = b3 (primitive); "
+        "v = b1 b4 b2 b4 b1 b4^-1 b2 b4^-1 (not primitive)]\n"
+        "overall: PASS\n"
+    )
+
+
+def test_compressed_check_fails_when_no_side_is_primitive(capsys, tmp_path):
+    cert = tmp_path / "cert.txt"
+    cert.write_text("gens x y\nkind amalgam\nb1: x, y\nb2: x\nc: x^2\n")
+    code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
+    assert code == 1 and err == ""
+    assert out.splitlines()[2:] == [
+        "edge_primitive_in_a_factor: FAIL [in b1 coordinates c = b1^2 (not primitive); "
+        "in b2 coordinates c = b1^2 (not primitive)]",
+        "overall: FAIL",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind hnn\nbase: a\nu: a\nv: a\n", "certificate needs gens and kind lines"),
+        ("gens a\nbase: a\nu: a\nv: a\n", "certificate needs gens and kind lines"),
+        ("gens a\nkind foo\n", "unknown certificate kind 'foo'"),
+        ("gens a\nkind hnn\nbase a\n", "bad certificate line 'base a'"),
+        ("gens a\nkind hnn\nbase: a\nu: a\n", "certificate missing field 'v'"),
+        ("gens a b\nkind amalgam\nb1: a\nc: a\n", "certificate missing field 'b2'"),
+        (
+            "gens a b\nkind amalgam\nb1: a, a^2\nb2: b\nc: a\n",
+            "certificate error: b1 is not an independent basis",
+        ),
+        (
+            "gens a b\nkind hnn\nbase: a, a b a^-1, b\nu: a\nv: b\n",
+            "certificate error: base is not an independent basis",
+        ),
+        ("gens a b\nkind amalgam\nb1: a\nb2: b\nc: a\n", "certificate error: edge word not in b2"),
+        ("gens a b\nkind hnn\nbase: a\nu: a\nv: b\n", "certificate error: edge word not in base"),
+        # Every basis is checked before any edge word is rewritten.
+        (
+            "gens a b\nkind amalgam\nb1: b\nb2: a, a^-1\nc: a\n",
+            "certificate error: b2 is not an independent basis",
+        ),
+    ],
+)
+def test_certificate_errors_are_usage_errors(capsys, tmp_path, text, message):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_counterexample_text_and_tsv(capsys):
@@ -362,3 +423,86 @@ def test_cli_import_leaves_numpy_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     probe = "import sys, freegroups.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def help_text(capsys):
+    """The --help output of the top level and of every subcommand, each under a "$ ..." line."""
+    text = ""
+    for argv in [[]] + [[name] for name in subcommands()]:
+        code, out, err = run(capsys, *argv, "--help")
+        assert code == 0 and err == ""
+        text += f"$ freegroups {' '.join(argv + ['--help'])}\n{out}"
+    return text
+
+
+def test_help_golden(capsys, monkeypatch):
+    # argparse wraps help at the terminal width; CI diffs the installed
+    # entry point's output against the same file at COLUMNS=80.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_text(capsys) == (DATA / "cli_help.txt").read_text()
+
+
+def test_compressed_check_amalgam_golden(capsys):
+    # The README certificate; the same files back the packaging smoke test in CI.
+    code, out, err = run(capsys, "compressed-check", "--cert", str(DATA / "amalgam_cert.txt"))
+    assert code == 0 and err == ""
+    assert out == (DATA / "amalgam_cert_report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["reduce", "x"], "--gens"),
+        (["britton", "t"], "--pres FILE"),
+        (["rank"], "--graph FILE"),
+        (["intersect", "--graph", "GRAPH"], "--graph2 FILE"),
+        (["is-auto", "--gens", "x y"], "--map FILE"),
+        (["compose", "--gens", "x y", "--map", "MAP"], "--map2 FILE"),
+        (["compressed-check"], "--cert FILE"),
+    ],
+)
+def test_missing_required_input(capsys, tmp_path, argv, option):
+    files = {"GRAPH": tmp_path / "g.txt", "MAP": tmp_path / "f.txt"}
+    files["GRAPH"].write_text("gens x y\nbase 0\n0 x 0\n")
+    files["MAP"].write_text("map x -> y\nmap y -> x\n")
+    code, out, err = run(capsys, *(str(files.get(arg, arg)) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: this subcommand needs {option}\n")
+
+
+def decorated(text):
+    """The same file with a comment header, blank lines, indentation and trailing blanks."""
+    return "# header\n\n" + "".join(f"  {line} \t\n\n\t# note\n" for line in text.splitlines())
+
+
+def amalgam_fields(pres):
+    return pres.factor1, pres.factor2, pres.c1, pres.c2
+
+
+@pytest.mark.parametrize(
+    "parse, text, key",
+    [
+        (stallings.graph_from_text, "gens x y\nbase 0\n0 x 1\n1 x 0\n0 y 0\n", None),
+        (splittings.parse_presentation, THM_PRES, None),
+        (splittings.parse_presentation, "gens p q\ngens r s\namalgam : p q = r^2\n", amalgam_fields),
+        (lambda text: cli._map_from_text(Alphabet("x y"), text), "map x -> x y\nmap y -> y\n", None),
+        (closure.parse_certificate, (DATA / "amalgam_cert.txt").read_text(), None),
+        (closure.parse_certificate, "gens a b\nkind hnn\nbase: a, b\nu: a\nv: b a b^-1\n", None),
+    ],
+)
+def test_comments_blank_lines_and_indentation_are_ignored(parse, text, key):
+    key = key or (lambda parsed: parsed)
+    assert key(parse(decorated(text))) == key(parse(text))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("gens a b\nhnn\n", "hnn line must read 'hnn t : u -> v'"),
+        ("gens p q\ngens r s\namalgam\n", "amalgam line must read 'amalgam : w1 = w2'"),
+    ],
+)
+def test_bare_splitting_keyword_is_a_usage_error(capsys, tmp_path, text, message):
+    pres = tmp_path / "pres.txt"
+    pres.write_text(text)
+    code, out, err = run(capsys, "britton", "--pres", str(pres), "a")
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -411,3 +411,8 @@ def test_parse_presentation_errors():
         parse_presentation("gens x\nhnn t : x\n")
     with pytest.raises(ValueError):
         parse_presentation("gens p\namalgam : p = p\n")
+    # A keyword with nothing after it is a malformed line, not a crash.
+    with pytest.raises(ValueError, match="hnn line must read 'hnn t : u -> v'"):
+        parse_presentation("gens a b\nhnn\n")
+    with pytest.raises(ValueError, match="amalgam line must read 'amalgam : w1 = w2'"):
+        parse_presentation("gens p q\ngens r s\namalgam\n")
