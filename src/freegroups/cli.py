@@ -90,7 +90,10 @@ def _map_from_text(domain, text: str) -> endos.Endomorphism:
         name, sep, image = line[4:].partition("->")
         if not sep:
             raise ValueError(f"bad map line {line!r}")
-        images[name.strip()] = words.parse_word(alphabet, image)
+        name = name.strip()
+        if name in images:
+            raise ValueError(f"repeated map line for {name!r}: {line!r}")
+        images[name] = words.parse_word(alphabet, image)
     return endos.Endomorphism(domain, images)
 
 

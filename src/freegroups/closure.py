@@ -123,35 +123,33 @@ def compressed_step_check(cert) -> Report:
 
 def parse_certificate(text: str):
     """Parse the line-based certificate format (see README)."""
-    ambient: Optional[Alphabet] = None
-    kind: Optional[str] = None
     fields: dict[str, str] = {}
     for line in content_lines(text):
-        if line.startswith("gens "):
-            ambient = Alphabet(line[5:])
-            continue
-        if line.startswith("kind "):
-            kind = line[5:].strip()
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"bad certificate line {line!r}")
-        fields[key.strip()] = value.strip()
-    if ambient is None or kind is None:
+        if line.startswith(("gens ", "kind ")):
+            key, value = line[:5], line[5:]  # the blank keeps "gens " apart from a field "gens"
+        else:
+            key, sep, value = line.partition(":")
+            if not sep:
+                raise ValueError(f"bad certificate line {line!r}")
+            key = key.strip()
+        if key in fields:
+            raise ValueError(f"repeated certificate line {line!r}")
+        fields[key] = value.strip()
+    if "gens " not in fields or "kind " not in fields:
         raise ValueError("certificate needs gens and kind lines")
+    ambient, kind = Alphabet(fields["gens "]), fields["kind "]
+
+    def field(name: str) -> str:
+        if name not in fields:
+            raise ValueError(f"certificate missing field {name!r}")
+        return fields[name]
 
     def words_field(name: str) -> tuple[Word, ...]:
-        if name not in fields:
-            raise ValueError(f"certificate missing field {name!r}")
-        text = fields[name].strip()
-        if not text:
-            return ()
-        return tuple(parse_word(ambient, part) for part in text.split(","))
+        text = field(name)
+        return tuple(parse_word(ambient, part) for part in text.split(",")) if text else ()
 
     def word_field(name: str) -> Word:
-        if name not in fields:
-            raise ValueError(f"certificate missing field {name!r}")
-        return parse_word(ambient, fields[name])
+        return parse_word(ambient, field(name))
 
     if kind == "amalgam":
         return AmalgamCertificate(ambient, words_field("b1"), words_field("b2"), word_field("c"))

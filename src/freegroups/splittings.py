@@ -422,22 +422,24 @@ def parse_presentation(text: str):
         amalgam : p = r
     """
     gens_lines: list[Alphabet] = []
-    hnn_line = None
-    amalgam_line = None
+    splitting = None
     for line in content_lines(text):
         keyword, rest = (line.split(None, 1) + [""])[:2]
         if keyword == "gens":
             gens_lines.append(Alphabet(rest))
-        elif keyword == "hnn":
-            hnn_line = rest
-        elif keyword == "amalgam":
-            amalgam_line = rest
+        elif keyword in ("hnn", "amalgam"):
+            if splitting is not None:
+                raise ValueError(f"repeated splitting line {line!r}: a presentation has one hnn or amalgam line")
+            splitting = keyword, rest
         else:
             raise ValueError(f"unrecognized presentation line {line!r}")
-    if hnn_line is not None:
+    if splitting is None:
+        raise ValueError("presentation file has no hnn or amalgam line")
+    keyword, rest = splitting
+    if keyword == "hnn":
         if len(gens_lines) != 1:
             raise ValueError("hnn presentations need exactly one gens line")
-        head, _, arrow = hnn_line.partition(":")
+        head, _, arrow = rest.partition(":")
         stable = head.strip()
         u_text, sep, v_text = arrow.partition("->")
         if not sep:
@@ -446,15 +448,10 @@ def parse_presentation(text: str):
         return HnnPresentation(
             base, stable, parse_word(base, u_text), parse_word(base, v_text)
         )
-    if amalgam_line is not None:
-        if len(gens_lines) != 2:
-            raise ValueError("amalgam presentations need two gens lines")
-        _, _, rest = amalgam_line.partition(":") if ":" in amalgam_line else ("", "", amalgam_line)
-        w1_text, sep, w2_text = rest.partition("=")
-        if not sep:
-            raise ValueError("amalgam line must read 'amalgam : w1 = w2'")
-        f1, f2 = gens_lines
-        return AmalgamPresentation(
-            f1, f2, parse_word(f1, w1_text), parse_word(f2, w2_text)
-        )
-    raise ValueError("presentation file has no hnn or amalgam line")
+    if len(gens_lines) != 2:
+        raise ValueError("amalgam presentations need two gens lines")
+    w1_text, sep, w2_text = rest.split(":", 1)[-1].partition("=")  # the colon is optional
+    if not sep:
+        raise ValueError("amalgam line must read 'amalgam : w1 = w2'")
+    f1, f2 = gens_lines
+    return AmalgamPresentation(f1, f2, parse_word(f1, w1_text), parse_word(f2, w2_text))

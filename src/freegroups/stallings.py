@@ -163,7 +163,7 @@ def graph_from_text(text: str) -> SubgroupGraph:
         else:
             if alphabet is None:
                 raise ValueError("graph file must declare gens before edges")
-            if len(parts) != 3:
+            if len(parts) != 3 or not all(v.removeprefix("-").isdecimal() for v in parts[::2]):
                 raise ValueError(f"bad edge line {line!r}")
             src, label, dst = parts
             edges.append((int(src), alphabet.index(label) + 1, int(dst)))

@@ -22,9 +22,13 @@ pair of adjacent letters ``x y``, an edge joining x and y^-1; cyclic
 words wrap around, and a linear word gets a sentinel letter, in no A,
 at both ends.  The move (A, a) changes the total length by cap(A) -
 deg(a), where cap(A) counts the edges leaving A (Lyndon & Schupp,
-Combinatorial Group Theory, Prop. I.4.16).  A descent step builds the
-graph in O(|w|) and the deltas of all M = 2n(4^(n-1) - 1) type-II moves
-in O(M), each from a smaller one; only the move it takes is applied.
+Combinatorial Group Theory, Prop. I.4.16).  Only the move a step takes
+is applied.  ``minimize_tuple`` takes the first shortening move in the
+order of ``whitehead_moves``, from the deltas of all M = 2n(4^(n-1) - 1)
+type-II moves, each derived from a smaller one in O(1).  The deciders
+take the steepest move: for a multiplier a, the least cap(A) is the min
+cut between a and a^-1, so 2n max flows find it (Roig, Ventura & Weil,
+IJAC 17, 2007), and peak reduction needs only some shortening move.
 """
 
 from __future__ import annotations
@@ -54,28 +58,19 @@ class WhiteheadMove:
         if self.kind == "permutation":
             img = self.images[abs(letter) - 1]
             return (img,) if letter > 0 else (-img,)
-        a = self.multiplier
-        if abs(letter) == abs(a):
+        a, g = self.multiplier, abs(letter)
+        if g == abs(a):
             return (letter,)
-        g = abs(letter)
-        in_a = g in self.affected
-        inv_in_a = -g in self.affected
-        if in_a and not inv_in_a:
-            image = (g, a)
-        elif inv_in_a and not in_a:
-            image = (-a, g)
-        elif in_a and inv_in_a:
-            image = (-a, g, a)
-        else:
-            image = (g,)
-        if letter > 0:
-            return image
-        return tuple(-l for l in reversed(image))
+        # g -> g a if g is in A, a^-1 g if g^-1 is, a^-1 g a if both are.
+        image = (-a,) * (-g in self.affected) + (g,) + (a,) * (g in self.affected)
+        return image if letter > 0 else tuple(-l for l in reversed(image))
 
     def apply(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        return Word(self.alphabet, free_reduce(l for x in w.letters for l in self.letter_image(x)), _reduced=True)
+        image = {x: self.letter_image(x) for x in self.alphabet.letters()}
+        letters = itertools.chain.from_iterable(map(image.__getitem__, w.letters))
+        return Word(self.alphabet, free_reduce(letters), _reduced=True)
 
     def inverse(self) -> "WhiteheadMove":
         if self.kind == "permutation":
@@ -143,6 +138,23 @@ class MinimizationTrace:
         return sum(len(w) for w in self.final)
 
 
+def _star_graph(words: tuple[Word, ...], cyclic: bool) -> list[list[int]]:
+    """The Whitehead graph as a matrix: entry [x][y] counts the edges joining x and y.
+
+    Indices are signed letters (Python wraps a negative index); 0 is the sentinel.
+    """
+    pairs: Counter = Counter()
+    for w in words:
+        lets = w.letters
+        pairs.update(zip(lets, lets[1:] + lets[:1]) if cyclic else zip((0,) + lets, lets + (0,)))
+    size = 2 * words[0].alphabet.rank + 1
+    graph = [[0] * size for _ in range(size)]
+    for (x, y), c in pairs.items():
+        graph[x][-y] += c
+        graph[-y][x] += c
+    return graph
+
+
 def _deltas(words: tuple[Word, ...], cyclic: bool):
     """Yield (a, others, deltas) per multiplier a, in the order of ``whitehead_moves``.
 
@@ -150,16 +162,8 @@ def _deltas(words: tuple[Word, ...], cyclic: bool):
     + {others[i] : bit i of mask}: with gain(o) = deg(o) - 2 c(a, o), the
     gains over A - {a} less twice the edges inside A - {a}.  A mask with
     highest bit h adds others[h] to a smaller mask, so each costs O(1).
-    Letter 0 is the sentinel.
     """
-    count, degree = Counter(), Counter()
-    for w in words:
-        lets = w.letters
-        for x, y in zip(lets, lets[1:] + lets[:1]) if cyclic else zip((0,) + lets, lets + (0,)):
-            count[x, -y] += 1
-            count[-y, x] += 1
-            degree[x] += 1
-            degree[-y] += 1
+    graph = _star_graph(words, cyclic)
     letters = words[0].alphabet.letters()
     for a in letters:
         others = [l for l in letters if l != a and l != -a]
@@ -167,9 +171,9 @@ def _deltas(words: tuple[Word, ...], cyclic: bool):
         for h, o in enumerate(others):
             into = [0]  # into[mask]: edges from o into the letters of mask
             for p in others[:h]:
-                c = count[o, p]
+                c = graph[o][p]
                 into += [e + c for e in into]
-            gain = degree[o] - 2 * count[a, o]
+            gain = sum(graph[o]) - 2 * graph[a][o]
             deltas += [d + gain - 2 * e for d, e in zip(deltas, into)]
         yield a, others, deltas
 
@@ -177,6 +181,79 @@ def _deltas(words: tuple[Word, ...], cyclic: bool):
 def _multiplier_move(alphabet: Alphabet, a: int, others: list[int], mask: int) -> WhiteheadMove:
     affected = frozenset([a] + [others[i] for i in range(len(others)) if mask >> i & 1])
     return WhiteheadMove(alphabet, "multiplier", multiplier=a, affected=affected)
+
+
+def _first_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
+    """The first shortening type-II move in the order of ``whitehead_moves``, or None."""
+    found = next(((a, o, m) for a, o, d in _deltas(words, cyclic) for m in range(1, len(d)) if d[m] < 0), None)
+    return found and _multiplier_move(words[0].alphabet, *found)
+
+
+def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
+    """A steepest shortening type-II move, or None.
+
+    For a multiplier a, the least cap(A) is the max flow from a to a^-1
+    and the sentinel.  The most negative flow - deg(a) wins, the first a on
+    ties, with A its smallest min cut.  A flow stops at deg(a) plus the
+    best change so far, which it cannot beat.
+    """
+    graph = _star_graph(words, cyclic)
+    size = len(graph)
+    best, move = 0, None
+    for a in words[0].alphabet.letters():
+        limit = sum(graph[a]) + best
+        flow, cut = _max_flow(graph, a % size, -a % size, limit)
+        if flow < limit:
+            best = flow - sum(graph[a])
+            affected = frozenset(v - size if 2 * v > size else v for v in cut)
+            move = WhiteheadMove(words[0].alphabet, "multiplier", multiplier=a, affected=affected)
+    return move
+
+
+def _max_flow(graph: list[list[int]], s: int, t: int, limit: int):
+    """(flow, source side) of a max flow from s to {t, 0}, or (limit, None) once it reaches limit.
+
+    Augments along shortest residual paths.  Once none is left, the
+    vertices s still reaches form the smallest minimum cut.
+    """
+    residual = [row[:] for row in graph]
+    flow = 0
+    while flow < limit:
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            for v, r in enumerate(residual[u]):
+                if r and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if t in parent or 0 in parent:
+                break
+        else:
+            return flow, parent.keys()
+        path = [t if t in parent else 0]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        edges = list(zip(path[1:], path))
+        push = min(limit - flow, *(residual[u][v] for u, v in edges))
+        for u, v in edges:
+            residual[u][v] -= push
+            residual[v][u] += push
+        flow += push
+    return limit, None
+
+
+def _descend(words: Sequence[Word], cyclic: bool, pick) -> MinimizationTrace:
+    """Apply the move ``pick`` finds until it finds none: the one descent loop."""
+    words = tuple(cyclically_reduce(w)[0] if cyclic else w for w in words)
+    if not words:
+        return MinimizationTrace((), (), ())
+    if any(w.alphabet != words[0].alphabet for w in words):
+        raise ValueError("alphabet mismatch")
+    current, applied = words, []
+    while (move := pick(current, cyclic)) is not None:
+        current = tuple(cyclically_reduce(move.apply(w))[0] if cyclic else move.apply(w) for w in current)
+        applied.append(move)
+    return MinimizationTrace(words, current, tuple(applied))
 
 
 def minimize_tuple(words: Sequence[Word], cyclic: bool = False) -> MinimizationTrace:
@@ -189,20 +266,7 @@ def minimize_tuple(words: Sequence[Word], cyclic: bool = False) -> MinimizationT
     descent and after each move, and cyclic length is minimized: the
     trace then tracks conjugacy classes, which is all primitivity needs.
     """
-    words = tuple(cyclically_reduce(w)[0] if cyclic else w for w in words)
-    if not words:
-        return MinimizationTrace((), (), ())
-    if any(w.alphabet != words[0].alphabet for w in words):
-        raise ValueError("alphabet mismatch")
-    current = words
-    applied: list[WhiteheadMove] = []
-    while True:
-        found = next(((a, o, m) for a, o, d in _deltas(current, cyclic) for m in range(1, len(d)) if d[m] < 0), None)
-        if found is None:
-            return MinimizationTrace(words, current, tuple(applied))
-        move = _multiplier_move(words[0].alphabet, *found)
-        current = tuple(cyclically_reduce(move.apply(w))[0] if cyclic else move.apply(w) for w in current)
-        applied.append(move)
+    return _descend(words, cyclic, _first_move)
 
 
 def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
@@ -211,7 +275,7 @@ def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
         raise ValueError("alphabet mismatch")
     if not w:
         raise ValueError("the empty word is not a candidate for primitivity")
-    return minimize_tuple((w,), cyclic=True).final_length == 1
+    return _descend((w,), True, _min_cut_move).final_length == 1
 
 
 def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
@@ -235,4 +299,4 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
             raise ValueError("alphabet mismatch")
     if stallings.subgroup_graph(alphabet, words).rank() != len(words):
         raise ValueError("words are not an independent basis")
-    return minimize_tuple(words).final_length == len(words)
+    return _descend(words, False, _min_cut_move).final_length == len(words)

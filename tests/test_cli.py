@@ -506,3 +506,57 @@ def test_bare_splitting_keyword_is_a_usage_error(capsys, tmp_path, text, message
     pres.write_text(text)
     code, out, err = run(capsys, "britton", "--pres", str(pres), "a")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "gens a b u y\nhnn t : u -> a\nhnn t : u -> b a\n",
+            "repeated splitting line 'hnn t : u -> b a': a presentation has one hnn or amalgam line",
+        ),
+        (
+            "gens p q\ngens r s\namalgam : p = r\namalgam : q = s\n",
+            "repeated splitting line 'amalgam : q = s': a presentation has one hnn or amalgam line",
+        ),
+        (
+            "gens a b\nhnn t : a -> b\namalgam : a = b\n",
+            "repeated splitting line 'amalgam : a = b': a presentation has one hnn or amalgam line",
+        ),
+    ],
+)
+def test_repeated_presentation_line_is_a_usage_error(capsys, tmp_path, text, message):
+    pres = tmp_path / "pres.txt"
+    pres.write_text(text)
+    code, out, err = run(capsys, "britton", "--pres", str(pres), "t^-1 u t")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_repeated_map_line_is_a_usage_error(capsys, tmp_path):
+    map_file = tmp_path / "f.txt"
+    map_file.write_text("map x -> x y\nmap y -> y\nmap x -> x\n")
+    code, out, err = run(capsys, "apply", "--gens", "x y", "--map", str(map_file), "x")
+    assert (code, out, err) == (2, "", "error: repeated map line for 'x': 'map x -> x'\n")
+
+
+@pytest.mark.parametrize(
+    "text, repeat",
+    [
+        ("gens a b\ngens a b c\nkind hnn\nbase: a\nu: a\nv: a\n", "gens a b c"),
+        ("gens a b\nkind hnn\nkind amalgam\nbase: a\nu: a\nv: a\n", "kind amalgam"),
+        ("gens a b\nkind hnn\nbase: a\nu: a\nv: a\nu: b\n", "u: b"),
+    ],
+)
+def test_repeated_certificate_line_is_a_usage_error(capsys, tmp_path, text, repeat):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
+    assert (code, out, err) == (2, "", f"error: repeated certificate line {repeat!r}\n")
+
+
+@pytest.mark.parametrize("edge", ["0 x q", "q x 0", "0 x 1.5", "0 x"])
+def test_non_integer_vertex_is_a_bad_edge_line(capsys, tmp_path, edge):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"gens x y\nbase 0\n{edge}\n")
+    code, out, err = run(capsys, "rank", "--graph", str(graph))
+    assert (code, out, err) == (2, "", f"error: bad edge line {edge!r}\n")

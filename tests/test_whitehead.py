@@ -10,6 +10,7 @@ import whitehead_oracle as oracle
 from freegroups import stallings
 from freegroups.whitehead import (
     _deltas,
+    _min_cut_move,
     _multiplier_move,
     is_free_factor,
     is_primitive,
@@ -166,8 +167,8 @@ def test_automorphism_invariance(f2):
 # Differential tests against applying every move (whitehead_oracle).
 
 DIFFERENTIAL = settings(derandomize=True, max_examples=150, deadline=None)
-ALPHABETS = {rank: Alphabet([f"g{i}" for i in range(1, rank + 1)]) for rank in range(1, 6)}
-MOVES = {rank: whitehead_moves(alphabet) for rank, alphabet in ALPHABETS.items()}
+ALPHABETS = {rank: Alphabet([f"g{i}" for i in range(1, rank + 1)]) for rank in range(1, 13)}
+MOVES = {rank: whitehead_moves(ALPHABETS[rank]) for rank in range(1, 6)}
 
 
 @st.composite
@@ -247,6 +248,82 @@ def test_is_primitive_matches_oracle(case):
     alphabet, (word_,) = case
     if word_:
         assert is_primitive(word_) == oracle.is_primitive(alphabet, word_.letters)
+
+
+# ---------------------------------------------------------------------------
+# The deciders' min-cut picker against the enumerated deltas.
+
+
+def _shape(cyclic):
+    return oracle.cyclic_core if cyclic else (lambda letters: letters)
+
+
+def _assert_min_cut_exact(alphabet, words, cyclic):
+    """The picker's move changes the length by the most negative delta of any move, or is None.
+
+    Its multiplier is the first in canonical order with that delta, and
+    its set A lies inside every other set of that multiplier and delta.
+    """
+    rows = [(a, others, d) for a, others, d in _deltas(words, cyclic) if len(d) > 1]
+    steepest = min((min(d[1:]) for _, _, d in rows), default=0)
+    move = _min_cut_move(words, cyclic)
+    if steepest >= 0:
+        assert move is None, words
+        return None
+    after = sum(len(_shape(cyclic)(oracle.apply(move, x.letters))) for x in words)
+    assert after - sum(map(len, words)) == steepest, (move, words)
+    a, others, d = next(row for row in rows if min(row[2][1:]) == steepest)
+    cuts = [_multiplier_move(alphabet, a, others, m) for m in range(1, len(d)) if d[m] == steepest]
+    assert move in cuts and all(move.affected <= cut.affected for cut in cuts), (move, words)
+    return move
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_min_cut_exact_on_empty_and_one_letter_words(rank, cyclic):
+    alphabet = ALPHABETS[rank]
+    empty = Word(alphabet, ())
+    for letter in {1, -1, rank, -rank}:
+        one = Word(alphabet, (letter,))
+        for words in ((empty,), (one,), (empty, one), (one, Word(alphabet, (letter, letter)))):
+            _assert_min_cut_exact(alphabet, words, cyclic)
+
+
+@DIFFERENTIAL
+@given(word_tuples(ranks=(1, 2, 3, 4, 5, 6), max_len=12), st.booleans())
+def test_min_cut_move_is_steepest(case, cyclic):
+    # The deciders' descent, checked at every step: each move shortens by the
+    # steepest delta, and the descent ends at the first-move descent's length.
+    alphabet, start = case
+    words = tuple(Word(alphabet, _shape(cyclic)(x.letters)) for x in start)
+    while (move := _assert_min_cut_exact(alphabet, words, cyclic)) is not None:
+        words = tuple(Word(alphabet, _shape(cyclic)(oracle.apply(move, x.letters))) for x in words)
+    assert sum(map(len, words)) == minimize_tuple(start, cyclic=cyclic).final_length
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(8, 12), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_high_rank_generator_images_are_primitive(rank, steps, seed):
+    # Moves are drawn without listing them all (about 10^8 at rank 12), with
+    # uniform sets A: a drawn integer mask would stay small and move little.
+    rng = random.Random(seed)
+    alphabet = ALPHABETS[rank]
+    letters = alphabet.letters()
+    image = Word(alphabet, (rng.randint(1, rank),))
+    for _ in range(steps):
+        a = rng.choice(letters)
+        others = [l for l in letters if abs(l) != abs(a)]
+        image = _multiplier_move(alphabet, a, others, rng.randrange(1, 2 ** len(others))).apply(image)
+    assert is_primitive(image)
+    assert not is_primitive(image**2)
+
+
+@pytest.mark.parametrize("rank", [8, 9, 10, 11, 12])
+def test_product_of_squares_is_not_primitive(rank):
+    # Whitehead-minimal: the first-move picker would enumerate every delta
+    # of 2n(4^(n-1) - 1) moves, about 10^8 at rank 12.
+    alphabet = ALPHABETS[rank]
+    assert not is_primitive(Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)]))
 
 
 ORACLE_CAP = 3_000
