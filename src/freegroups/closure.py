@@ -77,10 +77,11 @@ class HnnCertificate:
     v: Word
 
 
-def _rewritten(graph: SubgroupGraph, w: Word, label: str) -> Word:
+def _rewritten(graph: SubgroupGraph, w: Word) -> Optional[Word]:
+    """w in the basis b1, b2, ... of the graph's subgroup, or None when w is not in it."""
     expressed = graph.express_in_basis(w)
     if expressed is None:
-        raise ValueError(f"certificate error: edge word not in {label}")
+        return None
     basis_alphabet = Alphabet(tuple(f"b{i + 1}" for i in range(graph.rank())))
     return Word(basis_alphabet, expressed, _reduced=True)
 
@@ -89,10 +90,11 @@ def compressed_step_check(cert) -> Report:
     """Certificate check for one step of a compressed-rank argument.
 
     Each kind is two (factor label, basis, edge name, edge word, detail
-    prefix) rows.  Every basis must be independent and every edge word
-    must lie in its factor (else a usage error, in that order); the edge
-    word must be primitive in at least one row (decided by Whitehead
-    minimization after rewriting it in that factor's own basis).
+    prefix) rows.  Every basis must be independent (else a usage error);
+    every edge word must lie in its factor, a check per row; and the edge
+    word must be primitive in at least one row where it lies in the factor
+    (decided by Whitehead minimization after rewriting it in that factor's
+    own basis).
     """
     if isinstance(cert, AmalgamCertificate):
         verdict = "edge_primitive_in_a_factor"
@@ -111,13 +113,17 @@ def compressed_step_check(cert) -> Report:
             graphs[label] = subgroup_graph(cert.ambient, basis)
             if graphs[label].rank() != len(basis):
                 raise ValueError(f"certificate error: {label} is not an independent basis")
-    rewritten = [_rewritten(graphs[label], w, label) for label, _, _, w, _ in rows]
-    primitive = [is_primitive(w) for w in rewritten]
+    rewritten = [_rewritten(graphs[label], w) for label, _, _, w, _ in rows]
+    members = [
+        Check(f"{e}_in_{label}", r is not None, f"not in {label}" if r is None else "membership via folded graph")
+        for (label, _, e, *_), r in zip(rows, rewritten)
+    ]
+    found = [(prefix, r) for (*_, prefix), r in zip(rows, rewritten) if r is not None]
+    primitive = [is_primitive(r) for _, r in found]
     detail = "; ".join(
-        f"{prefix} = {format_word(w)} ({'primitive' if p else 'not primitive'})"
-        for (*_, prefix), w, p in zip(rows, rewritten, primitive)
+        f"{prefix} = {format_word(r)} ({'primitive' if p else 'not primitive'})"
+        for (prefix, r), p in zip(found, primitive)
     )
-    members = [Check(f"{e}_in_{label}", True, "membership via folded graph") for label, _, e, *_ in rows]
     return Report((*members, Check(verdict, any(primitive), detail)))
 
 

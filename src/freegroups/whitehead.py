@@ -22,13 +22,13 @@ pair of adjacent letters ``x y``, an edge joining x and y^-1; cyclic
 words wrap around, and a linear word gets a sentinel letter, in no A,
 at both ends.  The move (A, a) changes the total length by cap(A) -
 deg(a), where cap(A) counts the edges leaving A (Lyndon & Schupp,
-Combinatorial Group Theory, Prop. I.4.16).  Only the move a step takes
-is applied.  ``minimize_tuple`` takes the first shortening move in the
-order of ``whitehead_moves``, from the deltas of all M = 2n(4^(n-1) - 1)
-type-II moves, each derived from a smaller one in O(1).  The deciders
-take the steepest move: for a multiplier a, the least cap(A) is the min
-cut between a and a^-1, so 2n max flows find it (Roig, Ventura & Weil,
-IJAC 17, 2007), and peak reduction needs only some shortening move.
+Combinatorial Group Theory, Prop. I.4.16), and the least cap(A) of a
+multiplier a is the min cut between a and a^-1 (Roig, Ventura & Weil,
+IJAC 17, 2007): every step is decided by max flows on that graph.
+``minimize_tuple`` takes the first move in the order of
+``whitehead_moves``: the first a whose min cut is below deg(a), with
+the least bit mask A of cap(A) < deg(a).  The deciders take the
+steepest move, as peak reduction needs only some shortening move.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ class WhiteheadMove:
 
 def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMove]:
     """The complete finite list of Whitehead moves, deterministically ordered."""
+    if kinds not in ("both", "permutation", "multiplier"):
+        raise ValueError(f"kinds must be 'both', 'permutation' or 'multiplier', not {kinds!r}")
     if alphabet.rank == 0:
         raise ValueError("alphabet must be nonempty")
     moves: list[WhiteheadMove] = []
@@ -155,54 +157,54 @@ def _star_graph(words: tuple[Word, ...], cyclic: bool) -> list[list[int]]:
     return graph
 
 
-def _deltas(words: tuple[Word, ...], cyclic: bool):
-    """Yield (a, others, deltas) per multiplier a, in the order of ``whitehead_moves``.
-
-    deltas[mask] is the total length change under the move (A, a), A = {a}
-    + {others[i] : bit i of mask}: with gain(o) = deg(o) - 2 c(a, o), the
-    gains over A - {a} less twice the edges inside A - {a}.  A mask with
-    highest bit h adds others[h] to a smaller mask, so each costs O(1).
-    """
-    graph = _star_graph(words, cyclic)
-    letters = words[0].alphabet.letters()
-    for a in letters:
-        others = [l for l in letters if l != a and l != -a]
-        deltas = [0]
-        for h, o in enumerate(others):
-            into = [0]  # into[mask]: edges from o into the letters of mask
-            for p in others[:h]:
-                c = graph[o][p]
-                into += [e + c for e in into]
-            gain = sum(graph[o]) - 2 * graph[a][o]
-            deltas += [d + gain - 2 * e for d, e in zip(deltas, into)]
-        yield a, others, deltas
-
-
 def _multiplier_move(alphabet: Alphabet, a: int, others: list[int], mask: int) -> WhiteheadMove:
     affected = frozenset([a] + [others[i] for i in range(len(others)) if mask >> i & 1])
     return WhiteheadMove(alphabet, "multiplier", multiplier=a, affected=affected)
 
 
 def _first_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
-    """The first shortening type-II move in the order of ``whitehead_moves``, or None."""
-    found = next(((a, o, m) for a, o, d in _deltas(words, cyclic) for m in range(1, len(d)) if d[m] < 0), None)
-    return found and _multiplier_move(words[0].alphabet, *found)
+    """The first shortening type-II move in the order of ``whitehead_moves``, or None.
+
+    For the first multiplier a whose min cut is below deg(a), the bits of
+    the mask are fixed from the highest down: bit h stays 0 if a cut below
+    deg(a) survives forcing others[h] to the sink side, and is set, as in
+    every such cut, otherwise.  Forcing only adds capacity, so each flow
+    resumes from the last kept one: at most 4n - 2 flows.
+    """
+    graph = _star_graph(words, cyclic)
+    size, forced = len(graph), sum(map(sum, graph)) + 1
+    letters = words[0].alphabet.letters()
+    for a in letters:
+        s, t, degree = a % size, -a % size, sum(graph[a])
+        residual = [row[:] for row in graph]
+        if (flow := _max_flow(residual, s, t, degree)[0]) < degree:
+            break
+    else:
+        return None
+    others, mask = [l for l in letters if abs(l) != abs(a)], 0
+    for h in reversed(range(len(others))):
+        trial = [row[:] for row in residual]
+        trial[others[h]][t] += forced
+        if (trial_flow := _max_flow(trial, s, t, degree, flow)[0]) < degree:
+            residual, flow = trial, trial_flow
+        else:
+            mask |= 1 << h
+    return _multiplier_move(words[0].alphabet, a, others, mask)
 
 
 def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
     """A steepest shortening type-II move, or None.
 
-    For a multiplier a, the least cap(A) is the max flow from a to a^-1
-    and the sentinel.  The most negative flow - deg(a) wins, the first a on
-    ties, with A its smallest min cut.  A flow stops at deg(a) plus the
-    best change so far, which it cannot beat.
+    The most negative min cut - deg(a) wins, the first a on ties, with A
+    its smallest min cut.  A flow stops at deg(a) plus the best change so
+    far, which it cannot beat.
     """
     graph = _star_graph(words, cyclic)
     size = len(graph)
     best, move = 0, None
     for a in words[0].alphabet.letters():
         limit = sum(graph[a]) + best
-        flow, cut = _max_flow(graph, a % size, -a % size, limit)
+        flow, cut = _max_flow([row[:] for row in graph], a % size, -a % size, limit)
         if flow < limit:
             best = flow - sum(graph[a])
             affected = frozenset(v - size if 2 * v > size else v for v in cut)
@@ -210,14 +212,12 @@ def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMo
     return move
 
 
-def _max_flow(graph: list[list[int]], s: int, t: int, limit: int):
+def _max_flow(residual: list[list[int]], s: int, t: int, limit: int, flow: int = 0):
     """(flow, source side) of a max flow from s to {t, 0}, or (limit, None) once it reaches limit.
 
-    Augments along shortest residual paths.  Once none is left, the
-    vertices s still reaches form the smallest minimum cut.
+    Augments ``residual``, which holds a flow of value ``flow``, in place
+    along shortest paths; when none is left, what s reaches is the smallest min cut.
     """
-    residual = [row[:] for row in graph]
-    flow = 0
     while flow < limit:
         parent = {s: s}
         queue = [s]

@@ -285,8 +285,6 @@ def test_compressed_check_fails_when_no_side_is_primitive(capsys, tmp_path):
             "gens a b\nkind hnn\nbase: a, a b a^-1, b\nu: a\nv: b\n",
             "certificate error: base is not an independent basis",
         ),
-        ("gens a b\nkind amalgam\nb1: a\nb2: b\nc: a\n", "certificate error: edge word not in b2"),
-        ("gens a b\nkind hnn\nbase: a\nu: a\nv: b\n", "certificate error: edge word not in base"),
         # Every basis is checked before any edge word is rewritten.
         (
             "gens a b\nkind amalgam\nb1: b\nb2: a, a^-1\nc: a\n",
@@ -299,6 +297,34 @@ def test_certificate_errors_are_usage_errors(capsys, tmp_path, text, message):
     cert.write_text(text)
     code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "gens a b\nkind amalgam\nb1: a\nb2: b\nc: a\n",
+            "c_in_b1: PASS [membership via folded graph]\n"
+            "c_in_b2: FAIL [not in b2]\n"
+            "edge_primitive_in_a_factor: PASS [in b1 coordinates c = b1 (primitive)]\n"
+            "overall: FAIL\n",
+        ),
+        (
+            "gens a b\nkind hnn\nbase: a\nu: a\nv: b\n",
+            "u_in_base: PASS [membership via folded graph]\n"
+            "v_in_base: FAIL [not in base]\n"
+            "edge_primitive_in_base: PASS [u = b1 (primitive)]\n"
+            "overall: FAIL\n",
+        ),
+    ],
+    ids=["amalgam", "hnn"],
+)
+def test_edge_word_outside_its_factor_fails_its_check(capsys, tmp_path, text, expected):
+    # The primitivity verdict reads the rows whose edge word is a member only.
+    cert = tmp_path / "cert.txt"
+    cert.write_text(text)
+    code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
+    assert (code, out, err) == (1, expected, "")
 
 
 def test_verify_counterexample_text_and_tsv(capsys):

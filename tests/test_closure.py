@@ -94,11 +94,16 @@ def test_compressed_hnn_thm_certificate(h_rank4):
     assert "u = b3 (primitive)" in prim.detail or "(primitive)" in prim.detail
 
 
+def test_compressed_edge_word_in_no_factor_fails(f2):
+    report = compressed_step_check(AmalgamCertificate(f2, (w(f2, "x"),), (w(f2, "y"),), w(f2, "x y")))
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("c_in_b1", False, "not in b1"),
+        ("c_in_b2", False, "not in b2"),
+        ("edge_primitive_in_a_factor", False, ""),
+    ]
+
+
 def test_compressed_certificate_errors(f2):
-    with pytest.raises(ValueError):
-        compressed_step_check(
-            AmalgamCertificate(f2, (w(f2, "x"),), (w(f2, "y"),), w(f2, "x y"))
-        )
     with pytest.raises(ValueError):
         compressed_step_check(
             AmalgamCertificate(f2, (w(f2, "x"), w(f2, "x^-1")), (w(f2, "y"),), w(f2, "x"))

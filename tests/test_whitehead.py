@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import whitehead_oracle as oracle
 from freegroups import stallings
 from freegroups.whitehead import (
-    _deltas,
+    _first_move,
     _min_cut_move,
     _multiplier_move,
     is_free_factor,
@@ -20,6 +20,7 @@ from freegroups.whitehead import (
 from freegroups.words import Alphabet, Word, abelianize, commutator, cyclically_reduce, identity, iter_reduced_words
 
 from conftest import integer_determinant, random_reduced, reduced_words, w
+from whitehead_oracle import _deltas
 
 
 def type_ii_move_count(rank: int) -> int:
@@ -47,6 +48,11 @@ def test_move_counts(f2, f3):
         assert len(type_ii) == type_ii_move_count(n)
     assert type_ii_move_count(2) == 12
     assert type_ii_move_count(3) == 90
+
+
+def test_unknown_kinds_is_rejected(f2):
+    with pytest.raises(ValueError, match="'both', 'permutation' or 'multiplier'"):
+        whitehead_moves(f2, kinds="multipliers")
 
 
 def test_nielsen_move_present(f2):
@@ -324,6 +330,68 @@ def test_product_of_squares_is_not_primitive(rank):
     # of 2n(4^(n-1) - 1) moves, about 10^8 at rank 12.
     alphabet = ALPHABETS[rank]
     assert not is_primitive(Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)]))
+
+
+# ---------------------------------------------------------------------------
+# minimize_tuple's lexicographic min-cut picker against the enumerated deltas.
+
+
+def _assert_first_move_matches(alphabet, start, cyclic):
+    """At every step of the oracle's first-move descent the picker agrees,
+    None included, and ``minimize_tuple`` records the same whole trace."""
+    words, moves = tuple(Word(alphabet, _shape(cyclic)(x.letters)) for x in start), []
+    while (move := oracle._first_move(words, cyclic)) is not None:
+        assert _first_move(words, cyclic) == move, (words, cyclic)
+        words = tuple(Word(alphabet, _shape(cyclic)(oracle.apply(move, x.letters))) for x in words)
+        moves.append(move)
+    assert _first_move(words, cyclic) is None, (words, cyclic)
+    trace = minimize_tuple(start, cyclic=cyclic)
+    assert (list(trace.moves), trace.final) == (moves, words)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
+def test_first_move_exact_on_empty_and_one_letter_words(rank, cyclic):
+    alphabet = ALPHABETS[rank]
+    empty = Word(alphabet, ())
+    for letter in {1, -1, rank, -rank}:
+        one = Word(alphabet, (letter,))
+        for words in ((empty,), (one,), (empty, one), (one, Word(alphabet, (letter, letter)))):
+            _assert_first_move_matches(alphabet, words, cyclic)
+
+
+@DIFFERENTIAL
+@given(word_tuples(ranks=(1, 2, 3, 4, 5, 6), max_len=12), st.booleans())
+def test_first_move_matches_oracle(case, cyclic):
+    _assert_first_move_matches(*case, cyclic)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(8, 12), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_high_rank_basis_images_minimize_to_the_basis(rank, steps, seed):
+    # As above, moves are drawn with uniform sets A instead of being listed.
+    rng = random.Random(seed)
+    alphabet = ALPHABETS[rank]
+    letters = alphabet.letters()
+    images = tuple(Word(alphabet, (g,)) for g in range(1, rank + 1))
+    for _ in range(steps):
+        a = rng.choice(letters)
+        others = [l for l in letters if abs(l) != abs(a)]
+        move = _multiplier_move(alphabet, a, others, rng.randrange(1, 2 ** len(others)))
+        images = tuple(move.apply(x) for x in images)
+    trace = minimize_tuple(images)
+    assert trace.final_length == rank
+    replayed = images
+    for move in trace.moves:
+        replayed = tuple(move.apply(x) for x in replayed)
+    assert replayed == trace.final
+
+
+@pytest.mark.parametrize("rank", [8, 9, 10, 11, 12])
+def test_product_of_squares_is_whitehead_minimal(rank):
+    alphabet = ALPHABETS[rank]
+    trace = minimize_tuple([Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)])])
+    assert trace.moves == () and trace.final_length == 2 * rank
 
 
 ORACLE_CAP = 3_000

@@ -3,18 +3,22 @@
 ``minimize`` applies every type-II move to the whole tuple, in the
 canonical order of ``whitehead_moves``, and takes the first whose image
 is shorter in total (cyclic, with ``cyclic``) length.  This is the plain
-definition the library's star-graph deltas replace, and the differential
+definition the library's star-graph flows replace, and the differential
 tests in ``test_whitehead.py`` require the two to agree move for move.
 ``is_free_factor`` searches the orbit of the minimized tuple through
 every move image of the same total length, up to a cap on the tuples it
 visits: the search that peak reduction lets the library leave out.
 Words are plain letter tuples, and moves act through ``letter_image``
 with a free reduction of this module's own.
+
+``_deltas`` lists the length change of every type-II move from the star
+graph, and ``_first_move`` reads the first negative one: the enumeration
+that the library's min-cut pickers replace, kept as their reference.
 """
 
 from __future__ import annotations
 
-from freegroups.whitehead import whitehead_moves
+from freegroups.whitehead import _multiplier_move, _star_graph, whitehead_moves
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -61,6 +65,35 @@ def minimize(alphabet, words, cyclic: bool = False) -> tuple[list, tuple]:
                 break
         else:
             return applied, current
+
+
+def _deltas(words, cyclic: bool):
+    """Yield (a, others, deltas) per multiplier a, in the order of ``whitehead_moves``.
+
+    deltas[mask] is the total length change under the move (A, a), A = {a}
+    + {others[i] : bit i of mask}: with gain(o) = deg(o) - 2 c(a, o), the
+    gains over A - {a} less twice the edges inside A - {a}.  A mask with
+    highest bit h adds others[h] to a smaller mask, so each costs O(1).
+    """
+    graph = _star_graph(words, cyclic)
+    letters = words[0].alphabet.letters()
+    for a in letters:
+        others = [l for l in letters if l != a and l != -a]
+        deltas = [0]
+        for h, o in enumerate(others):
+            into = [0]  # into[mask]: edges from o into the letters of mask
+            for p in others[:h]:
+                c = graph[o][p]
+                into += [e + c for e in into]
+            gain = sum(graph[o]) - 2 * graph[a][o]
+            deltas += [d + gain - 2 * e for d, e in zip(deltas, into)]
+        yield a, others, deltas
+
+
+def _first_move(words, cyclic: bool):
+    """The first type-II move with a negative delta, in the order of ``whitehead_moves``, or None."""
+    found = next(((a, o, m) for a, o, d in _deltas(words, cyclic) for m in range(1, len(d)) if d[m] < 0), None)
+    return found and _multiplier_move(words[0].alphabet, *found)
 
 
 def is_primitive(alphabet, letters: tuple[int, ...]) -> bool:
