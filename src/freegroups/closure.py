@@ -155,7 +155,9 @@ def parse_certificate(text: str):
         return tuple(parse_word(ambient, part) for part in text.split(",")) if text else ()
 
     def word_field(name: str) -> Word:
-        return parse_word(ambient, field(name))
+        if not (word := parse_word(ambient, field(name))):
+            raise ValueError(f"certificate field {name!r} must be a nontrivial word")
+        return word
 
     if kind == "amalgam":
         return AmalgamCertificate(ambient, words_field("b1"), words_field("b2"), word_field("c"))

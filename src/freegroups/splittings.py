@@ -21,13 +21,14 @@ from typing import Optional
 from .words import (
     Alphabet,
     Word,
+    _power_in,
+    _power_letters,
+    _root_parts,
     content_lines,
-    cyclically_reduce,
     extract_root,
     free_reduce,
     is_conjugate,
     parse_word,
-    power_of,
 )
 
 
@@ -58,7 +59,7 @@ class Report:
 class HnnPresentation:
     """<H, t | u^t = v> with free base H and nontrivial base words u, v."""
 
-    __slots__ = ("base", "stable", "u", "v", "extended")
+    __slots__ = ("base", "stable", "u", "v", "extended", "_edge_parts")
 
     def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
         if stable in base:
@@ -73,6 +74,7 @@ class HnnPresentation:
         self.v = v
         # Base letters keep their codes in the extended alphabet.
         self.extended = base.extend(stable)
+        self._edge_parts = (_root_parts(u), _root_parts(v))
 
     @property
     def t_letter(self) -> int:
@@ -153,25 +155,26 @@ def validate_presentation(pres: HnnPresentation) -> Report:
     return Report(tuple(checks))
 
 
-def _push(out: list[int], letters) -> None:
-    """Append letters to a reduced letter list, cancelling as they come."""
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
+def _push(out: list[int], letters: tuple[int, ...]) -> None:
+    """Append reduced letters to a reduced letter list: they cancel only at the seam."""
+    k = 0
+    while k < len(letters) and out and out[-1] == -letters[k]:
+        out.pop()
+        k += 1
+    out.extend(letters[k:])
 
 
 def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
     """Rewrite leftmost pinches until none remains, in one left-to-right pass.
 
     t^-1 u^p t -> v^p and t v^p t^-1 -> u^p; membership in <u> or <v> is
-    decided exactly through root extraction, no search.  The syllables
+    exact, by slicing the syllable against the edge roots split once per
+    presentation, and a pinch builds no Word.  The syllables
     read so far form a pinch-free stack, so a stable letter can only
     close a pinch with the top base word, and that pinch is the leftmost
     one in the word: the pinches are those of rescanning after each one.
     A pinch appends its replacement and the next base syllable to the
-    base word below the top, cancelling as it goes.
+    base word below the top, cancelling at each seam.
     """
     if w.alphabet != pres.extended:
         raise ValueError("word is not over the extension alphabet")
@@ -182,12 +185,13 @@ def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
     for i, j in zip(cuts, cuts[1:]):
         eps = 1 if lets[i] > 0 else -1
         if signs and signs[-1] == -eps:
-            edge, image = (pres.u, pres.v) if eps > 0 else (pres.v, pres.u)
-            p = power_of(Word(pres.base, tuple(words[-1]), _reduced=True), edge)
+            edge, image = pres._edge_parts[::eps]  # u's, v's parts at eps = 1; v's, u's at -1
+            p = _power_in(tuple(words[-1]), edge)
             if p is not None:
                 signs.pop()
                 words.pop()
-                _push(words[-1], (image**p).letters + lets[i + 1 : j])
+                _push(words[-1], _power_letters(image, p))
+                _push(words[-1], lets[i + 1 : j])
                 continue
         signs.append(eps)
         words.append(list(lets[i + 1 : j]))
@@ -233,9 +237,8 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
         raise ValueError("presentation does not satisfy the splitting hypotheses")
     if not alpha or not beta:
         raise ValueError("alpha and beta must be nontrivial")
-    core_u = len(cyclically_reduce(pres.u)[0])
-    core_v = len(cyclically_reduce(pres.v)[0])
-    bound = max(len(alpha), len(beta)) // min(core_u, core_v) + 1
+    core = min(len(s) * e for _, s, _, _, e in pres._edge_parts)
+    bound = max(len(alpha), len(beta)) // core + 1
     t = Word(pres.extended, (pres.t_letter,), _reduced=True)
     for p_abs in range(1, bound + 1):
         for p in (p_abs, -p_abs):
@@ -256,7 +259,7 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
 class AmalgamPresentation:
     """Amalgam of two free factors over identified cyclic subgroups <c1> = <c2>."""
 
-    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet")
+    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet", "_edge_parts")
 
     def __init__(self, factor1: Alphabet, factor2: Alphabet, c1: Word, c2: Word):
         if set(factor1.generators) & set(factor2.generators):
@@ -270,6 +273,7 @@ class AmalgamPresentation:
         self.c1 = c1
         self.c2 = c2
         self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
+        self._edge_parts = (_root_parts(c1), _root_parts(c2))
 
     def word(self, text: str) -> Word:
         return parse_word(self.union_alphabet, text)
@@ -293,6 +297,11 @@ class AmalgamPresentation:
 
     def edge_word(self, side: int) -> Word:
         return self.c1 if side == 1 else self.c2
+
+    def _edge_power(self, side: int, p: int) -> Word:
+        """c_side^p as a factor word, from the root split once."""
+        parts = self._edge_parts[side - 1]
+        return Word(self.edge_word(side).alphabet, _power_letters(parts, p), _reduced=True)
 
     def __repr__(self) -> str:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
@@ -351,21 +360,21 @@ def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
             if top_side == side:
                 wd = top * wd
             else:
-                p = power_of(top, pres.edge_word(top_side))
+                p = _power_in(top.letters, pres._edge_parts[top_side - 1])
                 if p is None:
                     break
-                wd = pres.edge_word(side) ** p * wd
+                wd = pres._edge_power(side, p) * wd
             stack.pop()
         if wd:
             stack.append((side, wd))
     while len(stack) >= 2:
         side, last = stack[-1]
-        p = power_of(last, pres.edge_word(side))
+        p = _power_in(last.letters, pres._edge_parts[side - 1])
         if p is None:
             break
         stack.pop()
         side, wd = stack.pop()
-        wd = wd * pres.edge_word(side) ** p
+        wd = wd * pres._edge_power(side, p)
         if wd:
             stack.append((side, wd))
     return AmalgamForm(tuple(stack))
@@ -390,8 +399,8 @@ def dehn_twist(splitting, power: int):
         images = {}
         for i, name in enumerate(pres.base.generators):
             images[name] = Word(pres.extended, (i + 1,), _reduced=True)
-        twist = pres.lift(pres.u**power) * Word(pres.extended, (pres.t_letter,), _reduced=True)
-        images[pres.stable] = twist
+        twist = _power_letters(pres._edge_parts[0], power) + (pres.t_letter,)
+        images[pres.stable] = Word(pres.extended, twist, _reduced=True)
         return Endomorphism(pres, images)
     if isinstance(splitting, AmalgamPresentation):
         pres = splitting
@@ -399,7 +408,7 @@ def dehn_twist(splitting, power: int):
         union = pres.union_alphabet
         for i, name in enumerate(pres.factor1.generators):
             images[name] = Word(union, (i + 1,), _reduced=True)
-        conj = pres.c2**power
+        conj = pres._edge_power(2, power)
         for i, name in enumerate(pres.factor2.generators):
             g = Word(pres.factor2, (i + 1,), _reduced=True)
             images[name] = pres.to_union(2, conj * g * ~conj)

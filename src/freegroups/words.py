@@ -234,6 +234,11 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     return core, conj
 
 
+def _as_text(letters: tuple[int, ...], rank: int) -> str:
+    """One character per letter for substring search (negative letters index the codes from the end)."""
+    return "".join(map([chr(i) for i in range(2 * rank + 1)].__getitem__, letters))
+
+
 def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     """Witness g with g * w1 * g^-1 == w2, or None.
 
@@ -251,43 +256,57 @@ def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
         return None
     if not s1:
         return identity(w1.alphabet)
-    rank = w1.alphabet.rank
-    t1 = "".join(chr(l + rank) for l in s1.letters)
-    k = (t1 + t1[:-1]).find("".join(chr(l + rank) for l in s2.letters))
+    t1, t2 = (_as_text(s.letters, w1.alphabet.rank) for s in (s1, s2))
+    k = (t1 + t1[:-1]).find(t2)
     if k < 0:
         return None
     g0 = s1.letters[k:] if k else ()
     return Word(w1.alphabet, free_reduce(c2.letters + g0 + (~c1).letters), _reduced=True)
 
 
-def _divisors(n: int) -> Iterator[int]:
-    for d in range(1, n + 1):
-        if n % d == 0:
-            yield d
+def _root_parts(base: Word) -> tuple:
+    """Letters c, s, s^-1, c^-1 and e with nontrivial base == (c s c^-1)^e, c s c^-1 root-free."""
+    core, conj = cyclically_reduce(base)
+    text = _as_text(core.letters, base.alphabet.rank)
+    period = (text + text).find(text, 1)  # the least rotation period, which divides len(core)
+    s, c = core.letters[:period], conj.letters
+    return c, s, tuple(map(neg, reversed(s))), tuple(map(neg, reversed(c))), len(core) // period
+
+
+def _power_in(letters: tuple[int, ...], parts: tuple) -> Optional[int]:
+    """The p with reduced letters == base^p = c s^(e p) c^-1, by slicing in O(|letters|), or None."""
+    if not letters:
+        return 0
+    c, s, s_inv, c_inv, e = parts
+    k, n = len(c), len(letters)
+    m, rest = divmod(n - 2 * k, len(s) * e)
+    if rest or m <= 0 or letters[:k] != c or letters[n - k :] != c_inv:
+        return None
+    middle = letters[k : n - k]
+    if middle == s * (e * m):
+        return m
+    if middle == s_inv * (e * m):
+        return -m
+    return None
+
+
+def _power_letters(parts: tuple, p: int) -> tuple[int, ...]:
+    """The letters of base^p for the base split into parts, already reduced."""
+    if not p:
+        return ()
+    c, s, s_inv, c_inv, e = parts
+    return c + (s if p > 0 else s_inv) * (e * abs(p)) + c_inv
 
 
 def extract_root(w: Word) -> tuple[Word, int]:
     """Maximal-exponent decomposition w = root^exponent; root is root-free.
 
-    Runs over divisors of the cyclic-core length in increasing order, so
-    the shortest period (hence maximal exponent) is found first.
+    The root transports the least period of the cyclic core (see ``_root_parts``).
     """
     if not w:
         raise ValueError("the empty word has no root")
-    core, conj = cyclically_reduce(w)
-    n = len(core)
-    for d in _divisors(n):
-        period = core.letters[:d]
-        if period * (n // d) == core.letters:
-            # Periodicity makes core and period share their last letter,
-            # so the transported root below is already reduced.
-            root = Word(
-                w.alphabet,
-                conj.letters + period + (~conj).letters,
-                _reduced=True,
-            )
-            return root, n // d
-    raise AssertionError("unreachable: every word is a power of itself")
+    c, s, _, c_inv, e = _root_parts(w)
+    return Word(w.alphabet, c + s + c_inv, _reduced=True), e
 
 
 def centralizer(w: Word) -> Word:
@@ -301,25 +320,13 @@ def power_of(w: Word, base: Word) -> Optional[int]:
     """The integer k with w == base^k, or None.
 
     Exact via root-free roots: nontrivial words are powers of a unique
-    root-free word, so no search is needed.
+    root-free word, so w is only sliced against the base's root, no search.
     """
     if w.alphabet != base.alphabet:
         raise ValueError("alphabet mismatch")
-    if not w:
-        return 0
     if not base:
-        return None
-    root_b, exp_b = extract_root(base)
-    root_w, exp_w = extract_root(w)
-    if root_w == root_b:
-        m = exp_w
-    elif root_w == ~root_b:
-        m = -exp_w
-    else:
-        return None
-    if m % exp_b != 0:
-        return None
-    return m // exp_b
+        return None if w else 0
+    return _power_in(w.letters, _root_parts(base))
 
 
 def abelianize(w: Word) -> tuple[int, ...]:

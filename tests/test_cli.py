@@ -162,6 +162,10 @@ def test_britton_and_equal(capsys, pres_file):
     assert code == 0 and out == "true\n"
     code, out, _ = run(capsys, "hnn-equal", "--pres", pres_file, "t", "t u")
     assert code == 1 and out == "false\n"
+    # u = a b^2 a^-1 has a conjugator and an exponent; CI reruns this installed.
+    pres = str(DATA / "hnn_conjugated_power.txt")
+    code, out, _ = run(capsys, "britton", "--pres", pres, "t^-1 a b^-4 a^-1 t b t a b^-2 a^-1 t^-1")
+    assert (code, out) == (0, "form: b a^-2 t a b^-2 a^-1 t^-1\nt_letters: 2\n")
 
 
 def test_classify(capsys, pres_file):
@@ -277,6 +281,9 @@ def test_compressed_check_fails_when_no_side_is_primitive(capsys, tmp_path):
         ("gens a\nkind hnn\nbase a\n", "bad certificate line 'base a'"),
         ("gens a\nkind hnn\nbase: a\nu: a\n", "certificate missing field 'v'"),
         ("gens a b\nkind amalgam\nb1: a\nc: a\n", "certificate missing field 'b2'"),
+        ("gens a b\nkind amalgam\nb1: a\nb2: b\nc:\n", "certificate field 'c' must be a nontrivial word"),
+        ("gens a b\nkind hnn\nbase: a\nu:\nv: a\n", "certificate field 'u' must be a nontrivial word"),
+        ("gens a b\nkind hnn\nbase: a\nu: a\nv: 1\n", "certificate field 'v' must be a nontrivial word"),
         (
             "gens a b\nkind amalgam\nb1: a, a^2\nb2: b\nc: a\n",
             "certificate error: b1 is not an independent basis",

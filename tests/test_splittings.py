@@ -133,6 +133,8 @@ PINCH_PRESENTATIONS = [
     _hnn("a b u y", "u", "a y b y a y^-1 b y^-1"),
     _hnn("a b", "a", "b a b^-1"),
     _hnn("a b", "a^2", "b"),
+    # An edge word with both a conjugator and an exponent above 1.
+    _hnn("a b", "a b^2 a^-1", "b a b^-1"),
 ]
 
 
@@ -308,7 +310,7 @@ def test_amalgam_merges_neighbours_of_a_dropped_syllable(amalgam):
 
 AMALGAMS = [
     parse_presentation(f"gens p q\ngens r s\namalgam : {edge}\n")
-    for edge in ("p = r", "p^2 = r^3", "p = r^2")
+    for edge in ("p = r", "p^2 = r^3", "p = r^2", "q p^2 q^-1 = r")
 ]
 
 

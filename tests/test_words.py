@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from freegroups.words import (
     Alphabet,
     Word,
+    _power_letters,
+    _root_parts,
     abelianize,
     centralizer,
     commutator,
@@ -22,6 +24,7 @@ from freegroups.words import (
     power_of,
 )
 
+import words_oracle as oracle
 from conftest import random_raw_letters, random_reduced, reduced_words, w
 
 
@@ -213,6 +216,22 @@ def test_extract_root_powers(f2):
             assert rk == root and ek == k * exp
 
 
+XYZ = Alphabet("x y z")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    root=reduced_words(XYZ, 8).filter(bool),
+    inner=st.integers(1, 3),
+    k=st.integers(1, 12),
+    conjugator=reduced_words(XYZ, 5),
+)
+def test_extract_root_matches_divisor_loop(root, inner, k, conjugator):
+    # root**inner is root-free only when inner == 1 and root is.
+    word_ = conjugator * (root**inner) ** k * ~conjugator
+    assert extract_root(word_) == oracle.extract_root(word_)
+
+
 def test_centralizer_examples(f2):
     assert centralizer(w(f2, "x^2")) == w(f2, "x")
     assert centralizer(w(f2, "x y x^-1")) == w(f2, "x y x^-1")
@@ -266,6 +285,40 @@ def test_power_of(f2):
     assert power_of(identity(f2), w(f2, "x")) == 0
     assert power_of(w(f2, "x y x^-1") ** 4, w(f2, "x y x^-1")) == 4
     assert power_of(w(f2, "y"), w(f2, "x")) is None
+    base = w(f2, "x y^2 x^-1")
+    assert power_of(w(f2, "x y^6 x^-1"), base) == 3
+    assert power_of(w(f2, "x y^-4 x^-1"), base) == -2
+    assert power_of(w(f2, "x y^3 x^-1"), base) is None
+    assert power_of(w(f2, "y^2"), base) is None
+    assert power_of(w(f2, "x y^2 x y^2 x^-1"), base) is None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    root=reduced_words(XYZ, 6).filter(bool),
+    exponent=st.integers(1, 3),
+    conjugator=reduced_words(XYZ, 4),
+    other=reduced_words(XYZ, 4),
+    k=st.integers(-5, 5),
+    data=st.data(),
+)
+def test_power_of_matches_two_roots(root, exponent, conjugator, other, k, data):
+    """power_of against the double-root oracle on base^k and its near misses."""
+    base = conjugator * root**exponent * ~conjugator
+    power = base**k
+    assert _power_letters(_root_parts(base), k) == power.letters
+    candidates = [
+        power,
+        other * root ** (exponent * k) * ~other,  # a wrong conjugator, unless other == conjugator
+        conjugator * root ** (exponent * k + 1) * ~conjugator,  # not a multiple when exponent > 1
+    ]
+    if power:
+        lets = list(power.letters)
+        i = data.draw(st.integers(0, len(lets) - 1))
+        lets[i] = data.draw(st.sampled_from([l for l in XYZ.letters() if l != lets[i]]))
+        candidates.append(Word(XYZ, lets))  # one letter changed
+    for cand in candidates:
+        assert power_of(cand, base) == oracle.power_of(cand, base)
 
 
 def test_iter_reduced_words_counts(f2):

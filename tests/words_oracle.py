@@ -1,0 +1,45 @@
+"""Reference paths for the word-algebra tests: roots by divisors, powers by two roots.
+
+``extract_root`` tries every divisor d of the cyclic-core length in
+increasing order and keeps the first whose prefix, repeated, is the
+whole core: O(n d(n)), where the library takes the least period from one
+substring search.  ``power_of`` extracts the roots of both words and
+compares them, where the library splits only the base and compares w
+with its powers by slicing.  The differential tests in ``test_words.py``
+require the library to agree with both exactly.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from freegroups.words import Word, cyclically_reduce
+
+
+def extract_root(w: Word) -> tuple[Word, int]:
+    """w = root^exponent with root root-free, by the divisor loop."""
+    if not w:
+        raise ValueError("the empty word has no root")
+    core, conj = cyclically_reduce(w)
+    n = len(core)
+    for d in range(1, n + 1):
+        if n % d == 0 and core.letters[:d] * (n // d) == core.letters:
+            return Word(w.alphabet, conj.letters + core.letters[:d] + (~conj).letters), n // d
+    raise AssertionError("unreachable: every word is a power of itself")
+
+
+def power_of(w: Word, base: Word) -> Optional[int]:
+    """The k with w == base^k, or None, by comparing the roots of w and base."""
+    if not w:
+        return 0
+    if not base:
+        return None
+    root_b, exp_b = extract_root(base)
+    root_w, exp_w = extract_root(w)
+    if root_w == root_b:
+        m = exp_w
+    elif root_w == ~root_b:
+        m = -exp_w
+    else:
+        return None
+    return m // exp_b if m % exp_b == 0 else None
