@@ -54,6 +54,14 @@ def _given(args, option: str) -> str:
     return value
 
 
+def _count(args, option: str) -> int:
+    """The value of a bound option: a count of twists, powers or letters."""
+    value = getattr(args, option)
+    if value < 0:
+        raise ValueError(f"--{option.replace('_', '-')} must be nonnegative, got {value}")
+    return value
+
+
 def _alphabet(args) -> words.Alphabet:
     return words.Alphabet(_given(args, "gens"))
 
@@ -77,12 +85,8 @@ def _domain(args):
     return _presentation(args) if args.pres else _alphabet(args)
 
 
-def _domain_word(domain, text: str) -> words.Word:
-    return words.parse_word(endos.domain_alphabet(domain), text)
-
-
 def _map_from_text(domain, text: str) -> endos.Endomorphism:
-    alphabet = endos.domain_alphabet(domain)
+    alphabet = domain.alphabet
     images = {}
     for line in words.content_lines(text):
         if not line.startswith("map "):
@@ -102,7 +106,7 @@ def _load_map(args, domain, option: str = "map"):
 
 
 def _print_map(f: endos.Endomorphism) -> None:
-    for name in endos.domain_alphabet(f.domain).generators:
+    for name in f.domain.alphabet.generators:
         print(f"map {name} -> {words.format_word(f.images[name])}")
 
 
@@ -258,7 +262,7 @@ def cmd_dehn_twist(args) -> int:
 def cmd_apply(args) -> int:
     domain = _domain(args)
     f = _load_map(args, domain)
-    print(words.format_word(f.apply(_domain_word(domain, args.word))))
+    print(words.format_word(f.apply(words.parse_word(domain.alphabet, args.word))))
     return 0
 
 
@@ -278,7 +282,7 @@ def cmd_is_auto(args) -> int:
 def cmd_order(args) -> int:
     domain = _domain(args)
     f = _load_map(args, domain)
-    order = endos.order_bounded(f, args.max)
+    order = endos.order_bounded(f, _count(args, "max"))
     print(f"order: {order if order is not None else 'none'}")
     return 0
 
@@ -286,19 +290,19 @@ def cmd_order(args) -> int:
 def cmd_fixed(args) -> int:
     alphabet = _alphabet(args)
     f = _load_map(args, alphabet)
-    sys.stdout.write(endos.fixed_words(f, args.max_len).to_text())
+    sys.stdout.write(endos.fixed_words(f, _count(args, "max_len")).to_text())
     return 0
 
 
 def cmd_orbit(args) -> int:
     pres = _presentation(args)
-    element = _domain_word(pres, args.element)
+    element = words.parse_word(pres.alphabet, args.element)
     if isinstance(pres, splittings.HnnPresentation):
         description = "hnn twists: t -> u^n t"
     else:
         description = "amalgam twists: conjugation by c^n on factor 2"
     report = endos.orbit_bounded(
-        lambda n: splittings.dehn_twist(pres, n), element, args.n, description
+        lambda n: splittings.dehn_twist(pres, n), element, _count(args, "n"), description
     )
     print(f"family: {report.family}")
     print(f"element: {words.format_word(report.element)}")

@@ -1,13 +1,15 @@
 """Endomorphisms given by generator images, over free groups or splittings.
 
-A map is stored as one image word per generator name.  Over an HNN
-presentation the images live in the extension (stable letter allowed);
-the defining relation must be preserved for the map to be a
-homomorphism, which is checked once and cached.  Over an amalgam the two
-edge words must have equal images.
-
-Applying a map substitutes images and renormalizes in the codomain:
-free reduction, Britton reduction, or amalgam reduction respectively.
+A map is stored as one image word per generator name of its domain, a
+group given by its ``alphabet``, its ``relators`` and its own
+``normal_form`` and ``equal``.  Each group's rules live with its type:
+``words.Alphabet`` is the free group (no relators, reduced words are
+normal forms), and ``splittings.HnnPresentation`` and
+``splittings.AmalgamPresentation`` reduce by Britton's lemma and by
+amalgam syllables.  This module only substitutes images and asks the
+domain: a map is a homomorphism iff every relator maps to 1, which is
+checked once and cached, and applying a map renormalizes the
+substituted word in the domain.
 """
 
 from __future__ import annotations
@@ -17,48 +19,12 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional
 
 from . import stallings
-from .splittings import (
-    AmalgamPresentation,
-    HnnPresentation,
-    amalgam_equal,
-    amalgam_reduce,
-    britton_reduce,
-    hnn_equal,
-)
 from .words import Alphabet, Word, free_reduce, iter_reduced_words
-
-
-def domain_alphabet(domain) -> Alphabet:
-    if isinstance(domain, Alphabet):
-        return domain
-    if isinstance(domain, HnnPresentation):
-        return domain.extended
-    if isinstance(domain, AmalgamPresentation):
-        return domain.union_alphabet
-    raise TypeError(f"not a domain: {domain!r}")
-
-
-def words_equal(domain, w1: Word, w2: Word) -> bool:
-    """Equality of group elements in the domain's group."""
-    if isinstance(domain, Alphabet):
-        return w1 == w2
-    if isinstance(domain, HnnPresentation):
-        return hnn_equal(domain, w1, w2)
-    return amalgam_equal(domain, w1, w2)
-
-
-def normalize(domain, w: Word) -> Word:
-    """Reduced / Britton-reduced / amalgam-reduced representative of w."""
-    if isinstance(domain, Alphabet):
-        return w
-    if isinstance(domain, HnnPresentation):
-        return britton_reduce(domain, w).to_word(domain)
-    return amalgam_reduce(domain, w).to_word(domain)
 
 
 class Endomorphism:
     def __init__(self, domain, images: Mapping[str, Word]):
-        alphabet = domain_alphabet(domain)
+        alphabet = domain.alphabet
         missing = [name for name in alphabet.generators if name not in images]
         if missing:
             raise ValueError(f"missing images for generators {missing}")
@@ -78,7 +44,7 @@ class Endomorphism:
 
     @classmethod
     def identity(cls, domain) -> "Endomorphism":
-        alphabet = domain_alphabet(domain)
+        alphabet = domain.alphabet
         images = {
             name: Word(alphabet, (i + 1,), _reduced=True)
             for i, name in enumerate(alphabet.generators)
@@ -95,26 +61,15 @@ class Endomorphism:
         return Word(self._alphabet, free_reduce(out), _reduced=True)
 
     def apply(self, w: Word) -> Word:
-        return normalize(self.domain, self.substitute(w))
+        return self.domain.normal_form(self.substitute(w))
 
     def __call__(self, w: Word) -> Word:
         return self.apply(w)
 
     @cached_property
     def is_homomorphism(self) -> bool:
-        """Whether the defining relations of the domain are preserved."""
-        if isinstance(self.domain, Alphabet):
-            return True
-        if isinstance(self.domain, HnnPresentation):
-            pres = self.domain
-            ft = self.images[pres.stable]
-            fu = self.substitute(pres.lift(pres.u))
-            fv = self.substitute(pres.lift(pres.v))
-            return hnn_equal(pres, ~ft * fu * ft, fv)
-        pres = self.domain
-        fc1 = self.substitute(pres.to_union(1, pres.c1))
-        fc2 = self.substitute(pres.to_union(2, pres.c2))
-        return amalgam_equal(pres, fc1, fc2)
+        """Whether every defining relator of the domain maps to 1."""
+        return all(self.domain.equal(self.substitute(r), Word(self._alphabet)) for r in self.domain.relators)
 
     def is_letter_map(self) -> bool:
         """True iff every generator maps to one letter; non-injective maps like ``a -> b`` count."""
@@ -125,7 +80,7 @@ class Endomorphism:
 
     def is_identity(self) -> bool:
         return all(
-            words_equal(self.domain, self.images[name], self.generator_word(name))
+            self.domain.equal(self.images[name], self.generator_word(name))
             for name in self._alphabet.generators
         )
 
@@ -242,6 +197,6 @@ def orbit_bounded(
     f = family(0)
     start = f.apply(element)
     for k in range(1, bound + 1):
-        if words_equal(f.domain, start, family(k).apply(element)):
+        if f.domain.equal(start, family(k).apply(element)):
             return OrbitReport(description, element, bound, k, (0, k))
     return OrbitReport(description, element, bound, max(bound + 1, 0), None)

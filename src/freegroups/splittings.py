@@ -11,13 +11,18 @@ disjoint union of the factor alphabets.  Britton and amalgam forms are
 not canonical across pinch orders, so equality always goes through
 reduction of ``w1 * w2^-1``, never form comparison.  All values are
 immutable and all operations pure.
+
+This module owns the rules of both groups: each presentation is a group
+domain for ``endos`` (its ``alphabet``, ``relators``, ``normal_form`` and
+``equal``), as ``words.Alphabet`` is for the free group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from .endos import Endomorphism
 from .words import (
     Alphabet,
     Word,
@@ -25,8 +30,8 @@ from .words import (
     _power_letters,
     _root_parts,
     content_lines,
+    cyclically_reduce,
     extract_root,
-    free_reduce,
     is_conjugate,
     parse_word,
 )
@@ -56,25 +61,43 @@ class Report:
         raise KeyError(name)
 
 
+@dataclass(frozen=True)
 class HnnPresentation:
     """<H, t | u^t = v> with free base H and nontrivial base words u, v."""
 
-    __slots__ = ("base", "stable", "u", "v", "extended", "_edge_parts")
+    base: Alphabet
+    stable: str
+    u: Word
+    v: Word
+    # Derived once; base letters keep their codes in the extended alphabet.
+    extended: Alphabet = field(init=False, compare=False)
+    _edge_parts: tuple = field(init=False, compare=False)
 
-    def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
-        if stable in base:
+    def __post_init__(self):
+        if self.stable in self.base:
             raise ValueError("stable letter collides with a base generator")
-        if u.alphabet != base or v.alphabet != base:
+        if self.u.alphabet != self.base or self.v.alphabet != self.base:
             raise ValueError("u and v must be words over the base alphabet")
-        if not u or not v:
+        if not self.u or not self.v:
             raise ValueError("edge words must be nontrivial")
-        self.base = base
-        self.stable = stable
-        self.u = u
-        self.v = v
-        # Base letters keep their codes in the extended alphabet.
-        self.extended = base.extend(stable)
-        self._edge_parts = (_root_parts(u), _root_parts(v))
+        object.__setattr__(self, "extended", self.base.extend(self.stable))
+        object.__setattr__(self, "_edge_parts", (_root_parts(self.u), _root_parts(self.v)))
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.extended
+
+    @property
+    def relators(self) -> tuple[Word, ...]:
+        """The defining relator t^-1 u t v^-1."""
+        t = Word(self.extended, (self.t_letter,), _reduced=True)
+        return (~t * self.lift(self.u) * t * ~self.lift(self.v),)
+
+    def normal_form(self, w: Word) -> Word:
+        return britton_reduce(self, w).to_word(self)
+
+    def equal(self, w1: Word, w2: Word) -> bool:
+        return hnn_equal(self, w1, w2)
 
     @property
     def t_letter(self) -> int:
@@ -91,18 +114,6 @@ class HnnPresentation:
         if w.alphabet != self.base:
             raise ValueError("not a base word")
         return Word(self.extended, w.letters, _reduced=True)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HnnPresentation)
-            and self.base == other.base
-            and self.stable == other.stable
-            and self.u == other.u
-            and self.v == other.v
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.stable, self.u, self.v))
 
     def __repr__(self) -> str:
         return f"HnnPresentation(<H, {self.stable} | {self.u}^{self.stable} = {self.v}>)"
@@ -123,12 +134,13 @@ class BrittonForm:
         return not self.tail and not self.head
 
     def to_word(self, pres: HnnPresentation) -> Word:
+        """Already reduced: the syllables are, and t^e 1 t^-e would be a pinch."""
         letters = list(self.head.letters)
         t = pres.t_letter
         for eps, g in self.tail:
             letters.append(t if eps > 0 else -t)
             letters.extend(g.letters)
-        return Word(pres.extended, free_reduce(letters), _reduced=True)
+        return Word(pres.extended, tuple(letters), _reduced=True)
 
 
 def validate_presentation(pres: HnnPresentation) -> Report:
@@ -230,50 +242,70 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
     """Decide alpha^s = beta with at least one stable letter in s.
 
     Tests alpha ~ u^p, beta ~ v^p (case 1) and alpha ~ v^p, beta ~ u^p
-    (case 2) for |p| up to a length bound: |u^p| grows linearly in p, so
-    larger exponents cannot match.
+    (case 2).  The cyclic core of u^p is |p| copies of u's, so alpha ~ u^p
+    needs |p| = |core alpha| / |core u|: each case has one candidate |p|.
+    They are tried by |p|, then p before -p, then case 1 before case 2.
     """
     if not validate_presentation(pres).ok:
         raise ValueError("presentation does not satisfy the splitting hypotheses")
     if not alpha or not beta:
         raise ValueError("alpha and beta must be nontrivial")
-    core = min(len(s) * e for _, s, _, _, e in pres._edge_parts)
-    bound = max(len(alpha), len(beta)) // core + 1
+    n = len(cyclically_reduce(alpha)[0])
+    candidates = []
+    for case, (first, second), (_, s, _, _, e) in zip((1, 2), ((pres.u, pres.v), (pres.v, pres.u)), pres._edge_parts):
+        m, rest = divmod(n, len(s) * e)
+        if not rest:
+            candidates += [((m, 0, case), m, first, second), ((m, 1, case), -m, first, second)]
     t = Word(pres.extended, (pres.t_letter,), _reduced=True)
-    for p_abs in range(1, bound + 1):
-        for p in (p_abs, -p_abs):
-            for case, first, second in ((1, pres.u, pres.v), (2, pres.v, pres.u)):
-                h1 = is_conjugate(first**p, alpha)
-                if h1 is None:
-                    continue
-                h2 = is_conjugate(second**p, beta)
-                if h2 is None:
-                    continue
-                gamma, delta = ~h1, ~h2
-                mid = t if case == 1 else ~t
-                s = pres.lift(~gamma) * mid * pres.lift(delta)
-                return ClassificationResult(True, case, p, gamma, delta, s)
+    for (_, _, case), p, first, second in sorted(candidates, key=lambda c: c[0]):
+        h1 = is_conjugate(first**p, alpha)
+        if h1 is None:
+            continue
+        h2 = is_conjugate(second**p, beta)
+        if h2 is None:
+            continue
+        gamma, delta = ~h1, ~h2
+        mid = t if case == 1 else ~t
+        s = pres.lift(~gamma) * mid * pres.lift(delta)
+        return ClassificationResult(True, case, p, gamma, delta, s)
     return ClassificationResult(False)
 
 
+@dataclass(frozen=True)
 class AmalgamPresentation:
     """Amalgam of two free factors over identified cyclic subgroups <c1> = <c2>."""
 
-    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet", "_edge_parts")
+    factor1: Alphabet
+    factor2: Alphabet
+    c1: Word
+    c2: Word
+    union_alphabet: Alphabet = field(init=False, compare=False)
+    _edge_parts: tuple = field(init=False, compare=False)
 
-    def __init__(self, factor1: Alphabet, factor2: Alphabet, c1: Word, c2: Word):
-        if set(factor1.generators) & set(factor2.generators):
+    def __post_init__(self):
+        if set(self.factor1.generators) & set(self.factor2.generators):
             raise ValueError("factor alphabets must be disjoint")
-        if c1.alphabet != factor1 or c2.alphabet != factor2:
+        if self.c1.alphabet != self.factor1 or self.c2.alphabet != self.factor2:
             raise ValueError("edge words must live in their own factors")
-        if not c1 or not c2:
+        if not self.c1 or not self.c2:
             raise ValueError("edge words must be nontrivial")
-        self.factor1 = factor1
-        self.factor2 = factor2
-        self.c1 = c1
-        self.c2 = c2
-        self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
-        self._edge_parts = (_root_parts(c1), _root_parts(c2))
+        object.__setattr__(self, "union_alphabet", Alphabet(self.factor1.generators + self.factor2.generators))
+        object.__setattr__(self, "_edge_parts", (_root_parts(self.c1), _root_parts(self.c2)))
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.union_alphabet
+
+    @property
+    def relators(self) -> tuple[Word, ...]:
+        """The defining relator c1 c2^-1."""
+        return (self.to_union(1, self.c1) * ~self.to_union(2, self.c2),)
+
+    def normal_form(self, w: Word) -> Word:
+        return amalgam_reduce(self, w).to_word(self)
+
+    def equal(self, w1: Word, w2: Word) -> bool:
+        return amalgam_equal(self, w1, w2)
 
     def word(self, text: str) -> Word:
         return parse_word(self.union_alphabet, text)
@@ -317,10 +349,11 @@ class AmalgamForm:
         return not self.syllables or (len(self.syllables) == 1 and not self.syllables[0][1])
 
     def to_word(self, pres: AmalgamPresentation) -> Word:
+        """Already reduced: the syllables are, and neighbours lie in different factors."""
         letters: list[int] = []
         for side, w in self.syllables:
             letters.extend(pres.to_union(side, w).letters)
-        return Word(pres.union_alphabet, free_reduce(letters), _reduced=True)
+        return Word(pres.union_alphabet, tuple(letters), _reduced=True)
 
 
 def _syllables_of(pres: AmalgamPresentation, w: Word) -> list[tuple[int, Word]]:
@@ -392,28 +425,22 @@ def dehn_twist(splitting, power: int):
     identity on factor 1, conjugation g -> c^power g c^-power on factor 2.
     Power 0 gives the identity map.
     """
-    from .endos import Endomorphism
-
     if isinstance(splitting, HnnPresentation):
-        pres = splitting
-        images = {}
-        for i, name in enumerate(pres.base.generators):
-            images[name] = Word(pres.extended, (i + 1,), _reduced=True)
-        twist = _power_letters(pres._edge_parts[0], power) + (pres.t_letter,)
-        images[pres.stable] = Word(pres.extended, twist, _reduced=True)
-        return Endomorphism(pres, images)
-    if isinstance(splitting, AmalgamPresentation):
-        pres = splitting
-        images = {}
-        union = pres.union_alphabet
-        for i, name in enumerate(pres.factor1.generators):
-            images[name] = Word(union, (i + 1,), _reduced=True)
-        conj = pres._edge_power(2, power)
-        for i, name in enumerate(pres.factor2.generators):
-            g = Word(pres.factor2, (i + 1,), _reduced=True)
-            images[name] = pres.to_union(2, conj * g * ~conj)
-        return Endomorphism(pres, images)
-    raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
+        twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
+    elif isinstance(splitting, AmalgamPresentation):
+        conj = splitting._edge_power(2, power)
+        twisted = {
+            name: splitting.to_union(2, conj * Word(splitting.factor2, (i + 1,), _reduced=True) * ~conj).letters
+            for i, name in enumerate(splitting.factor2.generators)
+        }
+    else:
+        raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
+    alphabet = splitting.alphabet
+    images = {
+        name: Word(alphabet, twisted.get(name, (i + 1,)), _reduced=True)
+        for i, name in enumerate(alphabet.generators)
+    }
+    return Endomorphism(splitting, images)
 
 
 def parse_presentation(text: str):

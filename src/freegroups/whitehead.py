@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import stallings
+from .endos import Endomorphism
 from .words import Alphabet, Word, cyclically_reduce, free_reduce, letter_key
 
 
@@ -84,8 +85,6 @@ class WhiteheadMove:
 
     def endomorphism(self):
         """The underlying endomorphism (an automorphism of the free group)."""
-        from .endos import Endomorphism
-
         images = {}
         for i, name in enumerate(self.alphabet.generators):
             images[name] = Word(self.alphabet, self.letter_image(i + 1), _reduced=True)

@@ -78,6 +78,19 @@ class Alphabet:
     def extend(self, name: str) -> "Alphabet":
         return Alphabet(self.generators + (name,))
 
+    # As a group domain, the free group: no relators, reduced words are normal forms.
+    relators: tuple = ()
+
+    @property
+    def alphabet(self) -> "Alphabet":
+        return self
+
+    def normal_form(self, w: "Word") -> "Word":
+        return w
+
+    def equal(self, w1: "Word", w2: "Word") -> bool:
+        return w1 == w2
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.generators == other.generators
 

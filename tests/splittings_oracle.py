@@ -4,15 +4,17 @@
 of every class found so far, about bound^2 / 2 equality tests, and needs
 nothing of the family.  ``amalgam_rescan`` merges same-side neighbours,
 converts the leftmost edge power, and starts over until nothing
-changes.  They are slow but follow the definitions literally, and the
+changes.  ``classify_loop`` tries every exponent up to a length bound.
+They are slow but follow the definitions literally, and the
 differential tests in ``test_endos.py`` and ``test_splittings.py``
 require the library's single passes to agree with them exactly.
 """
 
 from __future__ import annotations
 
-from freegroups.endos import OrbitReport, words_equal
-from freegroups.words import power_of
+from freegroups.endos import OrbitReport
+from freegroups.splittings import ClassificationResult, validate_presentation
+from freegroups.words import Word, is_conjugate, power_of
 
 
 def orbit_pairwise(family, element, bound: int, description: str = "family") -> OrbitReport:
@@ -22,7 +24,7 @@ def orbit_pairwise(family, element, bound: int, description: str = "family") -> 
     for n in range(bound + 1):
         f = family(n)
         image = f.apply(element)
-        hit = next((idx for idx, rep in reps if words_equal(f.domain, rep, image)), None)
+        hit = next((idx for idx, rep in reps if f.domain.equal(rep, image)), None)
         if hit is None:
             reps.append((n, image))
         elif first_collision is None:
@@ -79,3 +81,32 @@ def amalgam_rescan(pres, w) -> tuple:
             changed = True
             break
     return tuple(syl)
+
+
+def classify_loop(pres, alpha, beta) -> ClassificationResult:
+    """``classify_base_conjugacy`` by trying |p| = 1, 2, ... up to a length bound.
+
+    |u^p| grows linearly in p, so larger exponents cannot match.  Each
+    |p| tries p before -p, and case 1 (alpha ~ u^p) before case 2.
+    """
+    if not validate_presentation(pres).ok:
+        raise ValueError("presentation does not satisfy the splitting hypotheses")
+    if not alpha or not beta:
+        raise ValueError("alpha and beta must be nontrivial")
+    core = min(len(s) * e for _, s, _, _, e in pres._edge_parts)
+    bound = max(len(alpha), len(beta)) // core + 1
+    t = Word(pres.extended, (pres.t_letter,), _reduced=True)
+    for p_abs in range(1, bound + 1):
+        for p in (p_abs, -p_abs):
+            for case, first, second in ((1, pres.u, pres.v), (2, pres.v, pres.u)):
+                h1 = is_conjugate(first**p, alpha)
+                if h1 is None:
+                    continue
+                h2 = is_conjugate(second**p, beta)
+                if h2 is None:
+                    continue
+                gamma, delta = ~h1, ~h2
+                mid = t if case == 1 else ~t
+                s = pres.lift(~gamma) * mid * pres.lift(delta)
+                return ClassificationResult(True, case, p, gamma, delta, s)
+    return ClassificationResult(False)

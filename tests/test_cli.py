@@ -216,6 +216,25 @@ def test_orbit(capsys, pres_file):
     assert "first_collision: none" in lines
 
 
+@pytest.mark.parametrize(
+    "subcommand, option",
+    [("orbit", "--n"), ("order", "--max"), ("fixed", "--max-len")],
+)
+def test_negative_bound_is_a_usage_error(capsys, tmp_path, pres_file, subcommand, option):
+    # An orbit always holds f_0(w), so "distinct: 0" would be false.
+    swap = tmp_path / "swap.txt"
+    swap.write_text("map x -> y\nmap y -> x\n")
+    inputs = {
+        "orbit": ["--pres", pres_file, "--element", "t"],
+        "order": ["--gens", "x y", "--map", str(swap)],
+        "fixed": ["--gens", "x y", "--map", str(swap)],
+    }[subcommand]
+    code, out, err = run(capsys, subcommand, *inputs, option, "-3")
+    assert (code, out, err) == (2, "", f"error: {option} must be nonnegative, got -3\n")
+    code, out, _ = run(capsys, subcommand, *inputs, option, "0")
+    assert code == 0 and out
+
+
 def test_apply_amalgam_merges_after_cancellation(capsys, tmp_path):
     pres = tmp_path / "am.txt"
     pres.write_text("gens p q\ngens r s\namalgam : p = r\n")

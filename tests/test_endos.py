@@ -12,9 +12,7 @@ from freegroups.endos import (
     is_automorphism_free,
     orbit_bounded,
     order_bounded,
-    domain_alphabet,
     verify_automorphism_pair,
-    words_equal,
 )
 from freegroups.splittings import AmalgamPresentation, dehn_twist, hnn_equal, parse_presentation
 from freegroups.stallings import subgroup_graph
@@ -43,8 +41,8 @@ def amalgam():
     return AmalgamPresentation(f1, f2, parse_word(f1, "p"), parse_word(f2, "r"))
 
 
-def endo(alphabet, **images):
-    return Endomorphism(alphabet, {k: parse_word(alphabet, v) for k, v in images.items()})
+def endo(domain, **images):
+    return Endomorphism(domain, {k: parse_word(domain.alphabet, v) for k, v in images.items()})
 
 
 def test_construction_validation(f2):
@@ -220,7 +218,7 @@ def test_orbit_never_undercounts(setup):
     pres = setup.pres
     images = [dehn_twist(pres, n).apply(pres.word("t")) for n in range(21)]
     all_distinct = all(
-        not words_equal(pres, images[i], images[j])
+        not pres.equal(images[i], images[j])
         for i in range(21)
         for j in range(i + 1, 21)
     )
@@ -245,7 +243,7 @@ ORBIT_SPLITTINGS = [
 @st.composite
 def orbit_cases(draw):
     pres = draw(st.sampled_from(ORBIT_SPLITTINGS))
-    return pres, draw(reduced_words(domain_alphabet(pres), 9)), draw(st.integers(-1, 12))
+    return pres, draw(reduced_words(pres.alphabet, 9)), draw(st.integers(-1, 12))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -270,6 +268,45 @@ def test_orbit_at_bound_one_thousand(setup):
     report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 1000)
     assert report.distinct_count == 1001
     assert report.first_collision is None
+
+
+def test_amalgam_presentations_compare_by_value():
+    text = "gens p q\ngens r s\namalgam : p^2 = r^3\n"
+    p1, p2 = parse_presentation(text), parse_presentation(text)
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert dehn_twist(p1, 2) == dehn_twist(p2, 2)
+    assert compose(dehn_twist(p1, 1), dehn_twist(p2, -1)).is_identity()
+
+
+# The free group and splittings answer the same four questions: alphabet,
+# relators, normal_form and equal.
+DOMAINS = [Alphabet("x y")] + ORBIT_SPLITTINGS + [
+    parse_presentation("gens a b\nhnn t : a b^2 a^-1 -> b a b^-1\n"),
+    parse_presentation("gens p q\ngens r s\namalgam : q p^2 q^-1 = r\n"),
+]
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+def test_domain_interface(domain):
+    rng = random.Random(11)
+    alphabet = domain.alphabet
+    for _ in range(60):
+        a, b, g = (random_reduced(rng, alphabet, 6) for _ in range(3))
+        word_ = a * b
+        for r in domain.relators:
+            # a g r^+-1 g^-1 b is a b in the group: the relator must cancel.
+            planted = a * g * r ** rng.choice((-1, 1)) * ~g * b
+            assert domain.equal(planted, word_)
+            word_ = planted
+        nf = domain.normal_form(word_)
+        assert domain.equal(word_, nf)
+        assert domain.normal_form(nf) == nf
+    assert Endomorphism.identity(domain).is_homomorphism
+
+
+def test_amalgam_non_homomorphism_is_rejected(amalgam):
+    # p -> p^2, r -> r breaks the relation p = r of <p, q> *_{p = r} <r, s>.
+    assert not endo(amalgam, p="p^2", q="q", r="r", s="s").is_homomorphism
 
 
 def test_abelianization_matrix(f2):

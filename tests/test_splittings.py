@@ -18,7 +18,7 @@ from freegroups.splittings import (
     parse_presentation,
     validate_presentation,
 )
-from freegroups.words import Alphabet, Word, identity, parse_word, power_of
+from freegroups.words import Alphabet, Word, free_reduce, identity, parse_word, power_of
 
 import splittings_oracle as oracle
 from conftest import random_reduced, reduced_words, w
@@ -180,7 +180,10 @@ def hnn_words(draw):
 @given(hnn_words())
 def test_britton_matches_rescan(case):
     pres, word_ = case
-    assert britton_reduce(pres, word_) == _britton_rescan(pres, word_)
+    form = britton_reduce(pres, word_)
+    assert form == _britton_rescan(pres, word_)
+    letters = form.to_word(pres).letters
+    assert free_reduce(letters) == letters
 
 
 def test_hnn_equal_examples(edge_pres):
@@ -282,6 +285,43 @@ def test_classify_witness_property(edge_pres):
         assert hnn_equal(pres, ~s * pres.lift(alpha) * s, pres.lift(beta))
 
 
+# Presentations that meet the splitting hypotheses, with |core u| equal
+# to, below and above |core v|, and an edge word with a conjugator.
+CLASSIFY_PRESENTATIONS = [
+    _hnn("a b u y", "u", "a y b y a y^-1 b y^-1"),
+    _hnn("a b", "a", "b"),
+    _hnn("a b", "a b", "a b^-1"),
+    _hnn("a b c", "a^2 b", "c"),
+    _hnn("a b c", "a b a^-1", "c b c a"),
+]
+
+
+@st.composite
+def classify_cases(draw):
+    """A presentation, alpha conjugate to an edge power or random, and beta
+    conjugate to the other edge word's power (the same or another exponent)
+    or random."""
+    pres = draw(st.sampled_from(CLASSIFY_PRESENTATIONS))
+    first, second = draw(st.sampled_from(((pres.u, pres.v), (pres.v, pres.u))))
+    exponents = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    p = draw(exponents)
+
+    def word(edge, k):
+        if draw(st.integers(0, 3)) == 0:
+            return draw(reduced_words(pres.base, 6).filter(bool))
+        g = draw(reduced_words(pres.base, 3))
+        return ~g * edge**k * g
+
+    return pres, word(first, p), word(second, p if draw(st.booleans()) else draw(exponents))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(classify_cases())
+def test_classify_matches_exponent_loop(case):
+    pres, alpha, beta = case
+    assert classify_base_conjugacy(pres, alpha, beta) == oracle.classify_loop(pres, alpha, beta)
+
+
 def test_classify_preconditions(edge_pres, f2):
     with pytest.raises(ValueError):
         classify_base_conjugacy(edge_pres, identity(edge_pres.base), edge_pres.v)
@@ -336,7 +376,10 @@ def amalgam_words(draw):
 @given(amalgam_words())
 def test_amalgam_reduce_matches_rescan(case):
     pres, word_ = case
-    assert amalgam_reduce(pres, word_).syllables == oracle.amalgam_rescan(pres, word_)
+    form = amalgam_reduce(pres, word_)
+    assert form.syllables == oracle.amalgam_rescan(pres, word_)
+    letters = form.to_word(pres).letters
+    assert free_reduce(letters) == letters
 
 
 def test_amalgam_validation():
