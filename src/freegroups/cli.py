@@ -411,5 +411,6 @@ def main(argv=None) -> int:
         return 2
 
 
+build_parser()  # at import rather than inside the first main call
 if __name__ == "__main__":
     sys.exit(main())
