@@ -13,10 +13,12 @@ label-isomorphic exactly when their edge sets are equal.  Instances are
 immutable after construction and all operations here are pure.
 
 Costs, for V vertices and E edges over rank n: folding generators of
-total length L is near-linear in L (a union-find worklist); trimming is
-linear (a degree queue); renumbering and searches are one breadth-first
-pass, O(V n).  ``intersect`` is linear in the base component of the fiber
-product, ``is_malnormal`` in the whole product (about E^2 / n edges).
+total length L is near-linear in L, as each word is read in from both
+ends, only its unread middle is added, and union-find merges run only
+when the reads meet; trimming is linear (a degree queue); renumbering
+and searches are one breadth-first pass, O(V n).  ``intersect`` is
+linear in the base component of the fiber product, ``is_malnormal`` in
+the whole product (about E^2 / n edges).
 """
 
 from __future__ import annotations
@@ -226,41 +228,6 @@ def _adjacency(edges) -> dict:
     return adjacency
 
 
-def _fold(edges: set[Edge], base: int) -> tuple[set[Edge], int]:
-    """Identify targets (sources) of same-labeled edges until folded.
-
-    Each root keeps a {signed letter: neighbour} map, its neighbours
-    resolved through the union-find ``parent`` on read.  A merge moves
-    the smaller map onto the larger root and queues a merge for every
-    letter both maps hold; a map has at most 2n letters.  Folding is
-    confluent, so the merge order does not change the result.
-    """
-    parent: dict[int, int] = {}
-    maps: dict[int, dict[int, int]] = {}
-    pending: list[tuple[int, int]] = []
-
-    def attach(root: int, letter: int, w: int) -> None:
-        m = maps.setdefault(root, {})
-        clash = m.setdefault(letter, w)
-        if clash != w:
-            pending.append((clash, w))
-
-    for a, g, b in edges:
-        attach(a, g, b)
-        attach(b, -g, a)
-    while pending:
-        x, y = (_find(parent, v) for v in pending.pop())
-        if x == y:
-            continue
-        if len(maps[x]) < len(maps[y]):
-            x, y = y, x
-        parent[y] = x
-        for letter, w in maps.pop(y).items():
-            attach(x, letter, w)
-    folded = {(v, g, _find(parent, w)) for v, m in maps.items() for g, w in m.items() if g > 0}
-    return folded, _find(parent, base)
-
-
 def _trim(edges: set[Edge], base) -> set[Edge]:
     """Remove non-base vertices of total degree <= 1 until core.
 
@@ -303,26 +270,53 @@ def subgroup_graph(alphabet: Alphabet, words: Sequence[Word]) -> SubgroupGraph:
     The empty list yields the single-vertex graph (trivial subgroup).
     Folding is confluent: any generator order gives a label-isomorphic
     result.
+
+    A word is read in from both ends, to p and q; its unread middle becomes
+    a fresh path from p to q that folds nothing, as neither read goes on
+    and, at p = q, a first letter a and last letter a^-1 share a new vertex.
+    Reads that meet merge p and q by union-find over letter maps.
     """
-    edges: set[Edge] = set()
+    parent: dict[int, int] = {}
+    maps: dict[int, dict[int, int]] = {0: {}}
+    pending: list[tuple[int, int]] = []
+
+    def read(letters) -> tuple[int, int]:
+        v = _find(parent, 0)
+        for k, letter in enumerate(letters):
+            if (w := maps[v].get(letter)) is None:
+                return k, v
+            v = _find(parent, w)
+        return len(letters), v
+
     fresh = 1
-    for w in words:
-        if w.alphabet != alphabet:
+    for word in words:
+        if word.alphabet != alphabet:
             raise ValueError("alphabet mismatch")
-        cur = 0
-        n = len(w.letters)
-        for i, letter in enumerate(w.letters):
-            nxt = 0 if i == n - 1 else fresh
-            if i != n - 1:
-                fresh += 1
-            if letter > 0:
-                edges.add((cur, letter, nxt))
-            else:
-                edges.add((nxt, -letter, cur))
-            cur = nxt
-    folded, base = _fold(edges, 0)
-    cored = _trim(folded, base)
-    return _canonical(alphabet, cored, base)
+        letters, n = word.letters, len(word.letters)
+        i, p = read(letters)
+        j, q = read((~word).letters[: n - i])
+        if i + j == n:
+            pending.append((p, q))
+        else:
+            while i + j < n - 1:
+                if p == q and letters[i] == -letters[n - 1 - j]:
+                    q, j = fresh, j + 1
+                maps[p][letters[i]], maps[fresh] = fresh, {-letters[i]: p}
+                p, fresh, i = fresh, fresh + 1, i + 1
+            maps[p][letters[i]], maps[q][-letters[i]] = q, p
+        while pending:
+            x, y = (_find(parent, v) for v in pending.pop())
+            if x == y:
+                continue
+            if len(maps[x]) < len(maps[y]):
+                x, y = y, x
+            parent[y] = x
+            for letter, w in maps.pop(y).items():
+                if (clash := maps[x].setdefault(letter, w)) != w:
+                    pending.append((clash, w))
+    base = _find(parent, 0)
+    folded = {(v, g, _find(parent, w)) for v, m in maps.items() for g, w in m.items() if g > 0}
+    return _canonical(alphabet, _trim(folded, base), base)
 
 
 def _product_edges(g1: SubgroupGraph, g2: SubgroupGraph):

@@ -246,6 +246,69 @@ def test_fold_matches_oracle(case):
     assert subgroup_graph(alphabet, gens).edges == oracle.subgroup_edges(alphabet.rank, gens)
 
 
+@st.composite
+def related_generator_lists(draw):
+    """Generators built from earlier ones, so that reads run far into the graph.
+
+    Each later word is a product, inverse, conjugate or power of earlier
+    ones, shares a prefix or suffix with one, or is a product of them, a
+    word already in the subgroup.
+    """
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    gens = [draw(reduced_words(alphabet, 10))]
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        other = draw(reduced_words(alphabet, 6))
+        cut = draw(st.integers(0, len(a)))
+        kind = draw(st.sampled_from(["product", "inverse", "conjugate", "power", "prefix", "suffix", "member"]))
+        if kind == "product":
+            new = a * b
+        elif kind == "inverse":
+            new = ~a
+        elif kind == "conjugate":
+            new = other * a * ~other
+        elif kind == "power":
+            new = a ** draw(st.integers(2, 4))
+        elif kind == "prefix":
+            new = Word(alphabet, a.letters[:cut]) * other
+        elif kind == "suffix":
+            new = other * Word(alphabet, a.letters[cut:])
+        else:
+            new = Word(alphabet, ())
+            for g in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4)):
+                new = new * (g if draw(st.booleans()) else ~g)
+        gens.append(new)
+    return alphabet, gens
+
+
+@DIFFERENTIAL
+@given(related_generator_lists())
+def test_fold_of_related_generators_matches_oracle(case):
+    alphabet, gens = case
+    assert subgroup_graph(alphabet, gens).edges == oracle.subgroup_edges(alphabet.rank, gens)
+
+
+@pytest.mark.parametrize(
+    "gens, expected",
+    [
+        # The third word is already in the subgroup: both reads end at one vertex.
+        (["x^2", "x y x^-1", "x^3 y x^-1"], ["x^2", "x y x^-1"]),
+        # x^3 reads all the way round the 5-cycle of x^5 and meets the base at
+        # vertex 3: the identification cascades down the cycle to one loop.
+        (["x^5", "x^3"], ["x"]),
+        (["x y x y x y x y", "x y x y x y x y x y x y"], ["x y x y"]),
+        # x closes a new loop on the triangle of x^2 y; merging its ends
+        # folds the triangle to the rose.
+        (["x^2 y", "x"], ["x", "y"]),
+    ],
+)
+def test_fold_when_the_reads_meet(f2, gens, expected):
+    words = [w(f2, g) for g in gens]
+    graph = subgroup_graph(f2, words)
+    assert graph.edges == oracle.subgroup_edges(2, words)
+    assert graph == subgroup_graph(f2, [w(f2, g) for g in expected])
+
+
 @DIFFERENTIAL
 @given(generator_lists(), st.data())
 def test_fold_invariant_under_order_and_inversion(case, data):
@@ -316,6 +379,27 @@ def test_fold_long_conjugator(f3):
     graph = subgroup_graph(f3, gens)
     assert graph.rank() == 6
     assert all(graph.contains(g) for g in gens)
+
+
+def test_fold_many_conjugates_by_one_long_word(f3):
+    # Twenty conjugates p x^i y x^-i p^-1 with |p| = 240, 10,000 letters in
+    # all, then their product, a member.  The graph is the path p and a comb
+    # at its end: x-path of 19 edges, a y-loop at each of its 20 vertices.
+    rng = random.Random(73)
+    p = random_reduced(rng, f3, 239, min_len=239)
+    while p.letters[-1] == -3:
+        p = random_reduced(rng, f3, 239, min_len=239)
+    p = p * w(f3, "z")
+    x, y = w(f3, "x"), w(f3, "y")
+    gens = [p * x**i * y * x**-i * ~p for i in range(20)]
+    assert sum(map(len, gens)) == 10_000
+    product = identity(f3)
+    for g in gens:
+        product = product * g
+    graph = subgroup_graph(f3, gens + [product])
+    assert (len(graph.vertices), len(graph.edges), graph.rank()) == (260, 279, 20)
+    assert all(graph.contains(g) for g in gens)
+    assert not graph.contains(p * x**20 * y * x**-20 * ~p)
 
 
 def test_malnormal_long_root_free_word(f2):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import whitehead_oracle as oracle
 from freegroups import stallings
 from freegroups.whitehead import (
+    _descend,
     _first_move,
     _min_cut_move,
     _multiplier_move,
@@ -305,6 +306,19 @@ def test_min_cut_move_is_steepest(case, cyclic):
     while (move := _assert_min_cut_exact(alphabet, words, cyclic)) is not None:
         words = tuple(Word(alphabet, _shape(cyclic)(oracle.apply(move, x.letters))) for x in words)
     assert sum(map(len, words)) == minimize_tuple(start, cyclic=cyclic).final_length
+
+
+@DIFFERENTIAL
+@given(st.one_of(word_tuples(ranks=(1, 2, 3, 4, 5, 6), max_len=12), moved_generators((2, 3, 4, 5), 1)))
+def test_cyclic_step_matches_both_signs_picker(case):
+    # A cyclic step tries only the multipliers a > 0; at every step of the
+    # descent that is the move, None included, of the picker that tries all 2n.
+    def pick(words, cyclic):
+        move = _min_cut_move(words, cyclic)
+        assert move == oracle.min_cut_move_both_signs(words, cyclic), words
+        return move
+
+    _descend(case[1], True, pick)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -14,11 +14,15 @@ with a free reduction of this module's own.
 ``_deltas`` lists the length change of every type-II move from the star
 graph, and ``_first_move`` reads the first negative one: the enumeration
 that the library's min-cut pickers replace, kept as their reference.
+
+``min_cut_move_both_signs`` is the steepest-move picker with one max flow
+for each of the 2n multipliers in both modes: the reference for cyclic
+steps, which the library decides with the n multipliers a > 0.
 """
 
 from __future__ import annotations
 
-from freegroups.whitehead import _multiplier_move, _star_graph, whitehead_moves
+from freegroups.whitehead import WhiteheadMove, _max_flow, _multiplier_move, _star_graph, whitehead_moves
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -94,6 +98,21 @@ def _first_move(words, cyclic: bool):
     """The first type-II move with a negative delta, in the order of ``whitehead_moves``, or None."""
     found = next(((a, o, m) for a, o, d in _deltas(words, cyclic) for m in range(1, len(d)) if d[m] < 0), None)
     return found and _multiplier_move(words[0].alphabet, *found)
+
+
+def min_cut_move_both_signs(words, cyclic: bool):
+    """The most negative min cut - deg(a) over all 2n multipliers, the first a on ties, or None."""
+    graph = _star_graph(words, cyclic)
+    size = len(graph)
+    best, move = 0, None
+    for a in words[0].alphabet.letters():
+        limit = sum(graph[a]) + best
+        flow, cut = _max_flow([row[:] for row in graph], a % size, -a % size, limit)
+        if flow < limit:
+            best = flow - sum(graph[a])
+            affected = frozenset(v - size if 2 * v > size else v for v in cut)
+            move = WhiteheadMove(words[0].alphabet, "multiplier", multiplier=a, affected=affected)
+    return move
 
 
 def is_primitive(alphabet, letters: tuple[int, ...]) -> bool:
