@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .endos import Endomorphism, iter_fixed_words, verify_automorphism_pair
 from .splittings import Check, HnnPresentation, Report, validate_presentation
@@ -57,8 +57,7 @@ def abelian_closure(w: Word) -> Word:
 # Compressed-rank certificates for one-edge splittings.
 
 
-@dataclass(frozen=True)
-class AmalgamCertificate:
+class AmalgamCertificate(NamedTuple):
     """K = B1 *_<c> B2 inside an ambient free group, all given by words."""
 
     ambient: Alphabet
@@ -67,8 +66,7 @@ class AmalgamCertificate:
     c: Word
 
 
-@dataclass(frozen=True)
-class HnnCertificate:
+class HnnCertificate(NamedTuple):
     """K = <base, t | u^t = v> inside an ambient free group."""
 
     ambient: Alphabet
@@ -170,8 +168,7 @@ def parse_certificate(text: str):
 # The rank-(k+4) splitting and its verification pipeline.
 
 
-@dataclass(frozen=True)
-class CounterexampleSetup:
+class CounterexampleSetup(NamedTuple):
     a0_size: int
     h_alphabet: Alphabet
     a_names: tuple[str, ...]

@@ -14,9 +14,8 @@ substituted word in the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import stallings
 from .words import Alphabet, Word, free_reduce, iter_reduced_words
@@ -166,8 +165,7 @@ def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
     return stallings.subgroup_graph(f.domain, list(iter_fixed_words(f, max_len)))
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     family: str
     element: Word
     bound: int

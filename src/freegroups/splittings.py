@@ -20,7 +20,7 @@ domain for ``endos`` (its ``alphabet``, ``relators``, ``normal_form`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .endos import Endomorphism
 from .words import (
@@ -37,8 +37,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named verdict inside a report."""
 
     name: str
@@ -119,8 +118,7 @@ class HnnPresentation:
         return f"HnnPresentation(<H, {self.stable} | {self.u}^{self.stable} = {self.v}>)"
 
 
-@dataclass(frozen=True)
-class BrittonForm:
+class BrittonForm(NamedTuple):
     """Pinch-free syllable form g0 t^e1 g1 ... t^er gr (base-word syllables)."""
 
     head: Word
@@ -221,8 +219,7 @@ def hnn_equal(pres: HnnPresentation, w1: Word, w2: Word) -> bool:
     return britton_reduce(pres, w1 * ~w2).is_trivial()
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Outcome of the base-conjugacy classification alpha^s = beta, |s|_t >= 1.
 
     In case 1: alpha = (u^p)^gamma, beta = (v^p)^delta, s = gamma^-1 t delta.
@@ -339,8 +336,7 @@ class AmalgamPresentation:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
 
 
-@dataclass(frozen=True)
-class AmalgamForm:
+class AmalgamForm(NamedTuple):
     """Alternating syllables (side, factor word); interior syllables not in <c>."""
 
     syllables: tuple[tuple[int, Word], ...]

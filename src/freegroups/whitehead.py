@@ -37,7 +37,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import stallings
 from .endos import Endomorphism
@@ -132,8 +132,7 @@ def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMo
     return moves
 
 
-@dataclass(frozen=True)
-class MinimizationTrace:
+class MinimizationTrace(NamedTuple):
     initial: tuple[Word, ...]
     final: tuple[Word, ...]
     moves: tuple[WhiteheadMove, ...]

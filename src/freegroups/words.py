@@ -8,12 +8,16 @@ needs no coordination.
 Word syntax (used by :func:`parse_word` / :func:`format_word`): tokens
 separated by whitespace, each token ``name`` or ``name^k`` for a nonzero
 integer ``k``; the token ``1`` denotes the empty word.  Generator names
-match ``[A-Za-z0-9_]+`` and the name ``1`` is reserved.
+match ``[A-Za-z0-9_]+`` and the name ``1`` is reserved.  The single-letter
+tokens ``name`` and ``name^-1`` are read from a table each alphabet
+builds once; a text with any other token goes through the token regex,
+with the same syntax and errors.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from operator import neg
 from typing import Iterable, Iterator, Optional
 
@@ -29,7 +33,7 @@ class Alphabet:
     before negative) used for deterministic tie-breaking everywhere.
     """
 
-    __slots__ = ("generators", "_index")
+    __slots__ = ("generators", "_index", "_tokens")
 
     def __init__(self, generators: Iterable[str] | str):
         if isinstance(generators, str):
@@ -46,6 +50,9 @@ class Alphabet:
             seen.add(name)
         self.generators = gens
         self._index = {name: i for i, name in enumerate(gens)}
+        # The 2n single-letter tokens of parse_word: name -> code, name^-1 -> -code.
+        self._tokens = {name: i for i, name in enumerate(gens, 1)}
+        self._tokens.update({f"{name}^-1": -i for i, name in enumerate(gens, 1)})
 
     @property
     def rank(self) -> int:
@@ -184,8 +191,24 @@ class Word:
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
+    """Read a word in the module's syntax.
+
+    Tokens ``name`` and ``name^-1`` map through the alphabet's token
+    table, in range by construction.  If any token misses it (``1``,
+    another exponent, a malformed or unknown token), the whole text goes
+    through the token regex instead, which raises at the first bad token.
+    """
+    tokens = text.split()
+    try:
+        letters = [alphabet._tokens[token] for token in tokens]
+    except KeyError:
+        return _parse_tokens(alphabet, tokens)
+    return Word(alphabet, free_reduce(letters), _reduced=True)
+
+
+def _parse_tokens(alphabet: Alphabet, tokens: list[str]) -> Word:
     letters: list[int] = []
-    for token in text.split():
+    for token in tokens:
         if token == "1":
             continue
         m = _TOKEN_RE.match(token)
@@ -201,21 +224,11 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    if not w.letters:
-        return "1"
     parts: list[str] = []
-    i = 0
-    lets = w.letters
-    while i < len(lets):
-        j = i
-        while j < len(lets) and lets[j] == lets[i]:
-            j += 1
-        run = j - i
-        name = w.alphabet.letter_name(lets[i])
-        exp = run if lets[i] > 0 else -run
+    for letter, run in groupby(w.letters):
+        name, exp = w.alphabet.letter_name(letter), len(list(run)) * (1 if letter > 0 else -1)
         parts.append(name if exp == 1 else f"{name}^{exp}")
-        i = j
-    return " ".join(parts)
+    return " ".join(parts) or "1"
 
 
 def content_lines(text: str) -> Iterator[str]:

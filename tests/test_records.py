@@ -1,0 +1,96 @@
+"""The value records are NamedTuples: the same repr, immutability, value
+equality and defaults as the frozen dataclasses they replaced."""
+
+import pytest
+
+from freegroups.closure import AmalgamCertificate, CounterexampleSetup, HnnCertificate, build_counterexample
+from freegroups.endos import OrbitReport
+from freegroups.splittings import AmalgamForm, BrittonForm, Check, ClassificationResult
+from freegroups.whitehead import MinimizationTrace, WhiteheadMove
+from freegroups.words import Alphabet, parse_word
+
+XY = Alphabet("x y")
+
+
+def w(text):
+    return parse_word(XY, text)
+
+
+# One instance per record, with the repr its frozen dataclass printed.
+RECORDS = [
+    (
+        lambda: Check("u_root_free", True, "u = (u)^1"),
+        "Check(name='u_root_free', passed=True, detail='u = (u)^1')",
+    ),
+    (
+        lambda: BrittonForm(w("x y"), ((1, w("y^-1")), (-1, w("1")))),
+        "BrittonForm(head=Word('x y'), tail=((1, Word('y^-1')), (-1, Word('1'))))",
+    ),
+    (
+        lambda: ClassificationResult(True, 1, -2, w("x"), w("y x^-1"), w("y")),
+        "ClassificationResult(solvable=True, case=1, p=-2, gamma=Word('x'), delta=Word('y x^-1'), s=Word('y'))",
+    ),
+    (
+        lambda: AmalgamForm(((1, w("x^2")), (2, w("y")))),
+        "AmalgamForm(syllables=((1, Word('x^2')), (2, Word('y'))))",
+    ),
+    (
+        lambda: OrbitReport("tau", w("x y^-1"), 3, 4, None),
+        "OrbitReport(family='tau', element=Word('x y^-1'), bound=3, distinct_count=4, first_collision=None)",
+    ),
+    (
+        lambda: MinimizationTrace((w("x y x^-1"),), (w("y"),), (WhiteheadMove(XY, "permutation", (2, 1)),)),
+        "MinimizationTrace(initial=(Word('x y x^-1'),), final=(Word('y'),), moves=(WhiteheadMove(perm: x->y, y->x),))",
+    ),
+    (
+        lambda: AmalgamCertificate(XY, (w("x"),), (w("y"),), w("x y")),
+        "AmalgamCertificate(ambient=Alphabet('x y'), b1=(Word('x'),), b2=(Word('y'),), c=Word('x y'))",
+    ),
+    (
+        lambda: HnnCertificate(XY, (w("x"), w("y")), w("x"), w("y x y^-1")),
+        "HnnCertificate(ambient=Alphabet('x y'), base=(Word('x'), Word('y')), u=Word('x'), v=Word('y x y^-1'))",
+    ),
+    (
+        lambda: build_counterexample(0),
+        "CounterexampleSetup(a0_size=0, h_alphabet=Alphabet('a b u y'), a_names=('a', 'b', 'u'), "
+        "pres=HnnPresentation(<H, t | u^t = a y b y a y^-1 b y^-1>), u=Word('u'), "
+        "v=Word('a y b y a y^-1 b y^-1'), d=Word('a y^-1 b y^-1'), y=Word('y'), "
+        "g=Endomorphism(a->a, b->b, u->u, y->y^-1, t->t y b^-1 y a^-1), "
+        "g_inv=Endomorphism(a->a, b->b, u->u, y->y^-1, t->t a y b y), "
+        "g_base=Endomorphism(a->a, b->b, u->u, y->y^-1))",
+    ),
+]
+IDS = [expected.split("(", 1)[0] for _, expected in RECORDS]
+
+
+@pytest.mark.parametrize("make, expected", RECORDS, ids=IDS)
+def test_repr_is_unchanged(make, expected):
+    assert repr(make()) == expected
+
+
+@pytest.mark.parametrize("make, expected", RECORDS, ids=IDS)
+def test_records_are_immutable(make, expected):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(type(record).__annotations__)), None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("make, expected", RECORDS, ids=IDS)
+def test_equal_fields_give_equal_records(make, expected):
+    first, second = make(), make()
+    assert first is not second and first == second
+    if isinstance(first, CounterexampleSetup):
+        # Its maps define __eq__ without __hash__, as under the dataclass.
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
+
+
+def test_defaults_are_kept():
+    assert BrittonForm(w("x")).tail == ()
+    result = ClassificationResult(False)
+    assert not result.solvable
+    assert (result.case, result.p, result.gamma, result.delta, result.s) == (None,) * 5

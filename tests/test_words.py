@@ -54,6 +54,70 @@ def test_parse_and_format(f2):
         parse_word(f2, "x^^2")
 
 
+def _parsed(parse, alphabet: Alphabet, text: str):
+    """The parsed letters, or the ValueError message."""
+    try:
+        return "word", parse(alphabet, text).letters
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+XY = Alphabet("x y")
+DIGITS = Alphabet(["2", "x1"])
+
+
+@pytest.mark.parametrize(
+    "alphabet, text",
+    [
+        (XY, "x^1"),
+        (XY, "x^01"),
+        (XY, "x^-01"),
+        (XY, "1"),
+        (XY, "1 1"),
+        (XY, ""),
+        (XY, "x\ty\n x^-1\r\n\ty^-1\tx"),
+        (XY, "x^0"),
+        (XY, "x^-0"),
+        (XY, "x^^2"),
+        (XY, "x^"),
+        (XY, "^2"),
+        (XY, "x z y"),
+        (XY, "x y^-1 y x^3 y^0"),
+        (DIGITS, "2"),
+        (DIGITS, "2^-1"),
+        (DIGITS, "2 x1 2^-1 x1^-1"),
+        (DIGITS, "2^-1 2^3 x1"),
+        (DIGITS, "x 2"),
+    ],
+)
+def test_parse_word_matches_regex_parser(alphabet, text):
+    assert _parsed(parse_word, alphabet, text) == _parsed(oracle.parse_word, alphabet, text)
+
+
+def _tokens(alphabet: Alphabet):
+    names = list(alphabet.generators)
+    letter = st.sampled_from(names + [f"{n}^-1" for n in names])
+    power = st.builds(lambda n, k: f"{n}^{k}", st.sampled_from(names), st.sampled_from(["0", "-0", "1", "01", "-01", "2", "-3"]))
+    odd = st.sampled_from(["1", "q", "x^^2", "x^", "^2", "x^+1", "x-1", "2^-1"])
+    return st.one_of(letter, letter, letter, power, odd)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from([XY, DIGITS, Alphabet("a b_2 C")]).flatmap(
+    lambda A: st.tuples(st.just(A), st.lists(st.tuples(_tokens(A), st.sampled_from([" ", "  ", "\t", "\n", " \r\n"])), max_size=12))
+))
+def test_parse_word_matches_regex_parser_on_mixed_texts(case):
+    alphabet, pairs = case
+    text = "".join(token + sep for token, sep in pairs)
+    assert _parsed(parse_word, alphabet, text) == _parsed(oracle.parse_word, alphabet, text)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda k: reduced_words(Alphabet([f"g{i}" for i in range(1, k + 1)]), 30)))
+def test_format_then_parse_round_trips(x):
+    assert parse_word(x.alphabet, format_word(x)) == x
+
+
 def test_letters_out_of_range(f2):
     with pytest.raises(ValueError):
         Word(f2, (3,))

@@ -1,4 +1,8 @@
-"""Reference paths for the word-algebra tests: roots by divisors, powers by two roots.
+"""Reference paths for the word-algebra tests: parsing by regex, roots by
+divisors, powers by two roots.
+
+``parse_word`` matches every token with one regex, the only path before
+the library read single-letter tokens from a table.
 
 ``extract_root`` tries every divisor d of the cyclic-core length in
 increasing order and keeps the first whose prefix, repeated, is the
@@ -6,14 +10,35 @@ whole core: O(n d(n)), where the library takes the least period from one
 substring search.  ``power_of`` extracts the roots of both words and
 compares them, where the library splits only the base and compares w
 with its powers by slicing.  The differential tests in ``test_words.py``
-require the library to agree with both exactly.
+require the library to agree with them exactly.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
-from freegroups.words import Word, cyclically_reduce
+from freegroups.words import Alphabet, Word, cyclically_reduce
+
+_TOKEN_RE = re.compile(r"^([A-Za-z0-9_]+)(?:\^(-?\d+))?$")
+
+
+def parse_word(alphabet: Alphabet, text: str) -> Word:
+    """A regex match per token; raises at the first bad token."""
+    letters: list[int] = []
+    for token in text.split():
+        if token == "1":
+            continue
+        m = _TOKEN_RE.match(token)
+        if not m:
+            raise ValueError(f"malformed word token {token!r}")
+        name, exp = m.group(1), m.group(2)
+        k = 1 if exp is None else int(exp)
+        if k == 0:
+            raise ValueError(f"zero exponent in token {token!r}")
+        code = alphabet.letter(name, 1 if k > 0 else -1)
+        letters.extend([code] * abs(k))
+    return Word(alphabet, letters)
 
 
 def extract_root(w: Word) -> tuple[Word, int]:
