@@ -9,22 +9,23 @@ kept even at degree <= 1 because membership is base-point sensitive.
 
 Graphs are canonically renumbered (breadth-first from the base, edges
 ordered by generator index and sign) on construction, so two graphs are
-label-isomorphic exactly when their edge sets are equal.  Instances are
-immutable after construction and all operations here are pure.
+label-isomorphic exactly when their edge sets are equal.  A graph is held
+as letter maps, vertex -> {signed letter: neighbour}, the form the fold
+builds.  Instances are immutable and all operations here are pure.
 
 Costs, for V vertices and E edges over rank n: folding generators of
 total length L is near-linear in L, as each word is read in from both
 ends, only its unread middle is added, and union-find merges run only
-when the reads meet; trimming is linear (a degree queue); renumbering
-and searches are one breadth-first pass, O(V n).  ``intersect`` is
-linear in the base component of the fiber product, ``is_malnormal`` in
-the whole product (about E^2 / n edges).
+when the reads meet.  Each result graph is built once: a degree queue
+trims its letter maps in place, then one breadth-first pass, O(V n),
+renumbers them into the final maps.  ``intersect`` is linear in the base
+component of the fiber product; ``is_malnormal`` streams only the
+off-diagonal product edges (under E^2 / n) and stops at the first cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .words import Alphabet, Word, content_lines, free_reduce
 
@@ -32,31 +33,24 @@ Edge = tuple[int, int, int]  # (src, generator letter > 0, dst)
 
 
 class SubgroupGraph:
-    __slots__ = ("alphabet", "edges", "_out", "_in", "_vertices")
+    __slots__ = ("alphabet", "edges", "_adj")
 
     def __init__(self, alphabet: Alphabet, edges: Iterable[Edge]):
         self.alphabet = alphabet
         self.edges = frozenset(edges)
-        out: dict[tuple[int, int], int] = {}
-        inc: dict[tuple[int, int], int] = {}
-        verts = {0}
+        self._adj = adj = {0: {}}
         for src, g, dst in self.edges:
-            if (src, g) in out or (dst, g) in inc:
+            out, inc = adj.setdefault(src, {}), adj.setdefault(dst, {})
+            if g in out or -g in inc:
                 raise ValueError("graph is not folded")
-            out[(src, g)] = dst
-            inc[(dst, g)] = src
-            verts.add(src)
-            verts.add(dst)
-        self._out = out
-        self._in = inc
-        self._vertices = frozenset(verts)
+            out[g], inc[-g] = dst, src
 
     # The base vertex is always 0 after canonical renumbering.
     base = 0
 
     @property
     def vertices(self) -> frozenset[int]:
-        return self._vertices
+        return frozenset(self._adj)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -69,30 +63,27 @@ class SubgroupGraph:
         return hash((self.alphabet, self.edges))
 
     def __repr__(self) -> str:
-        return f"SubgroupGraph(vertices={len(self._vertices)}, edges={len(self.edges)}, rank={self.rank()})"
+        return f"SubgroupGraph(vertices={len(self._adj)}, edges={len(self.edges)}, rank={self.rank()})"
 
     def step(self, vertex: int, letter: int) -> Optional[int]:
         """Follow one letter from a vertex; None if no such edge."""
-        if letter > 0:
-            return self._out.get((vertex, letter))
-        return self._in.get((vertex, -letter))
+        return self._adj.get(vertex, {}).get(letter)
 
     def contains(self, w: Word) -> bool:
         """True iff w labels a closed path at the base vertex."""
         if w.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        cur: Optional[int] = 0
+        adj, cur = self._adj, 0
         for letter in w.letters:
-            cur = self.step(cur, letter)
-            if cur is None:
+            if (cur := adj[cur].get(letter)) is None:
                 return False
         return cur == 0
 
     def rank(self) -> int:
-        return len(self.edges) - len(self._vertices) + 1
+        return len(self.edges) - len(self._adj) + 1
 
     def is_rose(self) -> bool:
-        return len(self._vertices) == 1 and len(self.edges) == self.alphabet.rank
+        return len(self._adj) == 1 and len(self.edges) == self.alphabet.rank
 
     def _spanning_tree(self) -> tuple[dict, list[Edge]]:
         """BFS tree steps from the base plus the non-tree edges (sorted).
@@ -101,7 +92,7 @@ class SubgroupGraph:
         base to None; exploration order is (generator index, out before
         in), matching the canonical renumbering.
         """
-        found = _bfs(0, _neighbours(self.step, self.alphabet))
+        found = _bfs(0, self._adj, self.alphabet.letters())
         tree_edges = {(v, g, w) if g > 0 else (w, -g, v) for w, (v, g) in list(found.items())[1:]}
         return found, sorted(e for e in self.edges if e not in tree_edges)
 
@@ -128,22 +119,20 @@ class SubgroupGraph:
         Returns signed basis indices (1-based, aligned with ``basis()``),
         or None when w is not in the subgroup.
         """
+        if w.alphabet != self.alphabet:
+            raise ValueError("alphabet mismatch")
         _, non_tree = self._spanning_tree()
         index = {e: k + 1 for k, e in enumerate(non_tree)}
-        cur = 0
+        adj, cur = self._adj, 0
         out: list[int] = []
         for letter in w.letters:
-            nxt = self.step(cur, letter)
-            if nxt is None:
+            if (nxt := adj[cur].get(letter)) is None:
                 return None
             edge = (cur, letter, nxt) if letter > 0 else (nxt, -letter, cur)
-            k = index.get(edge)
-            if k is not None:
+            if (k := index.get(edge)) is not None:
                 out.append(k if letter > 0 else -k)
             cur = nxt
-        if cur != 0:
-            return None
-        return free_reduce(out)
+        return free_reduce(out) if cur == 0 else None
 
     def to_text(self) -> str:
         lines = ["gens " + " ".join(self.alphabet.generators), "base 0"]
@@ -171,13 +160,10 @@ def graph_from_text(text: str) -> SubgroupGraph:
             edges.append((int(src), alphabet.index(label) + 1, int(dst)))
     if alphabet is None:
         raise ValueError("graph file missing gens line")
-    SubgroupGraph(alphabet, edges)  # raises ValueError("graph is not folded")
-    declared = {0} | {v for e in edges for v in (e[0], e[2])}
-    adjacency = _adjacency(edges)
-    seen = _bfs(0, lambda v: adjacency.get(v, ())).keys()
-    if seen != declared:
+    adj = SubgroupGraph(alphabet, edges)._adj  # raises ValueError("graph is not folded")
+    if _bfs(0, adj, alphabet.letters()).keys() != adj.keys():
         raise ValueError("graph file must be connected to base vertex 0")
-    return _canonical(alphabet, set(edges), 0)
+    return _canonical(alphabet, adj, 0)  # renumbered, not trimmed: the file's hairs stay
 
 
 def _find(parent: dict, x):
@@ -189,79 +175,58 @@ def _find(parent: dict, x):
     return x
 
 
-def _bfs(start, neighbours: Callable) -> dict:
-    """Breadth-first search; ``neighbours(v)`` yields (label, w) in exploration order.
+def _bfs(start, adj: dict, letters: list[int]) -> dict:
+    """Breadth-first search over letter maps, trying ``letters`` in order.
 
     Returns every vertex reached, in discovery order, mapped to the
-    (parent, label) step that found it; the start maps to None.
+    (parent, letter) step that found it; the start maps to None.
     """
-    found = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for label, w in neighbours(v):
-            if w not in found:
-                found[w] = (v, label)
+    found, queue = {start: None}, [start]
+    for v in queue:  # the queue grows as vertices are found
+        m = adj[v]
+        for letter in letters:
+            w = m.get(letter)
+            if w is not None and w not in found:
+                found[w] = (v, letter)
                 queue.append(w)
     return found
 
 
-def _neighbours(step: Callable, alphabet: Alphabet) -> Callable:
-    """(letter, step(v, letter)) for each letter that leads somewhere, in canonical order."""
-    letters = alphabet.letters()
-
-    def neighbours(v):
-        for letter in letters:
-            w = step(v, letter)
-            if w is not None:
-                yield letter, w
-
-    return neighbours
-
-
-def _adjacency(edges) -> dict:
-    """Vertex -> list of (signed letter, neighbour), in edge order."""
-    adjacency: dict = {}
-    for a, g, b in edges:
-        adjacency.setdefault(a, []).append((g, b))
-        adjacency.setdefault(b, []).append((-g, a))
-    return adjacency
-
-
-def _trim(edges: set[Edge], base) -> set[Edge]:
-    """Remove non-base vertices of total degree <= 1 until core.
+def _trim(adj: dict, base) -> None:
+    """Remove non-base vertices of total degree <= 1 from letter maps, in place, until core.
 
     A degree queue: a vertex is queued when its degree falls to 1, and
-    removing it lowers the degree of its neighbour, if any, so each edge
-    is removed at most once.
+    removing it lowers its neighbour's degree, so each edge goes once.
     """
-    incident = _adjacency(edges)
-    degree = {v: len(nbrs) for v, nbrs in incident.items()}
-    alive = set(edges)
-    queue = deque(v for v, d in degree.items() if d <= 1 and v != base)
-    while queue:
-        v = queue.popleft()
-        for g, w in incident[v]:
-            edge = (v, g, w) if g > 0 else (w, -g, v)
-            if edge in alive:
-                alive.remove(edge)
-                degree[w] -= 1
-                if degree[w] == 1 and w != base:
-                    queue.append(w)
-    return alive
+    queue = [v for v, m in adj.items() if len(m) <= 1 and v != base]
+    for v in queue:
+        for letter, w in adj.pop(v).items():
+            m = adj[w]
+            del m[-letter]
+            if len(m) == 1 and w != base:
+                queue.append(w)
 
 
-def _canonical(alphabet: Alphabet, edges: set[Edge], base) -> SubgroupGraph:
-    """Renumber vertices by BFS from the base; gives a unique labeled form."""
-    out = {(a, g): b for a, g, b in edges}
-    inc = {(b, g): a for a, g, b in edges}
+def _canonical(alphabet: Alphabet, adj: dict, base) -> SubgroupGraph:
+    """Renumber the base component by BFS in canonical letter order, building its final maps.
 
-    def step(v, letter):
-        return out.get((v, letter)) if letter > 0 else inc.get((v, -letter))
-
-    rename = {v: i for i, v in enumerate(_bfs(base, _neighbours(step, alphabet)))}
-    new_edges = {(rename[a], g, rename[b]) for a, g, b in edges}
-    return SubgroupGraph(alphabet, new_edges)
+    This gives a unique labeled form.  The maps are trusted to be folded.
+    """
+    letters = alphabet.letters()
+    rename, order, maps = {base: 0}, [base], {}
+    for i, v in enumerate(order):  # order grows as vertices are found
+        m = adj[v]
+        row = maps[i] = {}
+        for letter in letters:
+            if (w := m.get(letter)) is not None:
+                if (j := rename.get(w)) is None:
+                    j = rename[w] = len(order)
+                    order.append(w)
+                row[letter] = j
+    graph = SubgroupGraph.__new__(SubgroupGraph)
+    graph.alphabet, graph._adj = alphabet, maps
+    graph.edges = frozenset((v, g, w) for v, m in maps.items() for g, w in m.items() if g > 0)
+    return graph
 
 
 def subgroup_graph(alphabet: Alphabet, words: Sequence[Word]) -> SubgroupGraph:
@@ -314,17 +279,12 @@ def subgroup_graph(alphabet: Alphabet, words: Sequence[Word]) -> SubgroupGraph:
             for letter, w in maps.pop(y).items():
                 if (clash := maps[x].setdefault(letter, w)) != w:
                     pending.append((clash, w))
+    for m in maps.values():
+        for letter, w in m.items():
+            m[letter] = _find(parent, w)
     base = _find(parent, 0)
-    folded = {(v, g, _find(parent, w)) for v, m in maps.items() for g, w in m.items() if g > 0}
-    return _canonical(alphabet, _trim(folded, base), base)
-
-
-def _product_edges(g1: SubgroupGraph, g2: SubgroupGraph):
-    """Labeled fiber product over the rose: pairs of same-labeled edges."""
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for (q, h), q2 in g2._out.items():
-        by_label.setdefault(h, []).append((q, q2))
-    return [((p, q), g, (p2, q2)) for (p, g), p2 in g1._out.items() for q, q2 in by_label.get(g, ())]
+    _trim(maps, base)
+    return _canonical(alphabet, maps, base)
 
 
 def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
@@ -334,34 +294,42 @@ def intersect(g1: SubgroupGraph, g2: SubgroupGraph) -> SubgroupGraph:
     """
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-
-    def step(v, letter):
-        p, q = g1.step(v[0], letter), g2.step(v[1], letter)
-        return None if p is None or q is None else (p, q)
-
-    neighbours = _neighbours(step, g1.alphabet)
-    kept = {(v, g, w) for v in _bfs((0, 0), neighbours) for g, w in neighbours(v) if g > 0}
-    return _canonical(g1.alphabet, _trim(kept, (0, 0)), (0, 0))
+    adj1, adj2 = g1._adj, g2._adj
+    adj: dict[tuple[int, int], dict[int, tuple[int, int]]] = {(0, 0): {}}
+    queue = [(0, 0)]
+    for p, q in queue:
+        m2, row = adj2[q], adj[p, q]
+        for letter, p2 in adj1[p].items():
+            if (q2 := m2.get(letter)) is not None:
+                row[letter] = w = (p2, q2)
+                if w not in adj:
+                    adj[w] = {}
+                    queue.append(w)
+    _trim(adj, (0, 0))
+    return _canonical(g1.alphabet, adj, (0, 0))
 
 
 def is_malnormal(graph: SubgroupGraph) -> bool:
-    """True iff every non-diagonal fiber-product component has trivial core.
+    """True iff every non-diagonal fiber-product component is a forest.
 
-    In a folded graph paths are deterministic in both directions, so the
-    diagonal pairs (p, p) form one component isomorphic to the graph; any
-    other component with a cycle witnesses a nontrivial intersection with
-    a conjugate.  For a cyclic subgroup this is equivalent to the
-    generator being root-free.  A component is a forest iff none of its
-    edges joins two vertices already connected (E = V - 1), so one
-    union-find pass over the product edges decides.
+    A cycle in such a component witnesses a nontrivial intersection with a
+    conjugate; for a cyclic subgroup this is the generator being root-free.
+    The diagonal {(p, p)} is exactly the component of (0, 0): the graph is
+    connected, so every (p, p) is joined to (0, 0) by the diagonal lift of
+    a path from 0 to p; and as each letter steps injectively both ways in
+    a folded graph, a product edge (p, q) -g-> (p', q') has p = q iff
+    p' = q', so no edge leaves it.  Hence only same-label edge pairs with
+    p != q go through one union-find, and the first that closes a cycle
+    answers False.
     """
     parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closing = []  # one end of every edge that closed a cycle
-    for a, _, b in _product_edges(graph, graph):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            closing.append(ra)
-        else:
-            parent[ra] = rb
-    diagonal = _find(parent, (0, 0))
-    return all(_find(parent, v) == diagonal for v in closing)
+    for g in range(1, graph.alphabet.rank + 1):
+        pairs = [(p, m[g]) for p, m in graph._adj.items() if g in m]
+        for p, p2 in pairs:
+            for q, q2 in pairs:
+                if p != q:
+                    a, b = _find(parent, (p, q)), _find(parent, (p2, q2))
+                    if a == b:
+                        return False
+                    parent[a] = b
+    return True

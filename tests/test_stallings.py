@@ -52,6 +52,16 @@ def test_empty_generating_set(f2):
     assert g.rank() == 0
     assert g.contains(identity(f2))
     assert not g.contains(w(f2, "x"))
+    assert SubgroupGraph(f2, []) == g
+    assert SubgroupGraph(f2, []).vertices == {0}
+    assert SubgroupGraph(f2, []).rank() == 0
+    # step: None for a missing edge and for a vertex not in the graph.
+    assert g.step(0, 1) is None
+    assert g.step(5, 1) is None
+    loop = subgroup_graph(f2, [w(f2, "x")])
+    assert (loop.step(0, 1), loop.step(0, -1)) == (0, 0)
+    assert loop.step(0, 2) is None
+    assert loop.step(1, 1) is None
 
 
 def test_contains_examples(f2):
@@ -183,6 +193,8 @@ def test_graph_from_text_errors():
 def test_not_folded_rejected(f2):
     with pytest.raises(ValueError):
         SubgroupGraph(f2, {(0, 1, 1), (0, 1, 2)})
+    with pytest.raises(ValueError, match="graph is not folded"):
+        SubgroupGraph(f2, {(1, 1, 0), (2, 1, 0)})
 
 
 def test_express_in_basis(f2):
@@ -201,6 +213,16 @@ def test_express_in_basis(f2):
             rebuilt = rebuilt * (basis[idx - 1] if idx > 0 else ~basis[-idx - 1])
         assert rebuilt == member
     assert g.express_in_basis(w(f2, "y")) is None
+
+
+def test_express_in_basis_checks_the_alphabet(f2):
+    # Like contains: p^2 over p q is not read as x^2 over x y.
+    g = subgroup_graph(f2, [w(f2, "x^2"), w(f2, "x y x^-1")])
+    pq = Alphabet(["p", "q"])
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        g.contains(w(pq, "p^2"))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        g.express_in_basis(w(pq, "p^2"))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +356,15 @@ def test_malnormal_and_intersect_match_oracle(case, data):
 def test_malnormal_matches_oracle_on_non_core_graphs(text):
     graph = graph_from_text(text)
     assert is_malnormal(graph) == oracle.is_malnormal(graph.edges)
+    # A graph file is renumbered, never trimmed: its hairs stay.
+    gens, _, *lines = text.splitlines()
+    rank = len(gens.split()) - 1
+    file_edges = set()
+    for line in lines:
+        src, label, dst = line.split()
+        file_edges.add((int(src), int(label.removeprefix("g")), int(dst)))
+    assert graph.edges == oracle.canonical(rank, file_edges, 0)
+    assert [b.letters for b in graph.basis()] == oracle.basis(rank, graph.edges)
 
 
 # ---------------------------------------------------------------------------
