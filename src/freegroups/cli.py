@@ -308,10 +308,8 @@ def cmd_orbit(args) -> int:
     print(f"element: {words.format_word(report.element)}")
     print(f"bound: {report.bound}")
     print(f"distinct: {report.distinct_count}")
-    if report.first_collision is None:
-        print("first_collision: none")
-    else:
-        print(f"first_collision: {report.first_collision[0]} {report.first_collision[1]}")
+    collision = report.first_collision
+    print(f"first_collision: {' '.join(map(str, collision)) if collision else 'none'}")
     return 0
 
 

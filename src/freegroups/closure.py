@@ -37,7 +37,7 @@ from .words import (
     abelianize,
     centralizer,
     content_lines,
-    cyclically_reduce,
+    cyclic_core,
     format_word,
     free_reduce,
     is_conjugate,
@@ -259,7 +259,7 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
       kept only if E(h) is conjugate to v, so no wrong h is returned.
     """
     a, b = alphabet.letter("a"), alphabet.letter("b")
-    c = cyclically_reduce(v)[0].letters
+    c = cyclic_core(v).letters
     in_p = lambda x: abs(x) in (a, b)
     inv = lambda w: tuple(-x for x in reversed(w))
     solves = lambda h: is_conjugate(

@@ -187,14 +187,16 @@ def orbit_bounded(
     and its least period d is the first k >= 1 with f_k(w) = w.  The
     images f_0 .. f_(d-1) are pairwise distinct and (0, d) is the first
     collision; with no fixed image up to the bound all bound + 1 images
-    are distinct (none for a negative bound).  The scan takes at most
-    ``bound`` equality tests in the codomain group.  d need not be 1
-    without the splitting hypotheses: over <a, b, t | t^-1 a^2 t = a^3>,
-    t t a t^-1 t^-1 has period 2.
+    are distinct (none for a negative bound).  So the scan asks ``family``
+    for f_0 and, at a bound of 1 or more, tau = f_1, then applies tau to the
+    last image ``bound`` times at most, each followed by one equality test
+    in the codomain group.  d need not be 1 without the splitting
+    hypotheses: over <a, b, t | t^-1 a^2 t = a^3>, t t a t^-1 t^-1 has period 2.
     """
     f = family(0)
-    start = f.apply(element)
+    start = image = f.apply(element)
+    tau = family(1) if bound >= 1 else None
     for k in range(1, bound + 1):
-        if f.domain.equal(start, family(k).apply(element)):
+        if f.domain.equal(start, image := tau.apply(image)):
             return OrbitReport(description, element, bound, k, (0, k))
     return OrbitReport(description, element, bound, max(bound + 1, 0), None)

@@ -30,7 +30,7 @@ from .words import (
     _power_letters,
     _root_parts,
     content_lines,
-    cyclically_reduce,
+    cyclic_core,
     extract_root,
     is_conjugate,
     parse_word,
@@ -247,7 +247,7 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
         raise ValueError("presentation does not satisfy the splitting hypotheses")
     if not alpha or not beta:
         raise ValueError("alpha and beta must be nontrivial")
-    n = len(cyclically_reduce(alpha)[0])
+    n = len(cyclic_core(alpha))
     candidates = []
     for case, (first, second), (_, s, _, _, e) in zip((1, 2), ((pres.u, pres.v), (pres.v, pres.u)), pres._edge_parts):
         m, rest = divmod(n, len(s) * e)

@@ -20,7 +20,8 @@ when the reads meet.  Each result graph is built once: a degree queue
 trims its letter maps in place, then one breadth-first pass, O(V n),
 renumbers them into the final maps.  ``intersect`` is linear in the base
 component of the fiber product; ``is_malnormal`` streams only the
-off-diagonal product edges (under E^2 / n) and stops at the first cycle.
+off-diagonal product edges (about E^2 / n), each one union-find step on
+integer keys, and stops at the first cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ Edge = tuple[int, int, int]  # (src, generator letter > 0, dst)
 class SubgroupGraph:
     __slots__ = ("alphabet", "edges", "_adj")
 
-    def __init__(self, alphabet: Alphabet, edges: Iterable[Edge]):
+    def __init__(self, alphabet: Alphabet, edges: Iterable[Edge], _source: str = "graph"):
+        """A folded graph on any int vertex ids, all joined to base vertex 0 (``_source`` names it if not)."""
         self.alphabet = alphabet
         self.edges = frozenset(edges)
         self._adj = adj = {0: {}}
@@ -44,6 +46,8 @@ class SubgroupGraph:
             if g in out or -g in inc:
                 raise ValueError("graph is not folded")
             out[g], inc[-g] = dst, src
+        if len(_bfs(0, adj, alphabet.letters())) != len(adj):
+            raise ValueError(f"{_source} must be connected to base vertex 0")
 
     # The base vertex is always 0 after canonical renumbering.
     base = 0
@@ -160,9 +164,7 @@ def graph_from_text(text: str) -> SubgroupGraph:
             edges.append((int(src), alphabet.index(label) + 1, int(dst)))
     if alphabet is None:
         raise ValueError("graph file missing gens line")
-    adj = SubgroupGraph(alphabet, edges)._adj  # raises ValueError("graph is not folded")
-    if _bfs(0, adj, alphabet.letters()).keys() != adj.keys():
-        raise ValueError("graph file must be connected to base vertex 0")
+    adj = SubgroupGraph(alphabet, edges, "graph file")._adj  # raises unless folded and connected
     return _canonical(alphabet, adj, 0)  # renumbered, not trimmed: the file's hairs stay
 
 
@@ -320,15 +322,21 @@ def is_malnormal(graph: SubgroupGraph) -> bool:
     a folded graph, a product edge (p, q) -g-> (p', q') has p = q iff
     p' = q', so no edge leaves it.  Hence only same-label edge pairs with
     p != q go through one union-find, and the first that closes a cycle
-    answers False.
+    answers False.  A product vertex is the int i * V + j of two vertex indices.
     """
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    adj, size, parent = graph._adj, len(graph._adj), {}
+    index = {v: i for i, v in enumerate(adj)}
     for g in range(1, graph.alphabet.rank + 1):
-        pairs = [(p, m[g]) for p, m in graph._adj.items() if g in m]
+        pairs = [(index[p], index[m[g]]) for p, m in adj.items() if g in m]
         for p, p2 in pairs:
+            row, row2 = p * size, p2 * size
             for q, q2 in pairs:
                 if p != q:
-                    a, b = _find(parent, (p, q)), _find(parent, (p2, q2))
+                    a, b = row + q, row2 + q2
+                    while (up := parent.get(a, a)) != a:
+                        parent[a] = a = parent.get(up, up)
+                    while (up := parent.get(b, b)) != b:
+                        parent[b] = b = parent.get(up, up)
                     if a == b:
                         return False
                     parent[a] = b

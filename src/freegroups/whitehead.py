@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import stallings
 from .endos import Endomorphism
-from .words import Alphabet, Word, cyclically_reduce, free_reduce, letter_key
+from .words import Alphabet, Word, cyclic_core, letter_key
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,32 @@ class WhiteheadMove:
     affected: frozenset[int] = frozenset()
 
     @cached_property
-    def _table(self) -> dict[int, tuple[int, ...]]:
-        return {x: self.letter_image(x) for x in self.alphabet.letters()}
+    def _table(self) -> list[tuple[int, ...]]:
+        n = self.alphabet.rank  # images by signed letter: a negative index wraps
+        return [self.letter_image(x) if x else () for x in (*range(n + 1), *range(-n, 0))]
 
     def letter_image(self, letter: int) -> tuple[int, ...]:
         if self.kind == "permutation":
             img = self.images[abs(letter) - 1]
             return (img,) if letter > 0 else (-img,)
-        a, g = self.multiplier, abs(letter)
-        if g == abs(a):
+        a = self.multiplier
+        if abs(letter) == abs(a):
             return (letter,)
-        # g -> g a if g is in A, a^-1 g if g^-1 is, a^-1 g a if both are.
-        image = (-a,) * (-g in self.affected) + (g,) + (a,) * (g in self.affected)
-        return image if letter > 0 else tuple(-l for l in reversed(image))
+        # x -> x a if x is in A, a^-1 x if x^-1 is, a^-1 x a if both are (x of either sign).
+        return (-a,) * (-letter in self.affected) + (letter,) + (a,) * (letter in self.affected)
 
     def apply(self, w: Word) -> Word:
+        """The reduced image of w: each letter's image is pushed onto a stack that cancels as it goes."""
         if w.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        letters = itertools.chain.from_iterable(map(self._table.__getitem__, w.letters))
-        return Word(self.alphabet, free_reduce(letters), _reduced=True)
+        table, out = self._table, []
+        for letter in w.letters:
+            for x in table[letter]:
+                if out and out[-1] == -x:
+                    out.pop()
+                else:
+                    out.append(x)
+        return Word(self.alphabet, tuple(out), _reduced=True)
 
     def inverse(self) -> "WhiteheadMove":
         if self.kind == "permutation":
@@ -219,43 +226,49 @@ def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMo
 def _max_flow(residual: list[list[int]], s: int, t: int, limit: int, flow: int = 0):
     """(flow, source side) of a max flow from s to {t, 0}, or (limit, None) once it reaches limit.
 
-    Augments ``residual``, which holds a flow of value ``flow``, in place
-    along shortest paths; when none is left, what s reaches is the smallest min cut.
+    Augments ``residual``, which holds a flow of value ``flow``, in place along
+    shortest paths, kept as a list of parents and walked back twice: for the
+    bottleneck, then to push.  When none is left, what s reaches is the smallest min cut.
     """
     while flow < limit:
-        parent = {s: s}
+        parent = [-1] * len(residual)
+        parent[s] = s
         queue = [s]
         for u in queue:
             for v, r in enumerate(residual[u]):
-                if r and v not in parent:
+                if r and parent[v] < 0:
                     parent[v] = u
                     queue.append(v)
-            if t in parent or 0 in parent:
+            if parent[t] >= 0 or parent[0] >= 0:
                 break
         else:
-            return flow, parent.keys()
-        path = [t if t in parent else 0]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        edges = list(zip(path[1:], path))
-        push = min(limit - flow, *(residual[u][v] for u, v in edges))
-        for u, v in edges:
-            residual[u][v] -= push
-            residual[v][u] += push
+            return flow, queue
+        end = v = t if parent[t] >= 0 else 0
+        push = limit - flow
+        while v != s:
+            u = parent[v]
+            if residual[u][v] < push:
+                push = residual[u][v]
+            v = u
+        while end != s:
+            u = parent[end]
+            residual[u][end] -= push
+            residual[end][u] += push
+            end = u
         flow += push
     return limit, None
 
 
 def _descend(words: Sequence[Word], cyclic: bool, pick) -> MinimizationTrace:
     """Apply the move ``pick`` finds until it finds none: the one descent loop."""
-    words = tuple(cyclically_reduce(w)[0] if cyclic else w for w in words)
+    words = tuple(cyclic_core(w) if cyclic else w for w in words)
     if not words:
         return MinimizationTrace((), (), ())
     if any(w.alphabet != words[0].alphabet for w in words):
         raise ValueError("alphabet mismatch")
     current, applied = words, []
     while (move := pick(current, cyclic)) is not None:
-        current = tuple(cyclically_reduce(move.apply(w))[0] if cyclic else move.apply(w) for w in current)
+        current = tuple(cyclic_core(move.apply(w)) if cyclic else move.apply(w) for w in current)
         applied.append(move)
     return MinimizationTrace(words, current, tuple(applied))
 

@@ -76,11 +76,7 @@ class Alphabet:
 
     def letters(self) -> list[int]:
         """All 2n letters in canonical order: +1, -1, +2, -2, ..."""
-        out = []
-        for i in range(self.rank):
-            out.append(i + 1)
-            out.append(-(i + 1))
-        return out
+        return [x for g in range(1, self.rank + 1) for x in (g, -g)]
 
     def extend(self, name: str) -> "Alphabet":
         return Alphabet(self.generators + (name,))
@@ -250,14 +246,16 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
 
     The core is cyclically reduced; the empty word maps to (1, 1).
     """
-    lets = w.letters
-    i, j = 0, len(lets)
-    while j - i >= 2 and lets[i] == -lets[j - 1]:
+    core = cyclic_core(w)
+    return core, Word(w.alphabet, w.letters[: (len(w) - len(core)) // 2], _reduced=True)
+
+
+def cyclic_core(w: Word) -> Word:
+    """The cyclically reduced core of w, cut by index; w itself when it is cyclically reduced."""
+    lets, i = w.letters, 0
+    while 2 * i + 1 < len(lets) and lets[i] == -lets[-1 - i]:
         i += 1
-        j -= 1
-    core = Word(w.alphabet, lets[i:j], _reduced=True)
-    conj = Word(w.alphabet, lets[:i], _reduced=True)
-    return core, conj
+    return Word(w.alphabet, lets[i : len(lets) - i], _reduced=True) if i else w
 
 
 def _as_text(letters: tuple[int, ...], rank: int) -> str:
@@ -365,21 +363,12 @@ def abelianize(w: Word) -> tuple[int, ...]:
 
 def iter_reduced_letter_tuples(rank: int, max_len: int, min_len: int = 0) -> Iterator[tuple[int, ...]]:
     """All reduced letter tuples, ordered by length then canonical letter order."""
-    order = []
-    for i in range(rank):
-        order.append(i + 1)
-        order.append(-(i + 1))
+    order = [x for g in range(1, rank + 1) for x in (g, -g)]
     if min_len <= 0:
         yield ()
     level: list[tuple[int, ...]] = [()]
     for length in range(1, max_len + 1):
-        nxt = []
-        for prefix in level:
-            last = prefix[-1] if prefix else 0
-            for letter in order:
-                if letter != -last:
-                    nxt.append(prefix + (letter,))
-        level = nxt
+        level = [prefix + (x,) for prefix in level for x in order if not prefix or x != -prefix[-1]]
         if length >= min_len:
             yield from level
 

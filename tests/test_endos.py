@@ -254,6 +254,23 @@ def test_orbit_matches_pairwise(case):
     assert orbit_bounded(family, element, bound) == oracle.orbit_pairwise(family, element, bound)
 
 
+@pytest.mark.parametrize("pres", ORBIT_SPLITTINGS)
+@pytest.mark.parametrize("bound", [-1, 0, 1, 2, 12])
+def test_orbit_calls_the_family_at_zero_and_one_only(pres, bound):
+    # f_n = tau^n: the scan applies tau = f_1 to the last image, so the
+    # family is asked for f_0 and, for a bound of 1 or more, f_1 alone.
+    calls = []
+
+    def family(n):
+        calls.append(n)
+        return dehn_twist(pres, n)
+
+    element = pres.word(pres.alphabet.generators[-1])
+    report = orbit_bounded(family, element, bound)
+    assert calls == ([0, 1] if bound >= 1 else [0])
+    assert report == oracle.orbit_pairwise(lambda n: dehn_twist(pres, n), element, bound)
+
+
 @pytest.mark.parametrize("bound", range(9))
 def test_orbit_least_period_two(bound):
     report = orbit_bounded(lambda n: dehn_twist(BS23, n), BS23.word("t t a t^-1 t^-1"), bound)

@@ -197,6 +197,16 @@ def test_not_folded_rejected(f2):
         SubgroupGraph(f2, {(1, 1, 0), (2, 1, 0)})
 
 
+def test_disconnected_edge_sets_rejected(f2):
+    # A loop away from the base: rank 0 and "malnormal" if it were accepted.
+    with pytest.raises(ValueError, match="^graph must be connected to base vertex 0$"):
+        SubgroupGraph(Alphabet(["x"]), {(1, 1, 1)})
+    # Two components, each folded: x^2 at the base and a y-loop on 2, 3.
+    with pytest.raises(ValueError, match="^graph must be connected to base vertex 0$"):
+        SubgroupGraph(f2, {(0, 1, 1), (1, 1, 0), (2, 2, 3), (3, 2, 2)})
+    assert SubgroupGraph(f2, {(0, 1, 1), (1, 1, 0), (1, 2, -7)}).vertices == {0, 1, -7}
+
+
 def test_express_in_basis(f2):
     g = subgroup_graph(f2, [w(f2, "x^2"), w(f2, "x y x^-1")])
     basis = g.basis()
@@ -365,6 +375,23 @@ def test_malnormal_matches_oracle_on_non_core_graphs(text):
         file_edges.add((int(src), int(label.removeprefix("g")), int(dst)))
     assert graph.edges == oracle.canonical(rank, file_edges, 0)
     assert [b.letters for b in graph.basis()] == oracle.basis(rank, graph.edges)
+
+
+@DIFFERENTIAL
+@given(graph_texts(), st.data())
+def test_malnormal_matches_oracle_on_arbitrary_vertex_ids(text, data):
+    # The public constructor keeps its vertex ids: sparse, negative, any
+    # order, as long as every vertex is joined to base vertex 0.  Ids drawn
+    # from a few times V make a product key built from raw ids collide.
+    gens, _, *lines = text.splitlines()
+    alphabet = Alphabet(gens.split()[1:])
+    edges = {(int(src), alphabet.index(label) + 1, int(dst)) for src, label, dst in map(str.split, lines)}
+    vertices = sorted({0} | {v for src, _, dst in edges for v in (src, dst)})
+    others = st.integers(-2 * len(vertices), 2 * len(vertices)).filter(bool)
+    ids = data.draw(st.lists(others, min_size=len(vertices) - 1, max_size=len(vertices) - 1, unique=True))
+    rename = dict(zip(vertices, [0] + ids))
+    moved = {(rename[src], g, rename[dst]) for src, g, dst in edges}
+    assert is_malnormal(SubgroupGraph(alphabet, moved)) == oracle.is_malnormal(moved) == oracle.is_malnormal(edges)
 
 
 # ---------------------------------------------------------------------------

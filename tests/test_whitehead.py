@@ -11,6 +11,7 @@ from freegroups import stallings
 from freegroups.whitehead import (
     _descend,
     _first_move,
+    _max_flow,
     _min_cut_move,
     _multiplier_move,
     is_free_factor,
@@ -344,6 +345,65 @@ def test_product_of_squares_is_not_primitive(rank):
     # of 2n(4^(n-1) - 1) moves, about 10^8 at rank 12.
     alphabet = ALPHABETS[rank]
     assert not is_primitive(Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)]))
+
+
+# ---------------------------------------------------------------------------
+# _max_flow on its own, against every cut.
+
+
+def _brute_force_cuts(cap, s, t):
+    """(least capacity, smallest source side) over every S with s in S and t, 0 outside.
+
+    The min cuts are closed under intersection, so the smallest is the
+    intersection of all of them.
+    """
+    size = len(cap)
+    free = [v for v in range(size) if v not in (0, s, t)]
+    best, smallest = None, None
+    for mask in range(1 << len(free)):
+        side = {s} | {v for i, v in enumerate(free) if mask >> i & 1}
+        capacity = sum(cap[u][v] for u in side for v in range(size) if v not in side)
+        if best is None or capacity < best:
+            best, smallest = capacity, side
+        elif capacity == best:
+            smallest &= side
+    return best, smallest
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(5, 11), st.integers(0, 2**32 - 1))
+def test_max_flow_matches_brute_force_cuts(size, seed):
+    # Symmetric capacities like a star graph's, then forced edges x -> t as
+    # _first_move adds them, both fresh and resumed from a capped run.
+    rng = random.Random(seed)
+    cap = [[0] * size for _ in range(size)]
+    for u in range(size):
+        for v in range(u, size):
+            if rng.random() < 0.5:
+                cap[u][v] = cap[v][u] = rng.randint(1, 4)
+    s, t = rng.sample(range(1, size), 2)
+    forced, big = sum(map(sum, cap)) + 1, 2 * sum(map(sum, cap)) + 2
+    value, smallest = _brute_force_cuts(cap, s, t)
+    flow, side = _max_flow([row[:] for row in cap], s, t, big)
+    assert (flow, set(side)) == (value, smallest)
+
+    forced_cap = [row[:] for row in cap]
+    pushed = rng.sample([v for v in range(1, size) if v not in (s, t)], rng.randint(1, 2))
+    for x in pushed:
+        forced_cap[x][t] += forced
+    forced_value, forced_smallest = _brute_force_cuts(forced_cap, s, t)
+    flow, side = _max_flow([row[:] for row in forced_cap], s, t, big)
+    assert (flow, set(side)) == (forced_value, forced_smallest)
+    assert not forced_smallest & set(pushed)
+
+    if value:
+        limit = rng.randint(1, value)
+        residual = [row[:] for row in cap]
+        assert _max_flow(residual, s, t, limit) == (limit, None)
+        for x in pushed:
+            residual[x][t] += forced
+        flow, side = _max_flow(residual, s, t, big, limit)
+        assert (flow, set(side)) == (forced_value, forced_smallest)
 
 
 # ---------------------------------------------------------------------------
