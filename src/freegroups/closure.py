@@ -24,7 +24,7 @@ canonical letter order), so they are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import groupby, takewhile
 from typing import NamedTuple, Optional
 
 from .endos import Endomorphism, iter_fixed_words, verify_automorphism_pair
@@ -214,9 +214,7 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
     g_inv_images["t"] = t_word * pres.lift(g_base.apply(d))
     g = Endomorphism(pres, g_images)
     g_inv = Endomorphism(pres, g_inv_images)
-    return CounterexampleSetup(
-        a0_size, h_alphabet, a_names, pres, u, v, d, y, g, g_inv, g_base
-    )
+    return CounterexampleSetup(a0_size, h_alphabet, a_names, pres, u, v, d, y, g, g_inv, g_base)
 
 
 def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
@@ -273,12 +271,7 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
         found = set(filter(solves, words))
     else:
         start = next(i for i in range(len(c)) if in_p(c[i - 1]) and not in_p(c[i]))
-        runs: list[tuple[int, ...]] = []
-        for x in c[start:] + c[:start]:
-            if runs and in_p(runs[-1][-1]) == in_p(x):
-                runs[-1] += (x,)
-            else:
-                runs.append((x,))
+        runs = [tuple(run) for _, run in groupby(c[start:] + c[:start], in_p)]
         n = len(runs) // 2  # N in the docstring
         power = lambda k: (a,) * k if k >= 0 else (-a,) * -k
         lead = lambda w: sum(x // a for x in takewhile(lambda x: abs(x) == a, w))
@@ -414,19 +407,12 @@ def verify_counterexample(
     if not ok:
         detail = f"fixed witness {format_word(witness)}"
     elif setup.g_base.is_letter_map():
-        detail = (
-            "no fixed word at any length "
-            "(exact: g permutes letters and fixes no generator outside A)"
-        )
+        detail = "no fixed word at any length (exact: g permutes letters and fixes no generator outside A)"
     else:
         detail = f"no fixed word up to length {l_separation}"
     checks.append(Check("dcl_separation_ok", ok, detail))
     return CounterexampleReport(
-        checks=tuple(checks),
-        a0_size=a0_size,
-        rank=a0_size + 4,
-        l_solution=l_solution,
-        l_separation=l_separation,
+        checks=tuple(checks), a0_size=a0_size, rank=a0_size + 4, l_solution=l_solution, l_separation=l_separation,
         solutions=solutions,
     )
 

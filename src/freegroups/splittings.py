@@ -20,6 +20,7 @@ domain for ``endos`` (its ``alphabet``, ``relators``, ``normal_form`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .endos import Endomorphism
@@ -153,16 +154,9 @@ def validate_presentation(pres: HnnPresentation) -> Report:
         Check("u_root_free", u_exp == 1, f"u = ({u_root})^{u_exp}"),
         Check("v_root_free", v_exp == 1, f"v = ({v_root})^{v_exp}"),
     ]
-    conj = is_conjugate(pres.u, pres.v)
-    conj_inv = is_conjugate(pres.u, ~pres.v)
-    checks.append(
-        Check(
-            "u_v_not_conjugate",
-            conj is None and conj_inv is None,
-            "u is conjugate to v^{+-1}" if (conj or conj_inv) else "no conjugator exists",
-        )
-    )
-    return Report(tuple(checks))
+    conj, conj_inv = is_conjugate(pres.u, pres.v), is_conjugate(pres.u, ~pres.v)
+    detail = "u is conjugate to v^{+-1}" if (conj or conj_inv) else "no conjugator exists"
+    return Report((*checks, Check("u_v_not_conjugate", conj is None and conj_inv is None, detail)))
 
 
 def _push(out: list[int], letters: tuple[int, ...]) -> None:
@@ -346,21 +340,12 @@ class AmalgamForm(NamedTuple):
 
     def to_word(self, pres: AmalgamPresentation) -> Word:
         """Already reduced: the syllables are, and neighbours lie in different factors."""
-        letters: list[int] = []
-        for side, w in self.syllables:
-            letters.extend(pres.to_union(side, w).letters)
-        return Word(pres.union_alphabet, tuple(letters), _reduced=True)
+        letters = tuple(x for side, w in self.syllables for x in pres.to_union(side, w).letters)
+        return Word(pres.union_alphabet, letters, _reduced=True)
 
 
 def _syllables_of(pres: AmalgamPresentation, w: Word) -> list[tuple[int, Word]]:
-    runs: list[tuple[int, list[int]]] = []
-    for letter in w.letters:
-        side = pres.side_of(letter)
-        if runs and runs[-1][0] == side:
-            runs[-1][1].append(letter)
-        else:
-            runs.append((side, [letter]))
-    return [(side, pres.to_factor(side, tuple(ls))) for side, ls in runs]
+    return [(side, pres.to_factor(side, tuple(run))) for side, run in groupby(w.letters, pres.side_of)]
 
 
 def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
@@ -477,9 +462,7 @@ def parse_presentation(text: str):
         if not sep:
             raise ValueError("hnn line must read 'hnn t : u -> v'")
         base = gens_lines[0]
-        return HnnPresentation(
-            base, stable, parse_word(base, u_text), parse_word(base, v_text)
-        )
+        return HnnPresentation(base, stable, parse_word(base, u_text), parse_word(base, v_text))
     if len(gens_lines) != 2:
         raise ValueError("amalgam presentations need two gens lines")
     w1_text, sep, w2_text = rest.split(":", 1)[-1].partition("=")  # the colon is optional

@@ -34,12 +34,11 @@ Edge = tuple[int, int, int]  # (src, generator letter > 0, dst)
 
 
 class SubgroupGraph:
-    __slots__ = ("alphabet", "edges", "_adj")
+    __slots__ = ("alphabet", "edges", "_adj", "_tree")
 
     def __init__(self, alphabet: Alphabet, edges: Iterable[Edge], _source: str = "graph"):
         """A folded graph on any int vertex ids, all joined to base vertex 0 (``_source`` names it if not)."""
-        self.alphabet = alphabet
-        self.edges = frozenset(edges)
+        self.alphabet, self.edges, self._tree = alphabet, frozenset(edges), None
         self._adj = adj = {0: {}}
         for src, g, dst in self.edges:
             out, inc = adj.setdefault(src, {}), adj.setdefault(dst, {})
@@ -89,16 +88,19 @@ class SubgroupGraph:
     def is_rose(self) -> bool:
         return len(self._adj) == 1 and len(self.edges) == self.alphabet.rank
 
-    def _spanning_tree(self) -> tuple[dict, list[Edge]]:
-        """BFS tree steps from the base plus the non-tree edges (sorted).
+    def _spanning_tree(self) -> tuple[dict, dict[Edge, int]]:
+        """BFS tree steps from the base, and the non-tree edges numbered from 1 in sorted order.
 
         Each vertex maps to the (parent, letter) step that reached it, the
         base to None; exploration order is (generator index, out before
-        in), matching the canonical renumbering.
+        in), matching the canonical renumbering.  Made once per graph.
         """
-        found = _bfs(0, self._adj, self.alphabet.letters())
-        tree_edges = {(v, g, w) if g > 0 else (w, -g, v) for w, (v, g) in list(found.items())[1:]}
-        return found, sorted(e for e in self.edges if e not in tree_edges)
+        if self._tree is None:
+            found = _bfs(0, self._adj, self.alphabet.letters())
+            tree_edges = {(v, g, w) if g > 0 else (w, -g, v) for w, (v, g) in list(found.items())[1:]}
+            non_tree = sorted(e for e in self.edges if e not in tree_edges)
+            self._tree = found, {e: k for k, e in enumerate(non_tree, 1)}
+        return self._tree
 
     def basis(self) -> list[Word]:
         """A free basis from the spanning-tree complement."""
@@ -125,9 +127,7 @@ class SubgroupGraph:
         """
         if w.alphabet != self.alphabet:
             raise ValueError("alphabet mismatch")
-        _, non_tree = self._spanning_tree()
-        index = {e: k + 1 for k, e in enumerate(non_tree)}
-        adj, cur = self._adj, 0
+        index, adj, cur = self._spanning_tree()[1], self._adj, 0
         out: list[int] = []
         for letter in w.letters:
             if (nxt := adj[cur].get(letter)) is None:
@@ -226,7 +226,7 @@ def _canonical(alphabet: Alphabet, adj: dict, base) -> SubgroupGraph:
                     order.append(w)
                 row[letter] = j
     graph = SubgroupGraph.__new__(SubgroupGraph)
-    graph.alphabet, graph._adj = alphabet, maps
+    graph.alphabet, graph._adj, graph._tree = alphabet, maps, None
     graph.edges = frozenset((v, g, w) for v, m in maps.items() for g, w in m.items() if g > 0)
     return graph
 

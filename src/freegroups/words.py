@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from itertools import groupby
-from operator import neg
+from operator import add, neg
 from typing import Iterable, Iterator, Optional
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
@@ -193,13 +193,16 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
     table, in range by construction.  If any token misses it (``1``,
     another exponent, a malformed or unknown token), the whole text goes
     through the token regex instead, which raises at the first bad token.
+    A text with no cancelling neighbours (x + y == 0, one pass in C)
+    skips the stack loop of free reduction.
     """
     tokens = text.split()
     try:
         letters = [alphabet._tokens[token] for token in tokens]
     except KeyError:
         return _parse_tokens(alphabet, tokens)
-    return Word(alphabet, free_reduce(letters), _reduced=True)
+    reduced = 0 not in map(add, letters, letters[1:])
+    return Word(alphabet, tuple(letters) if reduced else free_reduce(letters), _reduced=True)
 
 
 def _parse_tokens(alphabet: Alphabet, tokens: list[str]) -> Word:

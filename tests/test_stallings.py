@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stallings_oracle as oracle
+from freegroups import stallings
 from freegroups.stallings import (
     SubgroupGraph,
     graph_from_text,
@@ -415,6 +416,31 @@ def test_basis_and_express_match_oracle(case, data):
         probes.append(member)
     for probe in probes:
         assert graph.express_in_basis(probe) == oracle.express(rank, edges, probe.letters)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(generator_lists(), st.data())
+def test_repeated_express_in_basis_matches_oracle(case, data):
+    # The spanning tree is made once per graph and shared with basis(): every
+    # call, in any order and repeated, answers as a fresh tree would.
+    alphabet, gens = case
+    graph = subgroup_graph(alphabet, gens)
+    edges, rank = graph.edges, alphabet.rank
+    calls, bfs = [], stallings._bfs
+    stallings._bfs = lambda *args: calls.append(args) or bfs(*args)  # counts the spanning-tree searches
+    try:
+        for round_ in range(3):
+            probes = [data.draw(reduced_words(alphabet, 12)) for _ in range(2)]
+            if gens:  # a member: a product of generators
+                factors = data.draw(st.lists(st.sampled_from(gens), max_size=3))
+                probes.append(Word(alphabet, [l for g in factors for l in g.letters]))
+            for probe in probes + probes:
+                assert graph.express_in_basis(probe) == oracle.express(rank, edges, probe.letters)
+            if round_ == 1:
+                assert [b.letters for b in graph.basis()] == oracle.basis(rank, edges)
+    finally:
+        stallings._bfs = bfs
+    assert len(calls) == 1
 
 
 def _root_free_cyclic(rng: random.Random, alphabet: Alphabet, length: int) -> Word:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import whitehead_oracle as oracle
 from freegroups import stallings
 from freegroups.whitehead import (
+    WhiteheadMove,
     _descend,
     _first_move,
     _max_flow,
@@ -314,8 +315,8 @@ def test_min_cut_move_is_steepest(case, cyclic):
 def test_cyclic_step_matches_both_signs_picker(case):
     # A cyclic step tries only the multipliers a > 0; at every step of the
     # descent that is the move, None included, of the picker that tries all 2n.
-    def pick(words, cyclic):
-        move = _min_cut_move(words, cyclic)
+    def pick(words, cyclic, letters):
+        move = _min_cut_move(words, cyclic, letters)
         assert move == oracle.min_cut_move_both_signs(words, cyclic), words
         return move
 
@@ -345,6 +346,69 @@ def test_product_of_squares_is_not_primitive(rank):
     # of 2n(4^(n-1) - 1) moves, about 10^8 at rank 12.
     alphabet = ALPHABETS[rank]
     assert not is_primitive(Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)]))
+
+
+# ---------------------------------------------------------------------------
+# The exponent-sum gcd test against the descent alone, and the move records.
+
+
+@st.composite
+def primitivity_candidates(draw):
+    """Random words, proper powers of them, and Whitehead images of generators or their powers, at ranks 1-5."""
+    kind = draw(st.sampled_from(["random", "power", "image"]))
+    if kind == "image":
+        alphabet, (word_,) = draw(moved_generators((1, 2, 3, 4, 5), 1))
+    else:
+        alphabet, (word_,) = draw(word_tuples(ranks=(1, 2, 3, 4, 5), max_len=10, max_size=1))
+    if kind != "random":
+        word_ = word_ ** draw(st.sampled_from([1, 2, 3, -2, 6]))
+    return alphabet, word_
+
+
+@DIFFERENTIAL
+@given(primitivity_candidates())
+def test_is_primitive_matches_descent_alone(case):
+    # The gcd test answers only False, and only where the descent does.
+    alphabet, word_ = case
+    if not word_:
+        return
+    assert is_primitive(word_) == (_descend((word_,), True, _min_cut_move).final_length == 1), word_
+    assert is_free_factor([word_], alphabet) == (_descend((word_,), False, _min_cut_move).final_length == 1), word_
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_letter_tables_match_letter_image(rank):
+    alphabet = ALPHABETS[rank]
+    letters = alphabet.letters()
+    probe = Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)] + [-1, -rank])
+    for move in whitehead_moves(alphabet):
+        # A fresh move each time, so every table below is built by the move's own first apply.
+        twin = WhiteheadMove(move.alphabet, move.kind, move.images, move.multiplier, move.affected)
+        image = twin.apply(probe)
+        assert [twin._table[x] for x in letters] == [move.letter_image(x) for x in letters], move
+        assert image.letters == oracle.apply(move, probe.letters), move
+        assert move.apply(probe, cyclic=True) == cyclically_reduce(image)[0], move
+
+
+def test_move_records_compare_hash_and_are_immutable(f2):
+    a = WhiteheadMove(f2, "multiplier", multiplier=1, affected=frozenset({1, 2}))
+    b = WhiteheadMove(f2, "multiplier", (), 1, frozenset({2, 1}))
+    perm = WhiteheadMove(f2, "permutation", (2, -1))
+    assert a == b and hash(a) == hash(b) and len({a, b, perm}) == 2
+    assert hash(a) == hash((f2, "multiplier", (), 1, frozenset({1, 2})))
+    assert a != perm and a != WhiteheadMove(f2, "multiplier", multiplier=-1, affected=frozenset({-1, 2}))
+    assert a != WhiteheadMove(f2, "multiplier", multiplier=1, affected=frozenset({1, -2}))
+    assert a != (f2, "multiplier", (), 1, frozenset({1, 2}))
+    assert a.apply(w(f2, "x y")) == w(f2, "x y x") and a == b  # a table does not take part in equality
+    assert (a.alphabet, a.kind, a.images, a.multiplier, a.affected) == (f2, "multiplier", (), 1, frozenset({1, 2}))
+    assert repr(a) == "WhiteheadMove(mult x; A={x y})" and repr(perm) == "WhiteheadMove(perm: x->y, y->x^-1)"
+    for field in ("alphabet", "kind", "images", "multiplier", "affected", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        del a.kind
+    assert a.inverse() == WhiteheadMove(f2, "multiplier", multiplier=-1, affected=frozenset({-1, 2}))
+    assert perm.inverse().apply(perm.apply(w(f2, "x y^-1"))) == w(f2, "x y^-1")
 
 
 # ---------------------------------------------------------------------------

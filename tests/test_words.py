@@ -112,6 +112,28 @@ def test_parse_word_matches_regex_parser_on_mixed_texts(case):
     assert _parsed(parse_word, alphabet, text) == _parsed(oracle.parse_word, alphabet, text)
 
 
+@st.composite
+def single_letter_texts(draw):
+    """A reduced word with 0-3 cancelling pairs x x^-1 put in, written one letter per token."""
+    alphabet = Alphabet([f"g{i}" for i in range(1, draw(st.integers(1, 4)) + 1)])
+    letters = list(draw(reduced_words(alphabet, 30)).letters)
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.sampled_from(alphabet.letters()))
+        i = draw(st.integers(0, len(letters)))
+        letters[i:i] = [x, -x]
+    names = [alphabet.letter_name(x) + ("" if x > 0 else "^-1") for x in letters]
+    return alphabet, " ".join(names)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(single_letter_texts())
+def test_parse_word_matches_regex_parser_on_letter_texts(case):
+    # Reduced texts skip the stack loop; one cancelling pair anywhere must not.
+    alphabet, text = case
+    parsed = parse_word(alphabet, text)
+    assert parsed == oracle.parse_word(alphabet, text) and type(parsed.letters) is tuple
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda k: reduced_words(Alphabet([f"g{i}" for i in range(1, k + 1)]), 30)))
 def test_format_then_parse_round_trips(x):
