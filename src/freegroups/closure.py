@@ -214,7 +214,9 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
     g_inv_images["t"] = t_word * pres.lift(g_base.apply(d))
     g = Endomorphism(pres, g_images)
     g_inv = Endomorphism(pres, g_inv_images)
-    return CounterexampleSetup(a0_size, h_alphabet, a_names, pres, u, v, d, y, g, g_inv, g_base)
+    return CounterexampleSetup(
+        a0_size, h_alphabet, a_names, pres, u, v, d, y, g, g_inv, g_base
+    )
 
 
 def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
@@ -407,12 +409,19 @@ def verify_counterexample(
     if not ok:
         detail = f"fixed witness {format_word(witness)}"
     elif setup.g_base.is_letter_map():
-        detail = "no fixed word at any length (exact: g permutes letters and fixes no generator outside A)"
+        detail = (
+            "no fixed word at any length "
+            "(exact: g permutes letters and fixes no generator outside A)"
+        )
     else:
         detail = f"no fixed word up to length {l_separation}"
     checks.append(Check("dcl_separation_ok", ok, detail))
     return CounterexampleReport(
-        checks=tuple(checks), a0_size=a0_size, rank=a0_size + 4, l_solution=l_solution, l_separation=l_separation,
+        checks=tuple(checks),
+        a0_size=a0_size,
+        rank=a0_size + 4,
+        l_solution=l_solution,
+        l_separation=l_separation,
         solutions=solutions,
     )
 

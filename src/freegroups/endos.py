@@ -36,13 +36,19 @@ class Endomorphism:
         self.domain = domain
         self.images = {name: images[name] for name in alphabet.generators}
         self._alphabet = alphabet
-        self._table = {i: self.images[name].letters for i, name in enumerate(alphabet.generators, 1)}
-        self._table.update({-i: (~self.images[name]).letters for i, name in enumerate(alphabet.generators, 1)})
+        self._table = {}
+        for i, name in enumerate(alphabet.generators):
+            self._table[i + 1] = self.images[name].letters
+            self._table[-(i + 1)] = (~self.images[name]).letters
 
     @classmethod
     def identity(cls, domain) -> "Endomorphism":
-        gens = enumerate(domain.alphabet.generators, 1)
-        return cls(domain, {name: Word(domain.alphabet, (i,), _reduced=True) for i, name in gens})
+        alphabet = domain.alphabet
+        images = {
+            name: Word(alphabet, (i + 1,), _reduced=True)
+            for i, name in enumerate(alphabet.generators)
+        }
+        return cls(domain, images)
 
     def substitute(self, w: Word) -> Word:
         """Image word with free reduction only (no pinch rewriting)."""
@@ -72,10 +78,17 @@ class Endomorphism:
         return Word(self._alphabet, (self._alphabet.index(name) + 1,), _reduced=True)
 
     def is_identity(self) -> bool:
-        return all(self.domain.equal(self.images[n], self.generator_word(n)) for n in self._alphabet.generators)
+        return all(
+            self.domain.equal(self.images[name], self.generator_word(name))
+            for name in self._alphabet.generators
+        )
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Endomorphism) and self.domain == other.domain and self.images == other.images
+        return (
+            isinstance(other, Endomorphism)
+            and self.domain == other.domain
+            and self.images == other.images
+        )
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}->{w}" for n, w in self.images.items())

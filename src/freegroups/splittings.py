@@ -154,9 +154,16 @@ def validate_presentation(pres: HnnPresentation) -> Report:
         Check("u_root_free", u_exp == 1, f"u = ({u_root})^{u_exp}"),
         Check("v_root_free", v_exp == 1, f"v = ({v_root})^{v_exp}"),
     ]
-    conj, conj_inv = is_conjugate(pres.u, pres.v), is_conjugate(pres.u, ~pres.v)
-    detail = "u is conjugate to v^{+-1}" if (conj or conj_inv) else "no conjugator exists"
-    return Report((*checks, Check("u_v_not_conjugate", conj is None and conj_inv is None, detail)))
+    conj = is_conjugate(pres.u, pres.v)
+    conj_inv = is_conjugate(pres.u, ~pres.v)
+    checks.append(
+        Check(
+            "u_v_not_conjugate",
+            conj is None and conj_inv is None,
+            "u is conjugate to v^{+-1}" if (conj or conj_inv) else "no conjugator exists",
+        )
+    )
+    return Report(tuple(checks))
 
 
 def _push(out: list[int], letters: tuple[int, ...]) -> None:
@@ -340,8 +347,10 @@ class AmalgamForm(NamedTuple):
 
     def to_word(self, pres: AmalgamPresentation) -> Word:
         """Already reduced: the syllables are, and neighbours lie in different factors."""
-        letters = tuple(x for side, w in self.syllables for x in pres.to_union(side, w).letters)
-        return Word(pres.union_alphabet, letters, _reduced=True)
+        letters: list[int] = []
+        for side, w in self.syllables:
+            letters.extend(pres.to_union(side, w).letters)
+        return Word(pres.union_alphabet, tuple(letters), _reduced=True)
 
 
 def _syllables_of(pres: AmalgamPresentation, w: Word) -> list[tuple[int, Word]]:
@@ -462,7 +471,9 @@ def parse_presentation(text: str):
         if not sep:
             raise ValueError("hnn line must read 'hnn t : u -> v'")
         base = gens_lines[0]
-        return HnnPresentation(base, stable, parse_word(base, u_text), parse_word(base, v_text))
+        return HnnPresentation(
+            base, stable, parse_word(base, u_text), parse_word(base, v_text)
+        )
     if len(gens_lines) != 2:
         raise ValueError("amalgam presentations need two gens lines")
     w1_text, sep, w2_text = rest.split(":", 1)[-1].partition("=")  # the colon is optional

@@ -35,7 +35,7 @@ A step does only that work: one star graph, whose degrees it reads
 once; a flow, on a copy of the matrix, only for a multiplier that could
 shorten; and one pass of the move over each word, which takes the
 cyclic core as it ends.  A move's letter table is built in one pass
-from (a, A), and the letter list once per descent.
+from (a, A).
 """
 
 from __future__ import annotations
@@ -117,23 +117,29 @@ class WhiteheadMove:
     def inverse(self) -> "WhiteheadMove":
         if self.kind == "permutation":
             inv = [0] * len(self.images)
-            for i, img in enumerate(self.images, 1):
-                inv[abs(img) - 1] = i if img > 0 else -i
+            for i, img in enumerate(self.images):
+                inv[abs(img) - 1] = (i + 1) if img > 0 else -(i + 1)
             return WhiteheadMove(self.alphabet, "permutation", images=tuple(inv))
         a = self.multiplier
-        return WhiteheadMove(self.alphabet, "multiplier", multiplier=-a, affected=self.affected - {a} | {-a})
+        affected = frozenset(self.affected - {a}) | {-a}
+        return WhiteheadMove(self.alphabet, "multiplier", multiplier=-a, affected=affected)
 
     def endomorphism(self):
         """The underlying endomorphism (an automorphism of the free group)."""
-        gens = enumerate(self.alphabet.generators, 1)
-        images = {g: Word(self.alphabet, self.letter_image(i), _reduced=True) for i, g in gens}
+        images = {}
+        for i, name in enumerate(self.alphabet.generators):
+            images[name] = Word(self.alphabet, self.letter_image(i + 1), _reduced=True)
         return Endomorphism(self.alphabet, images)
 
     def __repr__(self) -> str:
         if self.kind == "permutation":
-            pairs = zip(self.alphabet.generators, self.images)
-            return f"WhiteheadMove(perm: {', '.join(f'{g}->{self._letter_str(img)}' for g, img in pairs)})"
-        body = " ".join(self._letter_str(l) for l in sorted(self.affected, key=letter_key))
+            body = ", ".join(
+                f"{name}->{self._letter_str(img)}"
+                for name, img in zip(self.alphabet.generators, self.images)
+            )
+            return f"WhiteheadMove(perm: {body})"
+        letters = sorted(self.affected, key=letter_key)
+        body = " ".join(self._letter_str(l) for l in letters)
         return f"WhiteheadMove(mult {self._letter_str(self.multiplier)}; A={{{body}}})"
 
     def _letter_str(self, letter: int) -> str:
@@ -147,14 +153,19 @@ def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMo
         raise ValueError(f"kinds must be 'both', 'permutation' or 'multiplier', not {kinds!r}")
     if alphabet.rank == 0:
         raise ValueError("alphabet must be nonempty")
-    moves, n, letters = [], alphabet.rank, alphabet.letters()
+    moves: list[WhiteheadMove] = []
+    n = alphabet.rank
     if kinds in ("both", "permutation"):
-        signed = itertools.product(itertools.permutations(range(1, n + 1)), itertools.product((1, -1), repeat=n))
-        moves += [WhiteheadMove(alphabet, "permutation", tuple(map(int.__mul__, p, s))) for p, s in signed]
+        for perm in itertools.permutations(range(1, n + 1)):
+            for signs in itertools.product((1, -1), repeat=n):
+                images = tuple(p * s for p, s in zip(perm, signs))
+                moves.append(WhiteheadMove(alphabet, "permutation", images=images))
     if kinds in ("both", "multiplier"):
-        for a in letters:
-            others = [l for l in letters if abs(l) != abs(a)]
-            moves += [_multiplier_move(alphabet, a, others, mask) for mask in range(1, 1 << len(others))]
+        all_letters = alphabet.letters()
+        for a in all_letters:
+            others = [l for l in all_letters if l != a and l != -a]
+            for mask in range(1, 1 << len(others)):
+                moves.append(_multiplier_move(alphabet, a, others, mask))
     return moves
 
 
@@ -188,7 +199,7 @@ def _multiplier_move(alphabet: Alphabet, a: int, others: list[int], mask: int) -
     return WhiteheadMove(alphabet, "multiplier", multiplier=a, affected=affected)
 
 
-def _first_move(words: tuple[Word, ...], cyclic: bool, letters: Sequence[int] = ()) -> Optional[WhiteheadMove]:
+def _first_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
     """The first shortening type-II move in the order of ``whitehead_moves``, or None.
 
     For the first multiplier a whose min cut is below deg(a), the bits of
@@ -200,7 +211,7 @@ def _first_move(words: tuple[Word, ...], cyclic: bool, letters: Sequence[int] = 
     as an edge from it to the sink lies on no augmenting path.
     """
     graph = _star_graph(words, cyclic)
-    letters = letters or words[0].alphabet.letters()
+    letters = words[0].alphabet.letters()
     size, degrees = len(graph), list(map(sum, graph))
     for a in letters:
         if (degree := degrees[a]) > 0:
@@ -225,7 +236,7 @@ def _first_move(words: tuple[Word, ...], cyclic: bool, letters: Sequence[int] = 
     return _multiplier_move(words[0].alphabet, a, others, mask)
 
 
-def _min_cut_move(words: tuple[Word, ...], cyclic: bool, letters: Sequence[int] = ()) -> Optional[WhiteheadMove]:
+def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
     """A steepest shortening type-II move, or None.
 
     The most negative min cut - deg(a) wins, the first a on ties, with A
@@ -238,7 +249,7 @@ def _min_cut_move(words: tuple[Word, ...], cyclic: bool, letters: Sequence[int] 
     graph = _star_graph(words, cyclic)
     size, degrees = len(graph), list(map(sum, graph))
     best, found = 0, None
-    for a in (letters or words[0].alphabet.letters())[:: 2 if cyclic else 1]:
+    for a in words[0].alphabet.letters()[:: 2 if cyclic else 1]:
         if (limit := degrees[a] + best) > 0:
             flow, cut = _max_flow([row[:] for row in graph], a % size, -a % size, limit)
             if flow < limit:
@@ -293,8 +304,8 @@ def _descend(words: Sequence[Word], cyclic: bool, pick) -> MinimizationTrace:
         return MinimizationTrace((), (), ())
     if any(w.alphabet != words[0].alphabet for w in words):
         raise ValueError("alphabet mismatch")
-    current, applied, letters = words, [], words[0].alphabet.letters()
-    while (move := pick(current, cyclic, letters)) is not None:
+    current, applied = words, []
+    while (move := pick(current, cyclic)) is not None:
         current = tuple(move.apply(w, cyclic) for w in current)
         applied.append(move)
     return MinimizationTrace(words, current, tuple(applied))
@@ -340,9 +351,7 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     independence, which automorphisms preserve, makes their generators
     distinct.  Type-I moves keep lengths, and peak reduction makes the
     greedy type-II descent reach the least total length in the orbit.
-    So U is a free-factor basis iff its descent ends at length k.  A
-    one-word basis is one iff its word is primitive, and it first gets
-    the exponent-sum test of ``is_primitive``.
+    So U is a free-factor basis iff its descent ends at length k.
 
     Raises ValueError when the words are not independent (the subgroup
     graph rank must equal the tuple length).
@@ -353,6 +362,4 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
             raise ValueError("alphabet mismatch")
     if stallings.subgroup_graph(alphabet, words).rank() != len(words):
         raise ValueError("words are not an independent basis")
-    if len(words) == 1 and math.gcd(*abelianize(words[0])) != 1:
-        return False
     return _descend(words, False, _min_cut_move).final_length == len(words)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import whitehead_oracle as oracle
-from freegroups import stallings
+from freegroups import stallings, whitehead
 from freegroups.whitehead import (
     WhiteheadMove,
     _descend,
@@ -315,8 +315,8 @@ def test_min_cut_move_is_steepest(case, cyclic):
 def test_cyclic_step_matches_both_signs_picker(case):
     # A cyclic step tries only the multipliers a > 0; at every step of the
     # descent that is the move, None included, of the picker that tries all 2n.
-    def pick(words, cyclic, letters):
-        move = _min_cut_move(words, cyclic, letters)
+    def pick(words, cyclic):
+        move = _min_cut_move(words, cyclic)
         assert move == oracle.min_cut_move_both_signs(words, cyclic), words
         return move
 
@@ -328,24 +328,37 @@ def test_cyclic_step_matches_both_signs_picker(case):
 def test_high_rank_generator_images_are_primitive(rank, steps, seed):
     # Moves are drawn without listing them all (about 10^8 at rank 12), with
     # uniform sets A: a drawn integer mask would stay small and move little.
+    # The same moves take x^3 y^2, not primitive, to a word whose exponent
+    # sums still have gcd 1, so only the descent can answer it.
     rng = random.Random(seed)
     alphabet = ALPHABETS[rank]
     letters = alphabet.letters()
-    image = Word(alphabet, (rng.randint(1, rank),))
+    x, y = rng.sample(range(1, rank + 1), 2)
+    image, other = Word(alphabet, (x,)), Word(alphabet, (x, x, x, y, y))
     for _ in range(steps):
         a = rng.choice(letters)
         others = [l for l in letters if abs(l) != abs(a)]
-        image = _multiplier_move(alphabet, a, others, rng.randrange(1, 2 ** len(others))).apply(image)
+        move = _multiplier_move(alphabet, a, others, rng.randrange(1, 2 ** len(others)))
+        image, other = move.apply(image), move.apply(other)
     assert is_primitive(image)
     assert not is_primitive(image**2)
+    assert math.gcd(*abelianize(other)) == 1 and not is_primitive(other)
 
 
 @pytest.mark.parametrize("rank", [8, 9, 10, 11, 12])
-def test_product_of_squares_is_not_primitive(rank):
+def test_product_of_squares_is_not_primitive(rank, monkeypatch):
     # Whitehead-minimal: the first-move picker would enumerate every delta
-    # of 2n(4^(n-1) - 1) moves, about 10^8 at rank 12.
+    # of 2n(4^(n-1) - 1) moves, about 10^8 at rank 12.  The exponent sums
+    # of g1^2 ... gn^2 have gcd 2, which answers it before any descent;
+    # those of g1^3 g2^2 ... gn^2 have gcd 1, so there the descent runs.
     alphabet = ALPHABETS[rank]
+    descents = []
+    monkeypatch.setattr(whitehead, "_descend", lambda *args: descents.append(args) or _descend(*args))
     assert not is_primitive(Word(alphabet, [g for g in range(1, rank + 1) for _ in (0, 1)]))
+    assert descents == []
+    odd = Word(alphabet, [1] + [g for g in range(1, rank + 1) for _ in (0, 1)])
+    assert not is_primitive(odd)
+    assert descents == [((odd,), True, _min_cut_move)]
 
 
 # ---------------------------------------------------------------------------
