@@ -1,8 +1,8 @@
 """Endomorphisms given by generator images, over free groups or splittings.
 
 A map is stored as one image word per generator name of its domain, a
-group given by its ``alphabet``, its ``relators`` and its own
-``normal_form`` and ``equal``.  Each group's rules live with its type:
+group given by its ``alphabet``, ``relators``, ``normal_form``, ``equal``
+and ``twist_fixes``.  Each group's rules live with its type:
 ``words.Alphabet`` is the free group (no relators, reduced words are
 normal forms), and ``splittings.HnnPresentation`` and
 ``splittings.AmalgamPresentation`` reduce by Britton's lemma and by
@@ -181,22 +181,43 @@ def orbit_bounded(
 ) -> OrbitReport:
     """Count the distinct images f_n(element) for 0 <= n <= bound.
 
-    Contract: f_n = tau^n for one automorphism tau, as for the Dehn
-    twists ``dehn_twist(pres, n)`` (inverse ``dehn_twist(pres, -1)``).
-    Then f_n(w) = f_m(w) iff tau^(n-m) fixes w, so the orbit is periodic
-    and its least period d is the first k >= 1 with f_k(w) = w.  The
-    images f_0 .. f_(d-1) are pairwise distinct and (0, d) is the first
-    collision; with no fixed image up to the bound all bound + 1 images
-    are distinct (none for a negative bound).  So the scan asks ``family``
-    for f_0 and, at a bound of 1 or more, tau = f_1, then applies tau to the
-    last image ``bound`` times at most, each followed by one equality test
-    in the codomain group.  d need not be 1 without the splitting
-    hypotheses: over <a, b, t | t^-1 a^2 t = a^3>, t t a t^-1 t^-1 has period 2.
+    Contract: f_n = tau^n for one automorphism tau, as for the twists
+    ``dehn_twist(pres, n)``, so the orbit of w = f_0(element) is periodic:
+    for its least period d, f_0 .. f_(d-1) are distinct and (0, d) is the
+    first collision; with d > bound all bound + 1 images are distinct
+    (none if bound < 0).  ``family`` is asked for f_0 and, if bound >= 1,
+    for tau = f_1.  If tau = ``dehn_twist(pres, p)``, p != 0, and the
+    splitting meets the hypotheses below, ``pres.twist_fixes(tau, w)``
+    answers by one reduction of w: each tau^k = dehn_twist(pres, kp)
+    fixes exactly the vertex group (Cohen and Lustig, Topology 34, 1995),
+    so d = 1 inside it and d is infinite outside.  Any other tau is
+    applied to the last image at most ``bound`` times, with an equality
+    test each; there d may be 2, as for t t a t^-1 t^-1 over BS(2, 3).
+
+    HNN, u and v root-free and u not conjugate to v^+-1 in the base K
+    (``validate_presentation``): tau fixes K.  Take a Britton form
+    w = g0 t^e1 g1 .. t^er gr, r >= 1, and tau(t^e) = a t^e b, with (a, b)
+    = (u^p, 1) at e = 1 and (1, u^-p) at e = -1.  tau(w) = g0 a1 t^e1
+    (b1 g1 a2) t^e2 .. is pinch-free (u^-p g u^p is in <u> iff g is), so
+    w^-1 tau(w) pinches only at the seam, t^-e1 a1 t^e1 b1 = y = v^p or
+    u^-p, leaving gr^-1 y gr != 1 at r = 1.  At r >= 2 the next seam
+    pinches iff g1^-1 y g1 is in <u> (e2 = 1) or <v> (e2 = -1): at e2 = e1
+    the roots u, v^+-1 would be conjugate; at e2 = -e1 g1 would commute
+    with y and lie in <v> or <u>, against the form.  So 2r - 2 > 0 stable
+    letters stay, and tau(w) != w by Britton's lemma.
+
+    Amalgam, c2 root-free in K2: tau fixes K1.  Otherwise the normal form
+    x1 .. xr has a factor-2 syllable x = xj outside <c2>, with j = 1 or x1
+    in K1: w^-1 tau(w) = xr^-1 .. (x^-1 c2^p x c2^-p) .. tau(xr) alternates
+    with no syllable in <c2> (else x commutes with c2^p), so it is not 1.
     """
     f = family(0)
     start = image = f.apply(element)
     tau = family(1) if bound >= 1 else None
-    for k in range(1, bound + 1):
+    fixed = None if tau is None else tau.domain.twist_fixes(tau, start)
+    if fixed:
+        return OrbitReport(description, element, bound, 1, (0, 1))
+    for k in range(1, bound + 1 if fixed is None else 1):  # a moved element needs no scan
         if f.domain.equal(start, image := tau.apply(image)):
             return OrbitReport(description, element, bound, k, (0, k))
     return OrbitReport(description, element, bound, max(bound + 1, 0), None)

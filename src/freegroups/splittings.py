@@ -13,8 +13,8 @@ reduction of ``w1 * w2^-1``, never form comparison.  All values are
 immutable and all operations pure.
 
 This module owns the rules of both groups: each presentation is a group
-domain for ``endos`` (its ``alphabet``, ``relators``, ``normal_form`` and
-``equal``), as ``words.Alphabet`` is for the free group.
+domain for ``endos`` (``alphabet``, ``relators``, ``normal_form``, ``equal``
+and ``twist_fixes``), as ``words.Alphabet`` is for the free group.
 """
 
 from __future__ import annotations
@@ -99,6 +99,12 @@ class HnnPresentation:
     def equal(self, w1: Word, w2: Word) -> bool:
         return hnn_equal(self, w1, w2)
 
+    def twist_fixes(self, f: Endomorphism, w: Word) -> Optional[bool]:
+        """Whether f fixes w if f = dehn_twist(self, p != 0) and self validates, else None."""
+        p = _power_in(f.images[self.stable].letters[:-1], self._edge_parts[0])
+        twist = p and f == dehn_twist(self, p) and validate_presentation(self).ok
+        return not britton_reduce(self, w).tail if twist else None
+
     @property
     def t_letter(self) -> int:
         return self.base.rank + 1
@@ -150,20 +156,12 @@ def validate_presentation(pres: HnnPresentation) -> Report:
     """
     u_root, u_exp = extract_root(pres.u)
     v_root, v_exp = extract_root(pres.v)
-    checks = [
+    apart = is_conjugate(pres.u, pres.v) is None and is_conjugate(pres.u, ~pres.v) is None
+    return Report((
         Check("u_root_free", u_exp == 1, f"u = ({u_root})^{u_exp}"),
         Check("v_root_free", v_exp == 1, f"v = ({v_root})^{v_exp}"),
-    ]
-    conj = is_conjugate(pres.u, pres.v)
-    conj_inv = is_conjugate(pres.u, ~pres.v)
-    checks.append(
-        Check(
-            "u_v_not_conjugate",
-            conj is None and conj_inv is None,
-            "u is conjugate to v^{+-1}" if (conj or conj_inv) else "no conjugator exists",
-        )
-    )
-    return Report(tuple(checks))
+        Check("u_v_not_conjugate", apart, "no conjugator exists" if apart else "u is conjugate to v^{+-1}"),
+    ))
 
 
 def _push(out: list[int], letters: tuple[int, ...]) -> None:
@@ -304,6 +302,24 @@ class AmalgamPresentation:
 
     def equal(self, w1: Word, w2: Word) -> bool:
         return amalgam_equal(self, w1, w2)
+
+    def twist_fixes(self, f: Endomorphism, w: Word) -> Optional[bool]:
+        """Whether f fixes w if f = dehn_twist(self, p != 0) and c2 is root-free, else None.
+        f moves a factor-2 generator g to Z g Z^-1, where Z g^m = c2^p and
+        g^m is the last run of g-letters of c2^(sign p)."""
+        parts, shift = self._edge_parts[1], self.factor1.rank
+        moved = [(g - shift, im) for g, im in enumerate(f.images.values(), 1) if g > shift and im.letters != (g,)]
+        if parts[4] != 1 or not moved:
+            return None
+        g, image = moved[0]
+        for sign in (1, -1):
+            power = _power_letters(parts, sign)
+            run = next((k for k, letter in enumerate(reversed(power)) if abs(letter) != g), len(power))
+            p, rest = divmod(len(image) // 2 + run - 2 * len(parts[0]), len(parts[1]))
+            if not rest and p > 0 and f == dehn_twist(self, sign * p):
+                form = amalgam_reduce(self, w).syllables  # K1: no syllable, a factor-1 one or a c2-power
+                return len(form) < 2 and all(side == 1 or _power_in(s.letters, parts) is not None for side, s in form)
+        return None
 
     def word(self, text: str) -> Word:
         return parse_word(self.union_alphabet, text)

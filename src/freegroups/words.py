@@ -81,7 +81,7 @@ class Alphabet:
     def extend(self, name: str) -> "Alphabet":
         return Alphabet(self.generators + (name,))
 
-    # As a group domain, the free group: no relators, reduced words are normal forms.
+    # As a group domain, the free group: no relators, reduced words are normal forms, no splitting.
     relators: tuple = ()
 
     @property
@@ -93,6 +93,9 @@ class Alphabet:
 
     def equal(self, w1: "Word", w2: "Word") -> bool:
         return w1 == w2
+
+    def twist_fixes(self, f, w: "Word") -> None:
+        return None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.generators == other.generators

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from freegroups import splittings
 from freegroups.closure import build_counterexample
 from freegroups.endos import (
     Endomorphism,
@@ -14,9 +15,16 @@ from freegroups.endos import (
     order_bounded,
     verify_automorphism_pair,
 )
-from freegroups.splittings import AmalgamPresentation, dehn_twist, hnn_equal, parse_presentation
+from freegroups.splittings import (
+    AmalgamPresentation,
+    HnnPresentation,
+    dehn_twist,
+    hnn_equal,
+    parse_presentation,
+    validate_presentation,
+)
 from freegroups.stallings import subgroup_graph
-from freegroups.words import Alphabet, abelianize, parse_word
+from freegroups.words import Alphabet, Word, abelianize, extract_root, parse_word
 
 import splittings_oracle as oracle
 from conftest import integer_determinant, random_reduced, reduced_words, w
@@ -285,6 +293,140 @@ def test_orbit_at_bound_one_thousand(setup):
     report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 1000)
     assert report.distinct_count == 1001
     assert report.first_collision is None
+
+
+@st.composite
+def lemma_splittings(draw):
+    """A splitting that meets the fixed-subgroup lemma's hypotheses."""
+    if draw(st.booleans()):
+        base = Alphabet("a b c" if draw(st.booleans()) else "a b")
+        u, v = draw(reduced_words(base, 4)), draw(reduced_words(base, 4))
+        assume(u and v)
+        pres = HnnPresentation(base, "t", u, v)
+        assume(validate_presentation(pres).ok)
+    else:
+        f1, f2 = Alphabet("p q"), Alphabet("r s")
+        c1, c2 = draw(reduced_words(f1, 4)), draw(reduced_words(f2, 4))
+        assume(c1 and c2 and extract_root(c2)[1] == 1)
+        pres = AmalgamPresentation(f1, f2, c1, c2)
+    return pres
+
+
+def vertex_group_word(draw, pres) -> Word:
+    """A word planted in the vertex group: base words around t^-1 u^k t
+    for HNN, factor-1 words around c2^k for amalgams."""
+    if isinstance(pres, HnnPresentation):
+        side, inner = pres.base, pres.word("t^-1") * pres.lift(pres.u) ** draw(st.integers(-2, 2)) * pres.word("t")
+        lift = pres.lift
+    else:
+        side, inner = pres.factor1, pres.to_union(2, pres.c2 ** draw(st.integers(-2, 2)))
+        lift = lambda g: pres.to_union(1, g)
+    return lift(draw(reduced_words(side, 3))) * inner * lift(draw(reduced_words(side, 3)))
+
+
+@st.composite
+def lemma_orbit_cases(draw):
+    pres = draw(lemma_splittings())
+    planted = vertex_group_word(draw, pres)
+    element = draw(st.sampled_from([
+        planted,
+        planted * draw(reduced_words(pres.alphabet, 4)),
+        draw(reduced_words(pres.alphabet, 9)),
+    ]))
+    return pres, element, draw(st.sampled_from([1, -1, 2, -2, 3])), draw(st.integers(-1, 12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lemma_orbit_cases())
+def test_orbit_exact_path_matches_pairwise(case):
+    pres, element, p, bound = case
+    family = lambda n: dehn_twist(pres, p * n)
+    assert orbit_bounded(family, element, bound) == oracle.orbit_pairwise(family, element, bound)
+    if bound >= 1:
+        in_vertex_group = pres.twist_fixes(family(1), element)
+        assert in_vertex_group is not None
+        assert in_vertex_group == pres.equal(family(1).apply(element), element)
+
+
+def count_equality_tests(monkeypatch) -> list:
+    """Record each ``hnn_equal`` and ``amalgam_equal`` call from now on."""
+    calls = []
+    for name in ("hnn_equal", "amalgam_equal"):
+        real = getattr(splittings, name)
+        monkeypatch.setattr(splittings, name, lambda *args, real=real: calls.append(args) or real(*args))
+    return calls
+
+
+def powers(f: Endomorphism):
+    """n -> f^n, for families that are not twists."""
+    cache = [Endomorphism.identity(f.domain)]
+    def family(n):
+        while len(cache) <= n:
+            cache.append(compose(f, cache[-1]))
+        return cache[n]
+    return family
+
+
+@pytest.mark.parametrize("pres", [ORBIT_SPLITTINGS[0], ORBIT_SPLITTINGS[1], ORBIT_SPLITTINGS[3]], ids=repr)
+@pytest.mark.parametrize("scale", [2, -1])
+def test_twist_families_take_the_exact_path(monkeypatch, pres, scale):
+    family = lambda n: dehn_twist(pres, scale * n)
+    for name in pres.alphabet.generators:
+        element = pres.word(name)
+        calls = count_equality_tests(monkeypatch)
+        report = orbit_bounded(family, element, 12)
+        assert calls == []
+        monkeypatch.undo()
+        assert report == oracle.orbit_pairwise(family, element, 12)
+
+
+def base_automorphism(pres) -> Endomorphism:
+    """Conjugation by the first base or factor-1 generator: an automorphism, never a twist."""
+    g = pres.word(pres.alphabet.generators[0])
+    return Endomorphism(pres, {name: g * pres.word(name) * ~g for name in pres.alphabet.generators})
+
+
+SCAN_FAMILIES = [
+    ("p = 0", ORBIT_SPLITTINGS[0], lambda n: dehn_twist(ORBIT_SPLITTINGS[0], 0)),
+    ("p = 0", ORBIT_SPLITTINGS[3], lambda n: dehn_twist(ORBIT_SPLITTINGS[3], 0)),
+    ("twist then conjugation", ORBIT_SPLITTINGS[0],
+     powers(compose(base_automorphism(ORBIT_SPLITTINGS[0]), dehn_twist(ORBIT_SPLITTINGS[0], 1)))),
+    ("twist then conjugation", ORBIT_SPLITTINGS[3],
+     powers(compose(base_automorphism(ORBIT_SPLITTINGS[3]), dehn_twist(ORBIT_SPLITTINGS[3], 1)))),
+    ("BS(2, 3)", BS23, lambda n: dehn_twist(BS23, n)),
+    ("c2 = r^2 is a square", ORBIT_SPLITTINGS[5], lambda n: dehn_twist(ORBIT_SPLITTINGS[5], n)),
+]
+
+
+@pytest.mark.parametrize("why, pres, family", SCAN_FAMILIES, ids=[f"{why}: {pres!r}" for why, pres, _ in SCAN_FAMILIES])
+def test_other_families_take_the_scan(monkeypatch, why, pres, family):
+    element = pres.word(pres.alphabet.generators[-1])
+    assert pres.twist_fixes(family(1), element) is None
+    calls = count_equality_tests(monkeypatch)
+    report = orbit_bounded(family, element, 6)
+    assert calls
+    monkeypatch.undo()
+    assert report == oracle.orbit_pairwise(family, element, 6)
+
+
+def test_free_group_orbits_take_the_scan(f2):
+    nielsen = endo(f2, x="x y", y="y")
+    assert f2.twist_fixes(nielsen, w(f2, "x")) is None
+    for text in ("x", "y", "x y^-1"):
+        report = orbit_bounded(powers(nielsen), w(f2, text), 8)
+        assert report == oracle.orbit_pairwise(powers(nielsen), w(f2, text), 8)
+
+
+def test_orbit_of_a_million_twists_without_equality_tests(monkeypatch, setup):
+    # The ROADMAP target: a moved element at n = 10^6 answers at once.
+    pres = setup.pres
+    family = lambda n: dehn_twist(pres, n)
+    calls = count_equality_tests(monkeypatch)
+    moved = orbit_bounded(family, pres.word("t"), 10**6)
+    assert (moved.distinct_count, moved.first_collision) == (10**6 + 1, None)
+    fixed = orbit_bounded(family, pres.word("t^-1 u t"), 10**6)
+    assert (fixed.distinct_count, fixed.first_collision) == (1, (0, 1))
+    assert calls == []
 
 
 def test_amalgam_presentations_compare_by_value():

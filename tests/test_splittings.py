@@ -67,6 +67,18 @@ def test_validate_examples(edge_pres, f2, h_rank4):
     bad2 = HnnPresentation(f3, "t", parse_word(f3, "x"), parse_word(f3, "z x z^-1"))
     report2 = validate_presentation(bad2)
     assert not report2.check("u_v_not_conjugate").passed
+    assert report2.check("u_v_not_conjugate").detail == "u is conjugate to v^{+-1}"
+    assert report.check("u_v_not_conjugate").detail == "no conjugator exists"
+
+
+@pytest.mark.parametrize("v_text", ["a b^2", "b^-2 a^-1"])
+def test_validate_names_the_empty_conjugator(v_text):
+    # v = u or u^-1 exactly: the conjugator is the empty word, which is
+    # falsy, and must still be reported as found.
+    base = Alphabet("a b")
+    report = validate_presentation(HnnPresentation(base, "t", parse_word(base, "a b^2"), parse_word(base, v_text)))
+    check = report.check("u_v_not_conjugate")
+    assert not check.passed and check.detail == "u is conjugate to v^{+-1}"
 
 
 def test_britton_examples(edge_pres):
