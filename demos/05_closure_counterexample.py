@@ -11,9 +11,9 @@ a length.
 """
 
 from freegroups import (
-    abelian_closure,
     Alphabet,
     build_counterexample,
+    centralizer,
     counterexample_solution_set,
     parse_word,
     verify_counterexample,
@@ -23,7 +23,7 @@ from freegroups import (
 def main():
     print("# Abelian case first: closures of cyclic subgroups are centralizers")
     f2 = Alphabet("x y")
-    print("closure generator of <x^2>:", abelian_closure(parse_word(f2, "x^2")))
+    print("closure generator of <x^2>:", centralizer(parse_word(f2, "x^2")))
 
     print()
     setup = build_counterexample(0)

@@ -64,12 +64,10 @@ from .closure import (
     AmalgamCertificate,
     CounterexampleReport,
     HnnCertificate,
-    abelian_closure,
     build_counterexample,
     compressed_step_check,
     counterexample_solution_set,
     dcl_separation_check,
-    v_perturbations,
     verify_counterexample,
 )
 

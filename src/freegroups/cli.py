@@ -1,10 +1,9 @@
 """Deterministic command-line surface for the toolkit.
 
-Every library operation is reachable from exactly one subcommand.  All
-output is plain text, byte-identical across runs for identical inputs;
-randomized checks live in the test suite, never here.  Exit status: 0
-for success / true / PASS, 1 for a mathematical false / FAIL, 2 for
-usage or parse errors.
+No operation has two subcommands.  All output is plain text,
+byte-identical across runs for identical inputs; randomized checks live
+in the test suite, never here.  Exit status: 0 for success / true /
+PASS, 1 for a mathematical false / FAIL, 2 for usage or parse errors.
 
 Each fact of the text boundary is stated once: ``build_parser`` declares
 every subcommand with its handler and options, ``_given`` rejects a
@@ -316,11 +315,6 @@ def cmd_orbit(args) -> int:
 # --- closure ----------------------------------------------------------------
 
 
-def cmd_abelian_acl(args) -> int:
-    print(words.format_word(closure.abelian_closure(words.parse_word(_alphabet(args), args.word))))
-    return 0
-
-
 def cmd_compressed_check(args) -> int:
     return _print_report(closure.compressed_step_check(closure.parse_certificate(_read(_given(args, "cert")))))
 
@@ -383,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("orbit", cmd_orbit, "pres")
     p.add_argument("--element", required=True)
     p.add_argument("--n", type=int, default=20)
-    add("abelian-acl", cmd_abelian_acl, "gens").add_argument("word")
     add("compressed-check", cmd_compressed_check, "cert")
     p = add("verify-counterexample", cmd_verify_counterexample)
     p.add_argument("--a0", type=int, default=0)

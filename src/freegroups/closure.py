@@ -1,5 +1,5 @@
-"""Closure procedures: abelian closure, compressed-rank certificates, and
-the full desk-scale pipeline separating algebraic from definable closure.
+"""Closure procedures: compressed-rank certificates, and the full
+desk-scale pipeline separating algebraic from definable closure.
 
 The pipeline works inside the one-edge splitting
 
@@ -35,7 +35,6 @@ from .words import (
     Alphabet,
     Word,
     abelianize,
-    centralizer,
     content_lines,
     cyclic_core,
     format_word,
@@ -44,13 +43,6 @@ from .words import (
     iter_reduced_letter_tuples,
     parse_word,
 )
-
-
-def abelian_closure(w: Word) -> Word:
-    """Closure of a nontrivial cyclic subgroup: the centralizer generator."""
-    if not w:
-        raise ValueError("abelian closure needs a nontrivial generator")
-    return centralizer(w)
 
 
 # ---------------------------------------------------------------------------
@@ -424,32 +416,3 @@ def verify_counterexample(
         l_separation=l_separation,
         solutions=solutions,
     )
-
-
-def v_perturbations(a0_size: int = 0) -> list[Word]:
-    """All valid one-letter perturbations of v (negative-control inputs).
-
-    Valid means the perturbed word is still reduced, cyclically reduced,
-    and the presentation hypotheses still hold.
-    """
-    setup = build_counterexample(a0_size)
-    v_letters = setup.v.letters
-    alphabet = setup.h_alphabet
-    out: list[Word] = []
-    for pos in range(len(v_letters)):
-        for letter in alphabet.letters():
-            if letter == v_letters[pos]:
-                continue
-            candidate = v_letters[:pos] + (letter,) + v_letters[pos + 1 :]
-            if free_reduce(candidate) != candidate:
-                continue
-            if len(candidate) >= 2 and candidate[0] == -candidate[-1]:
-                continue
-            w = Word(alphabet, candidate, _reduced=True)
-            try:
-                pres = HnnPresentation(alphabet, "t", setup.u, w)
-            except ValueError:
-                continue
-            if validate_presentation(pres).ok:
-                out.append(w)
-    return out

@@ -131,10 +131,6 @@ class BrittonForm(NamedTuple):
     head: Word
     tail: tuple[tuple[int, Word], ...] = ()
 
-    @property
-    def t_length(self) -> int:
-        return len(self.tail)
-
     def is_trivial(self) -> bool:
         return not self.tail and not self.head
 
@@ -210,7 +206,7 @@ def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
 
 def hnn_length(form: BrittonForm) -> int:
     """Number of stable letters; an invariant of the group element."""
-    return form.t_length
+    return len(form.tail)
 
 
 def hnn_equal(pres: HnnPresentation, w1: Word, w2: Word) -> bool:

@@ -151,6 +151,8 @@ def graph_from_text(text: str) -> SubgroupGraph:
     for line in content_lines(text):
         parts = line.split()
         if parts[0] == "gens":
+            if alphabet is not None:
+                raise ValueError(f"repeated gens line {line!r}")
             alphabet = Alphabet(parts[1:])
         elif parts[0] == "base":
             if parts[1:] != ["0"]:

@@ -21,8 +21,8 @@ from itertools import groupby
 from operator import add, neg
 from typing import Iterable, Iterator, Optional
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
-_TOKEN_RE = re.compile(r"^([A-Za-z0-9_]+)(?:\^(-?\d+))?$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^(-?\d+))?")
 
 
 class Alphabet:
@@ -41,7 +41,7 @@ class Alphabet:
         gens = tuple(generators)
         seen = set()
         for name in gens:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"bad generator name {name!r}")
             if name == "1":
                 raise ValueError("generator name '1' is reserved for the empty word")
@@ -213,7 +213,7 @@ def _parse_tokens(alphabet: Alphabet, tokens: list[str]) -> Word:
     for token in tokens:
         if token == "1":
             continue
-        m = _TOKEN_RE.match(token)
+        m = _TOKEN_RE.fullmatch(token)
         if not m:
             raise ValueError(f"malformed word token {token!r}")
         name, exp = m.group(1), m.group(2)

@@ -19,6 +19,9 @@ kept as the reference for the column-stack kernel in ``_bulk``, and
 ``cyclic_bounds`` the earlier loop that strips one end pair of every row
 per pass, the reference for the active-row loop in ``_bulk``, which
 compares only the rows still matching.
+
+``v_perturbations`` lists the one-letter perturbations of v that keep
+the splitting's hypotheses: the negative controls of the pipeline tests.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from typing import Optional
 import numpy as np
 
 from freegroups import _bulk
+from freegroups.closure import build_counterexample
 from freegroups.endos import Endomorphism
+from freegroups.splittings import HnnPresentation, validate_presentation
 from freegroups.words import Alphabet, Word, cyclically_reduce, free_reduce, iter_reduced_letter_tuples
 
 
@@ -183,3 +188,32 @@ def dcl_scan(g: Endomorphism, a_names: tuple[str, ...], max_len: int) -> tuple[b
             if g.apply(w) == w:
                 return False, w
     return True, None
+
+
+def v_perturbations(a0_size: int = 0) -> list[Word]:
+    """All valid one-letter perturbations of v (negative-control inputs).
+
+    Valid means the perturbed word is still reduced, cyclically reduced,
+    and the presentation hypotheses still hold.
+    """
+    setup = build_counterexample(a0_size)
+    v_letters = setup.v.letters
+    alphabet = setup.h_alphabet
+    out: list[Word] = []
+    for pos in range(len(v_letters)):
+        for letter in alphabet.letters():
+            if letter == v_letters[pos]:
+                continue
+            candidate = v_letters[:pos] + (letter,) + v_letters[pos + 1 :]
+            if free_reduce(candidate) != candidate:
+                continue
+            if len(candidate) >= 2 and candidate[0] == -candidate[-1]:
+                continue
+            w = Word(alphabet, candidate, _reduced=True)
+            try:
+                pres = HnnPresentation(alphabet, "t", setup.u, w)
+            except ValueError:
+                continue
+            if validate_presentation(pres).ok:
+                out.append(w)
+    return out

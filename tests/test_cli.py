@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,6 @@ EXPECTED_SUBCOMMANDS = {
     "order",
     "fixed",
     "orbit",
-    "abelian-acl",
     "compressed-check",
     "verify-counterexample",
 }
@@ -67,6 +67,12 @@ def test_subcommand_table_coverage():
     handlers = list(table.values())
     assert all(map(callable, handlers))
     assert len({id(h) for h in handlers}) == len(handlers)
+
+
+def test_readme_table_lists_the_subcommands():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| area | subcommands |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", table) == list(subcommands())
 
 
 def test_reduce(capsys):
@@ -109,6 +115,14 @@ def test_unfolded_graph_file_is_a_usage_error(capsys, tmp_path):
     for command in ("malnormal", "rank"):
         code, out, err = run(capsys, command, "--graph", str(graph_file))
         assert code == 2 and out == "" and err == "error: graph is not folded\n"
+
+
+def test_repeated_gens_line_is_a_usage_error(capsys, tmp_path):
+    graph_file = tmp_path / "regens.txt"
+    graph_file.write_text("gens a b\nbase 0\n0 a 1\n1 b 0\ngens x y z\n")
+    for argv in (["rank"], ["member", "x y"]):
+        code, out, err = run(capsys, *argv, "--graph", str(graph_file))
+        assert code == 2 and out == "" and err == "error: repeated gens line 'gens x y z'\n"
 
 
 def test_member_cyclic(capsys, tmp_path):
@@ -256,11 +270,6 @@ def test_orbit_least_period_two(capsys, tmp_path):
     lines = out.splitlines()
     assert "distinct: 2" in lines
     assert "first_collision: 0 2" in lines
-
-
-def test_abelian_acl(capsys):
-    code, out, _ = run(capsys, "abelian-acl", "--gens", "x y", "x^2")
-    assert code == 0 and out == "x\n"
 
 
 def test_compressed_check(capsys, tmp_path):

@@ -9,13 +9,11 @@ from freegroups import _bulk
 from freegroups.closure import (
     AmalgamCertificate,
     HnnCertificate,
-    abelian_closure,
     build_counterexample,
     compressed_step_check,
     counterexample_solution_set,
     dcl_separation_check,
     parse_certificate,
-    v_perturbations,
     verify_counterexample,
     CHECK_ORDER,
 )
@@ -24,6 +22,7 @@ from freegroups.splittings import hnn_equal
 from freegroups.words import (
     Alphabet,
     Word,
+    centralizer,
     commutator,
     cyclically_reduce,
     identity,
@@ -36,26 +35,26 @@ from conftest import random_reduced, reduced_words, w
 
 
 def test_abelian_closure_examples(f2):
-    assert abelian_closure(w(f2, "x^2")) == w(f2, "x")
-    assert abelian_closure(w(f2, "x")) == w(f2, "x")
-    assert abelian_closure(w(f2, "x y") ** 3) == w(f2, "x y")
+    assert centralizer(w(f2, "x^2")) == w(f2, "x")
+    assert centralizer(w(f2, "x")) == w(f2, "x")
+    assert centralizer(w(f2, "x y") ** 3) == w(f2, "x y")
     with pytest.raises(ValueError):
-        abelian_closure(identity(f2))
+        centralizer(identity(f2))
 
 
 def test_abelian_closure_idempotent(f2):
     rng = random.Random(5)
     for _ in range(60):
         word_ = random_reduced(rng, f2, 8, min_len=1)
-        once = abelian_closure(word_)
-        assert abelian_closure(once) == once
+        once = centralizer(word_)
+        assert centralizer(once) == once
 
 
 def test_abelian_closure_commuting_sweep(f2):
     from freegroups.words import iter_reduced_words, power_of
 
     word_ = w(f2, "x y") ** 3
-    closure_gen = abelian_closure(word_)
+    closure_gen = centralizer(word_)
     for z in iter_reduced_words(f2, 6):
         if commutator(z, word_) == identity(f2):
             assert power_of(z, closure_gen) is not None
@@ -151,7 +150,7 @@ def test_solution_set_methods_agree():
     setup = build_counterexample(0)
     alphabet = setup.h_alphabet
     a, b = parse_word(alphabet, "a"), parse_word(alphabet, "b")
-    overrides = v_perturbations(0)[::9][:5]
+    overrides = closure_oracle.v_perturbations(0)[::9][:5]
     for text in ("y u", "a y", "u y^-1 b", "a a b", "1", "a b a^-1 b^-1"):
         h = parse_word(alphabet, text)
         core = cyclically_reduce(a * h * b * h * a * ~h * b * ~h)[0]
@@ -167,7 +166,7 @@ def test_solution_set_methods_agree():
     # Perturbations at a0 = 1, some of which put u or c1 into v and so
     # change its B-syllables.
     alphabet1 = build_counterexample(1).h_alphabet
-    perturbed = v_perturbations(1)[::9]
+    perturbed = closure_oracle.v_perturbations(1)[::9]
     assert {"u", "c1"} <= {alphabet1.letter_name(x) for v in perturbed for x in v.letters}
     for v in perturbed:
         assert counterexample_solution_set(1, 4, v) == (
@@ -177,7 +176,7 @@ def test_solution_set_methods_agree():
     # length 8, and a v that uses every generator of rank 6.
     for a0_size, max_len in ((0, 5), (1, 4)):
         alphabet_k = build_counterexample(a0_size).h_alphabet
-        for v in v_perturbations(a0_size):
+        for v in closure_oracle.v_perturbations(a0_size):
             assert counterexample_solution_set(a0_size, max_len, v) == (
                 closure_oracle.solution_set_bulk(alphabet_k, v, max_len)
             )
@@ -530,7 +529,7 @@ def test_verify_counterexample_bad_bounds():
 
 
 def test_v_perturbations_are_valid():
-    perts = v_perturbations(0)
+    perts = closure_oracle.v_perturbations(0)
     assert len(perts) >= 40
     setup = build_counterexample(0)
     for word_ in perts:

@@ -186,6 +186,9 @@ def test_graph_from_text_errors():
         graph_from_text("gens x\nbase 1\n")
     with pytest.raises(ValueError):
         graph_from_text("gens x\n0 x 1\n2 x 3\n")
+    # A later gens line would relabel the edges read before it.
+    with pytest.raises(ValueError, match="repeated gens line 'gens x y z'"):
+        graph_from_text("gens a b\nbase 0\n0 a 1\n1 b 0\ngens x y z\n")
     for unfolded in ("0 x 1\n0 x 2\n", "1 x 0\n2 x 0\n"):
         with pytest.raises(ValueError, match="graph is not folded"):
             graph_from_text("gens x y\nbase 0\n" + unfolded)

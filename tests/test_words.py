@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freegroups.splittings import HnnPresentation
 from freegroups.words import (
     Alphabet,
     Word,
@@ -39,6 +40,15 @@ def test_alphabet_validation():
     assert a.rank == 4
     assert a.index("u") == 2
     assert "y" in a and "t" not in a
+
+
+def test_generator_names_reject_trailing_newline():
+    # "$" also matches before a final newline; names must match in full.
+    with pytest.raises(ValueError, match="bad generator name"):
+        Alphabet(["x\n", "y"])
+    base = Alphabet("a b")
+    with pytest.raises(ValueError, match="bad generator name"):
+        HnnPresentation(base, "t\n", w(base, "a"), w(base, "b"))
 
 
 def test_parse_and_format(f2):
