@@ -121,12 +121,17 @@ def verify_automorphism_pair(f: Endomorphism, g: Endomorphism) -> bool:
 
     Certifies that f (and g) are automorphisms with explicit inverses.
     Raises ValueError when either map is not a homomorphism.
+
+    Per generator x and order, whether w = f.substitute(g(x)) equals x, reduced only if w is not
+    the word x: the verdict of ``compose(f, g)``, whose image of x is w's normal form.
     """
     if f.domain != g.domain:
         raise ValueError("domain mismatch")
     if not f.is_homomorphism or not g.is_homomorphism:
         raise ValueError("both maps must be homomorphisms")
-    return compose(f, g).is_identity() and compose(g, f).is_identity()
+    gens = f._alphabet.generators
+    images = ((p.substitute(q.images[x]), f.generator_word(x)) for p, q in ((f, g), (g, f)) for x in gens)
+    return all(w == gen or f.domain.equal(w, gen) for w, gen in images)
 
 
 def order_bounded(f: Endomorphism, max_order: int) -> Optional[int]:

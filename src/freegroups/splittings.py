@@ -32,7 +32,6 @@ from .words import (
     _root_parts,
     content_lines,
     cyclic_core,
-    extract_root,
     is_conjugate,
     parse_word,
 )
@@ -72,6 +71,7 @@ class HnnPresentation:
     # Derived once; base letters keep their codes in the extended alphabet.
     extended: Alphabet = field(init=False, compare=False)
     _edge_parts: tuple = field(init=False, compare=False)
+    _validation: Optional[Report] = field(init=False, compare=False, default=None)  # see validate_presentation
 
     def __post_init__(self):
         if self.stable in self.base:
@@ -148,16 +148,19 @@ def validate_presentation(pres: HnnPresentation) -> Report:
     """Check the malnormality/non-conjugacy hypotheses of the splitting.
 
     (i) u and v root-free (equivalent to <u>, <v> malnormal in the free
-    base); (ii) u not conjugate to v or v^-1 in the base.
+    base); (ii) u not conjugate to v or v^-1 in the base.  Roots come from
+    the edge parts; the report is kept on the presentation at first use.
     """
-    u_root, u_exp = extract_root(pres.u)
-    v_root, v_exp = extract_root(pres.v)
-    apart = is_conjugate(pres.u, pres.v) is None and is_conjugate(pres.u, ~pres.v) is None
-    return Report((
-        Check("u_root_free", u_exp == 1, f"u = ({u_root})^{u_exp}"),
-        Check("v_root_free", v_exp == 1, f"v = ({v_root})^{v_exp}"),
-        Check("u_v_not_conjugate", apart, "no conjugator exists" if apart else "u is conjugate to v^{+-1}"),
-    ))
+    if pres._validation is None:
+        roots = [(Word(pres.base, c + s + c_inv, _reduced=True), e) for c, s, _, c_inv, e in pres._edge_parts]
+        (u_root, u_exp), (v_root, v_exp) = roots
+        apart = is_conjugate(pres.u, pres.v) is None and is_conjugate(pres.u, ~pres.v) is None
+        object.__setattr__(pres, "_validation", Report((
+            Check("u_root_free", u_exp == 1, f"u = ({u_root})^{u_exp}"),
+            Check("v_root_free", v_exp == 1, f"v = ({v_root})^{v_exp}"),
+            Check("u_v_not_conjugate", apart, "no conjugator exists" if apart else "u is conjugate to v^{+-1}"),
+        )))
+    return pres._validation
 
 
 def _push(out: list[int], letters: tuple[int, ...]) -> None:

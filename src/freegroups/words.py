@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from itertools import groupby
 from operator import add, neg
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^(-?\d+))?")
@@ -98,7 +98,7 @@ class Alphabet:
         return None
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.generators == other.generators
+        return other is self or isinstance(other, Alphabet) and self.generators == other.generators
 
     def __hash__(self) -> int:
         return hash(self.generators)
@@ -131,10 +131,10 @@ class Word:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[int] = (), _reduced: bool = False):
-        rank = alphabet.rank
         if _reduced:
             lets = letters if isinstance(letters, tuple) else tuple(letters)
         else:
+            rank = alphabet.rank
             lets = tuple(letters)
             for letter in lets:
                 if letter == 0 or abs(letter) > rank:
@@ -264,19 +264,26 @@ def cyclic_core(w: Word) -> Word:
     return Word(w.alphabet, lets[i : len(lets) - i], _reduced=True) if i else w
 
 
-def _as_text(letters: tuple[int, ...], rank: int) -> str:
+def _letter_text(rank: int) -> Callable[[tuple[int, ...]], str]:
     """One character per letter for substring search (negative letters index the codes from the end)."""
-    return "".join(map([chr(i) for i in range(2 * rank + 1)].__getitem__, letters))
+    chars = [chr(i) for i in range(2 * rank + 1)]
+    return lambda letters: "".join(map(chars.__getitem__, letters))
+
+
+def _rotations(core: tuple[int, ...], rank: int) -> Callable[[tuple[int, ...]], int]:
+    """For a cyclic core c: d -> the least k with d == c[k:] + c[:k] (d as long as c), else -1, in linear time."""
+    text = _letter_text(rank)
+    t = text(core)
+    rotations = t + t[:-1]
+    return lambda d: rotations.find(text(d))
 
 
 def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     """Witness g with g * w1 * g^-1 == w2, or None.
 
     Two words are conjugate iff their cyclic cores are rotations of each
-    other; the witness uses the smallest rotation offset, so it is
-    deterministic.  That offset is the first occurrence of the second
-    core in the first core doubled, found by one linear-time substring
-    search over the letters encoded as characters.
+    other; the witness uses the smallest rotation offset (``_rotations``),
+    so it is deterministic.  Its reduced factors cancel only at the seams.
     """
     if w1.alphabet != w2.alphabet:
         raise ValueError("alphabet mismatch")
@@ -284,20 +291,16 @@ def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     s2, c2 = cyclically_reduce(w2)
     if len(s1) != len(s2):
         return None
-    if not s1:
-        return identity(w1.alphabet)
-    t1, t2 = (_as_text(s.letters, w1.alphabet.rank) for s in (s1, s2))
-    k = (t1 + t1[:-1]).find(t2)
+    k = _rotations(s1.letters, w1.alphabet.rank)(s2.letters)
     if k < 0:
         return None
-    g0 = s1.letters[k:] if k else ()
-    return Word(w1.alphabet, free_reduce(c2.letters + g0 + (~c1).letters), _reduced=True)
+    return c2 * Word(w1.alphabet, s1.letters[k:] if k else (), _reduced=True) * ~c1
 
 
 def _root_parts(base: Word) -> tuple:
     """Letters c, s, s^-1, c^-1 and e with nontrivial base == (c s c^-1)^e, c s c^-1 root-free."""
     core, conj = cyclically_reduce(base)
-    text = _as_text(core.letters, base.alphabet.rank)
+    text = _letter_text(base.alphabet.rank)(core.letters)
     period = (text + text).find(text, 1)  # the least rotation period, which divides len(core)
     s, c = core.letters[:period], conj.letters
     return c, s, tuple(map(neg, reversed(s))), tuple(map(neg, reversed(c))), len(core) // period

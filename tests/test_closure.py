@@ -15,7 +15,6 @@ from freegroups.closure import (
     dcl_separation_check,
     parse_certificate,
     verify_counterexample,
-    CHECK_ORDER,
 )
 from freegroups.endos import Endomorphism, fixed_words
 from freegroups.splittings import hnn_equal
@@ -479,6 +478,17 @@ def test_g_fixes_no_bounded_word_with_stable_letter():
     ]
     assert len(with_t) == 5000
     assert not any(hnn_equal(pres, setup.g.apply(word_), word_) for word_ in with_t)
+
+
+CHECK_ORDER = (
+    "presentation_valid",
+    "abelianization_obstruction_ok",
+    "g_is_homomorphism",
+    "g_is_automorphism",
+    "gv_conjugate_to_v",
+    "solution_set",
+    "dcl_separation_ok",
+)
 
 
 def test_verify_counterexample_passes():

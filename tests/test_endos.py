@@ -24,6 +24,7 @@ from freegroups.splittings import (
     validate_presentation,
 )
 from freegroups.stallings import subgroup_graph
+from freegroups.whitehead import whitehead_moves
 from freegroups.words import Alphabet, Word, abelianize, extract_root, parse_word
 
 import splittings_oracle as oracle
@@ -144,6 +145,58 @@ def test_g_square_is_inverse_v_twist(setup):
     for name in setup.h_alphabet.generators:
         assert g2.images[name] == pres.word(name)
     assert order_bounded(setup.g, 20) is None
+
+
+def pair_cases():
+    """(f, g) pairs: free-group Whitehead moves with their inverses and with
+    other moves, twists of the pipeline's splitting and of an amalgam with
+    p + q = 0 and p + q != 0, the pipeline's g with g^-1 and with g, and
+    identity maps whose images are words equal to the generators only in
+    the group."""
+    rng = random.Random(1729)
+    cases = []
+    for gens in ("x y", "x y z", "a b c d"):
+        moves = [move.endomorphism() for move in whitehead_moves(Alphabet(gens))]
+        for f, other in zip(rng.sample(moves, 8), rng.sample(moves, 8)):
+            cases += [(f, inverse_of(f, moves)), (f, other)]
+    setup = build_counterexample(0)
+    amalgam = parse_presentation("gens p q\ngens r s\namalgam : p^2 = r^3\n")
+    for pres in (setup.pres, amalgam):
+        for p, q in ((1, -1), (-2, 2), (3, -3), (1, 1), (2, -1), (0, 0), (0, 2)):
+            cases.append((dehn_twist(pres, p), dehn_twist(pres, q)))
+    cases += [(setup.g, setup.g_inv), (setup.g_inv, setup.g), (setup.g, setup.g), (setup.g_inv, setup.g_inv)]
+    # The identity written through the relation, so a composite equals a
+    # generator only after a pinch or an amalgam merge.
+    pinched = endo(setup.pres, a="a", b="b", u="t a y b y a y^-1 b y^-1 t^-1", y="y", t="t")
+    merged = endo(amalgam, p="p", q="r^3 p^-2 q", r="r", s="s")
+    for f in (pinched, merged):
+        ident = Endomorphism.identity(f.domain)
+        cases += [(f, ident), (ident, f), (f, f), (f, dehn_twist(f.domain, 1))]
+    return cases
+
+
+def inverse_of(f: Endomorphism, moves: list[Endomorphism]) -> Endomorphism:
+    return next(g for g in moves if compose(f, g).is_identity())
+
+
+@pytest.mark.parametrize("f, g", pair_cases(), ids=repr)
+def test_verify_pair_equals_both_composed_checks(f, g):
+    # In these Hopfian groups f o g = id iff g o f = id, so the truth
+    # value alone cannot tell one order from two: the test also records
+    # the substitutions a True verdict makes, one per generator and order.
+    expected = compose(f, g).is_identity() and compose(g, f).is_identity()
+    assert f.is_homomorphism and g.is_homomorphism  # cached before recording
+    substituted = []
+    real = Endomorphism.substitute
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Endomorphism, "substitute", lambda self, w: substituted.append((self, w)) or real(self, w))
+        assert verify_automorphism_pair(f, g) == expected
+    gens = f.domain.alphabet.generators
+    both_orders = [(f, g.images[x]) for x in gens] + [(g, f.images[x]) for x in gens]
+    if expected:
+        assert substituted == both_orders
+    else:
+        assert len(substituted) <= len(both_orders)
 
 
 def test_verify_pair_rejects_non_homomorphism(setup):

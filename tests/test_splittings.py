@@ -21,6 +21,7 @@ from freegroups.splittings import (
 from freegroups.words import Alphabet, Word, free_reduce, identity, parse_word, power_of
 
 import splittings_oracle as oracle
+import words_oracle
 from conftest import random_reduced, reduced_words, w
 
 
@@ -69,6 +70,32 @@ def test_validate_examples(edge_pres, f2, h_rank4):
     assert not report2.check("u_v_not_conjugate").passed
     assert report2.check("u_v_not_conjugate").detail == "u is conjugate to v^{+-1}"
     assert report.check("u_v_not_conjugate").detail == "no conjugator exists"
+
+    # Conjugated proper powers c r^e c^-1 with c nonempty: the root details,
+    # read from the edge parts, match the divisor-loop oracle's root and
+    # exponent.
+    for (cu, ru, eu), (cv, rv, ev) in [
+        (("x y", "x^2 y^-1", 3), ("y^-2", "x z", 2)),
+        (("z^-1", "x y z^-1", 3), ("1", "x y^2 x^-1 z", 1)),
+        (("x", "y^2 z", 3), ("z x^-1", "x y^-1", 5)),
+        (("y x^-1", "z", 4), ("x", "y x", 1)),
+    ]:
+        u = w(f3, cu) * w(f3, ru) ** eu * ~w(f3, cu)
+        v = w(f3, cv) * w(f3, rv) ** ev * ~w(f3, cv)
+        report = validate_presentation(HnnPresentation(f3, "t", u, v))
+        for name, edge, e in (("u", u, eu), ("v", v, ev)):
+            root, exponent = words_oracle.extract_root(edge)
+            check = report.check(f"{name}_root_free")
+            assert exponent == e and check.detail == f"{name} = ({root})^{exponent}"
+            assert check.passed == (exponent == 1)
+
+
+def test_validation_is_kept_on_the_presentation(edge_pres, h_rank4):
+    report = validate_presentation(edge_pres)
+    assert validate_presentation(edge_pres) is report
+    twin = HnnPresentation(h_rank4, "t", edge_pres.u, edge_pres.v)
+    assert twin == edge_pres and hash(twin) == hash(edge_pres)
+    assert validate_presentation(twin) == report and validate_presentation(twin) is not report
 
 
 @pytest.mark.parametrize("v_text", ["a b^2", "b^-2 a^-1"])
