@@ -9,8 +9,9 @@ Elements of an HNN extension are plain words over the base alphabet
 extended by the stable letter; elements of an amalgam are words over the
 disjoint union of the factor alphabets.  Britton and amalgam forms are
 not canonical across pinch orders, so equality always goes through
-reduction of ``w1 * w2^-1``, never form comparison.  All values are
-immutable and all operations pure.
+reduction of ``w1 * w2^-1``, never form comparison.  All operations are
+pure, and values are immutable by convention, as ``Word`` and
+``SubgroupGraph`` are.
 
 This module owns the rules of both groups: each presentation is a group
 domain for ``endos`` (``alphabet``, ``relators``, ``normal_form``, ``equal``
@@ -19,7 +20,6 @@ and ``twist_fixes``), as ``words.Alphabet`` is for the free group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple, Optional
 
@@ -45,8 +45,7 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     checks: tuple[Check, ...]
 
     @property
@@ -60,28 +59,30 @@ class Report:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
 class HnnPresentation:
     """<H, t | u^t = v> with free base H and nontrivial base words u, v."""
 
-    base: Alphabet
-    stable: str
-    u: Word
-    v: Word
-    # Derived once; base letters keep their codes in the extended alphabet.
-    extended: Alphabet = field(init=False, compare=False)
-    _edge_parts: tuple = field(init=False, compare=False)
-    _validation: Optional[Report] = field(init=False, compare=False, default=None)  # see validate_presentation
+    __slots__ = ("base", "stable", "u", "v", "extended", "_edge_parts", "_validation")
 
-    def __post_init__(self):
-        if self.stable in self.base:
+    def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
+        if stable in base:
             raise ValueError("stable letter collides with a base generator")
-        if self.u.alphabet != self.base or self.v.alphabet != self.base:
+        if u.alphabet != base or v.alphabet != base:
             raise ValueError("u and v must be words over the base alphabet")
-        if not self.u or not self.v:
+        if not u or not v:
             raise ValueError("edge words must be nontrivial")
-        object.__setattr__(self, "extended", self.base.extend(self.stable))
-        object.__setattr__(self, "_edge_parts", (_root_parts(self.u), _root_parts(self.v)))
+        self.base, self.stable, self.u, self.v = base, stable, u, v
+        # Derived once; base letters keep their codes in the extended alphabet.
+        self.extended = base.extend(stable)
+        self._edge_parts = (_root_parts(u), _root_parts(v))
+        self._validation: Optional[Report] = None  # see validate_presentation
+
+    def __eq__(self, other: object) -> bool:
+        values = lambda p: (p.base, p.stable, p.u, p.v)
+        return isinstance(other, HnnPresentation) and values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.stable, self.u, self.v))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -155,11 +156,11 @@ def validate_presentation(pres: HnnPresentation) -> Report:
         roots = [(Word(pres.base, c + s + c_inv, _reduced=True), e) for c, s, _, c_inv, e in pres._edge_parts]
         (u_root, u_exp), (v_root, v_exp) = roots
         apart = is_conjugate(pres.u, pres.v) is None and is_conjugate(pres.u, ~pres.v) is None
-        object.__setattr__(pres, "_validation", Report((
+        pres._validation = Report((
             Check("u_root_free", u_exp == 1, f"u = ({u_root})^{u_exp}"),
             Check("v_root_free", v_exp == 1, f"v = ({v_root})^{v_exp}"),
             Check("u_v_not_conjugate", apart, "no conjugator exists" if apart else "u is conjugate to v^{+-1}"),
-        )))
+        ))
     return pres._validation
 
 
@@ -266,26 +267,28 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
     return ClassificationResult(False)
 
 
-@dataclass(frozen=True)
 class AmalgamPresentation:
     """Amalgam of two free factors over identified cyclic subgroups <c1> = <c2>."""
 
-    factor1: Alphabet
-    factor2: Alphabet
-    c1: Word
-    c2: Word
-    union_alphabet: Alphabet = field(init=False, compare=False)
-    _edge_parts: tuple = field(init=False, compare=False)
+    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet", "_edge_parts")
 
-    def __post_init__(self):
-        if set(self.factor1.generators) & set(self.factor2.generators):
+    def __init__(self, factor1: Alphabet, factor2: Alphabet, c1: Word, c2: Word):
+        if set(factor1.generators) & set(factor2.generators):
             raise ValueError("factor alphabets must be disjoint")
-        if self.c1.alphabet != self.factor1 or self.c2.alphabet != self.factor2:
+        if c1.alphabet != factor1 or c2.alphabet != factor2:
             raise ValueError("edge words must live in their own factors")
-        if not self.c1 or not self.c2:
+        if not c1 or not c2:
             raise ValueError("edge words must be nontrivial")
-        object.__setattr__(self, "union_alphabet", Alphabet(self.factor1.generators + self.factor2.generators))
-        object.__setattr__(self, "_edge_parts", (_root_parts(self.c1), _root_parts(self.c2)))
+        self.factor1, self.factor2, self.c1, self.c2 = factor1, factor2, c1, c2
+        self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
+        self._edge_parts = (_root_parts(c1), _root_parts(c2))
+
+    def __eq__(self, other: object) -> bool:
+        values = lambda p: (p.factor1, p.factor2, p.c1, p.c2)
+        return isinstance(other, AmalgamPresentation) and values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash((self.factor1, self.factor2, self.c1, self.c2))
 
     @property
     def alphabet(self) -> Alphabet:

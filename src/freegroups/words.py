@@ -8,21 +8,22 @@ needs no coordination.
 Word syntax (used by :func:`parse_word` / :func:`format_word`): tokens
 separated by whitespace, each token ``name`` or ``name^k`` for a nonzero
 integer ``k``; the token ``1`` denotes the empty word.  Generator names
-match ``[A-Za-z0-9_]+`` and the name ``1`` is reserved.  The single-letter
-tokens ``name`` and ``name^-1`` are read from a table each alphabet
-builds once; a text with any other token goes through the token regex,
-with the same syntax and errors.
+are nonempty strings of ASCII letters, digits and ``_``, and the name
+``1`` is reserved.  The single-letter tokens ``name`` and ``name^-1``
+are read from a table each alphabet builds once; any other token is
+split at ``^`` and checked by str methods.
 """
 
 from __future__ import annotations
 
-import re
 from itertools import groupby
 from operator import add, neg
 from typing import Callable, Iterable, Iterator, Optional
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+)(?:\^(-?\d+))?")
+
+def _is_name(text: str) -> bool:
+    """Whether text is a nonempty string over [A-Za-z0-9_]."""
+    return text.isascii() and text.replace("_", "a").isalnum()
 
 
 class Alphabet:
@@ -41,7 +42,7 @@ class Alphabet:
         gens = tuple(generators)
         seen = set()
         for name in gens:
-            if not _NAME_RE.fullmatch(name):
+            if not _is_name(name):
                 raise ValueError(f"bad generator name {name!r}")
             if name == "1":
                 raise ValueError("generator name '1' is reserved for the empty word")
@@ -190,39 +191,31 @@ class Word:
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Read a word in the module's syntax.
+    """Read a word in the module's syntax, raising at the first bad token.
 
-    Tokens ``name`` and ``name^-1`` map through the alphabet's token
-    table, in range by construction.  If any token misses it (``1``,
-    another exponent, a malformed or unknown token), the whole text goes
-    through the token regex instead, which raises at the first bad token.
-    A text with no cancelling neighbours (x + y == 0, one pass in C)
-    skips the stack loop of free reduction.
+    Tokens ``name`` and ``name^-1`` map through the alphabet's table, in
+    range by construction; others are split at ``^``, the exponent an
+    optional ``-`` and decimal digits.  A text with no cancelling
+    neighbours (x + y == 0, one pass in C) skips free reduction's loop.
     """
-    tokens = text.split()
+    tokens, table = text.split(), alphabet._tokens
     try:
-        letters = [alphabet._tokens[token] for token in tokens]
+        letters = list(map(table.__getitem__, tokens))
     except KeyError:
-        return _parse_tokens(alphabet, tokens)
+        letters = []
+        for token in tokens:
+            if token in table:
+                letters.append(table[token])
+            elif token != "1":
+                name, caret, exp = token.partition("^")
+                if not _is_name(name) or caret and not exp.removeprefix("-").isdecimal():
+                    raise ValueError(f"malformed word token {token!r}")
+                k = int(exp) if caret else 1
+                if k == 0:
+                    raise ValueError(f"zero exponent in token {token!r}")
+                letters += [alphabet.letter(name, k)] * abs(k)
     reduced = 0 not in map(add, letters, letters[1:])
     return Word(alphabet, tuple(letters) if reduced else free_reduce(letters), _reduced=True)
-
-
-def _parse_tokens(alphabet: Alphabet, tokens: list[str]) -> Word:
-    letters: list[int] = []
-    for token in tokens:
-        if token == "1":
-            continue
-        m = _TOKEN_RE.fullmatch(token)
-        if not m:
-            raise ValueError(f"malformed word token {token!r}")
-        name, exp = m.group(1), m.group(2)
-        k = 1 if exp is None else int(exp)
-        if k == 0:
-            raise ValueError(f"zero exponent in token {token!r}")
-        code = alphabet.letter(name, 1 if k > 0 else -1)
-        letters.extend([code] * abs(k))
-    return Word(alphabet, letters)
 
 
 def format_word(w: Word) -> str:

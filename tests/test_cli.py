@@ -486,6 +486,16 @@ def test_cli_import_leaves_numpy_out():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+def test_cli_import_generates_no_code():
+    # The value types are NamedTuples and slotted classes: no dataclass
+    # decoration, which would pull in dataclasses and inspect.  -S keeps
+    # site's own imports out of the probe.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import freegroups.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def help_text(capsys):
     """The --help output of the top level and of every subcommand, each under a "$ ..." line."""
     text = ""

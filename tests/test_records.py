@@ -3,9 +3,15 @@ equality and defaults as the frozen dataclasses they replaced."""
 
 import pytest
 
-from freegroups.closure import AmalgamCertificate, CounterexampleSetup, HnnCertificate, build_counterexample
+from freegroups.closure import (
+    AmalgamCertificate,
+    CounterexampleSetup,
+    HnnCertificate,
+    build_counterexample,
+    verify_counterexample,
+)
 from freegroups.endos import OrbitReport
-from freegroups.splittings import AmalgamForm, BrittonForm, Check, ClassificationResult
+from freegroups.splittings import AmalgamForm, BrittonForm, Check, ClassificationResult, Report
 from freegroups.whitehead import MinimizationTrace, WhiteheadMove
 from freegroups.words import Alphabet, parse_word
 
@@ -59,6 +65,24 @@ RECORDS = [
         "g_inv=Endomorphism(a->a, b->b, u->u, y->y^-1, t->t a y b y), "
         "g_base=Endomorphism(a->a, b->b, u->u, y->y^-1))",
     ),
+    (
+        lambda: Report((Check("u_root_free", True, "u = (u)^1"), Check("v_root_free", False, "v = (x)^2"))),
+        "Report(checks=(Check(name='u_root_free', passed=True, detail='u = (u)^1'), "
+        "Check(name='v_root_free', passed=False, detail='v = (x)^2')))",
+    ),
+    (
+        lambda: verify_counterexample(0, 3, 3),
+        "CounterexampleReport(checks=("
+        "Check(name='presentation_valid', passed=True, detail='u, v root-free and non-conjugate'), "
+        "Check(name='abelianization_obstruction_ok', passed=True, detail='ab(v) = (2, 2, 0, 0) != ab(u) = (0, 0, 1, 0)'), "
+        "Check(name='g_is_homomorphism', passed=True, detail='g(t)^-1 u g(t) = g(v) in the extension'), "
+        "Check(name='g_is_automorphism', passed=True, detail='explicit inverse sends t to t a y b y'), "
+        "Check(name='gv_conjugate_to_v', passed=True, detail='g(v) = d v d^-1 with d = a y^-1 b y^-1'), "
+        "Check(name='solution_set', passed=True, detail='solutions up to length 3: {y, y^-1}'), "
+        "Check(name='dcl_separation_ok', passed=True, "
+        "detail='no fixed word at any length (exact: g permutes letters and fixes no generator outside A)')), "
+        "a0_size=0, rank=4, l_solution=3, l_separation=3, solutions=(Word('y'), Word('y^-1')))",
+    ),
 ]
 IDS = [expected.split("(", 1)[0] for _, expected in RECORDS]
 
@@ -87,6 +111,13 @@ def test_equal_fields_give_equal_records(make, expected):
             hash(first)
     else:
         assert hash(first) == hash(second)
+
+
+def test_counterexample_report_looks_up_checks():
+    report = verify_counterexample(0, 3, 3)
+    assert report.check("solution_set") == report.checks[5]
+    with pytest.raises(KeyError):
+        report.check("missing")
 
 
 def test_defaults_are_kept():

@@ -500,3 +500,52 @@ def test_parse_presentation_errors():
         parse_presentation("gens a b\nhnn\n")
     with pytest.raises(ValueError, match="amalgam line must read 'amalgam : w1 = w2'"):
         parse_presentation("gens p q\ngens r s\namalgam\n")
+
+
+HNN_TEXT = "gens a b\nhnn t : a b^2 a^-1 -> b a b^-1\n"
+AMALGAM_TEXT = "gens p q\ngens r s\namalgam : p^2 q = r^3 s^-1\n"
+
+
+def _hnn_variants():
+    """The HNN presentation of HNN_TEXT with each defining value changed in turn.
+
+    A new base needs its words parsed again, over the new alphabet."""
+    base, wider = Alphabet("a b"), Alphabet("a b c")
+    return [
+        HnnPresentation(wider, "t", parse_word(wider, "a b^2 a^-1"), parse_word(wider, "b a b^-1")),
+        HnnPresentation(base, "s", parse_word(base, "a b^2 a^-1"), parse_word(base, "b a b^-1")),
+        HnnPresentation(base, "t", parse_word(base, "a b^3 a^-1"), parse_word(base, "b a b^-1")),
+        HnnPresentation(base, "t", parse_word(base, "a b^2 a^-1"), parse_word(base, "b^-1 a b")),
+    ]
+
+
+def _amalgam_variants():
+    f1, f2 = Alphabet("p q"), Alphabet("r s")
+    g1, g2 = Alphabet("p q o"), Alphabet("r s z")
+    return [
+        AmalgamPresentation(g1, f2, parse_word(g1, "p^2 q"), parse_word(f2, "r^3 s^-1")),
+        AmalgamPresentation(f1, g2, parse_word(f1, "p^2 q"), parse_word(g2, "r^3 s^-1")),
+        AmalgamPresentation(f1, f2, parse_word(f1, "p q"), parse_word(f2, "r^3 s^-1")),
+        AmalgamPresentation(f1, f2, parse_word(f1, "p^2 q"), parse_word(f2, "r^3 s")),
+    ]
+
+
+@pytest.mark.parametrize("text, variants", [(HNN_TEXT, _hnn_variants), (AMALGAM_TEXT, _amalgam_variants)])
+def test_presentations_compare_by_their_defining_values(text, variants):
+    first, second = parse_presentation(text), parse_presentation(text)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert not first != second and len({first, second}) == 1
+    for changed in variants():
+        assert changed != first and first != changed
+
+
+def test_hnn_and_amalgam_presentations_never_compare_equal():
+    hnn, amalgam = parse_presentation(HNN_TEXT), parse_presentation(AMALGAM_TEXT)
+    assert hnn != amalgam and amalgam != hnn
+    assert hnn != (hnn.base, hnn.stable, hnn.u, hnn.v)
+    assert amalgam != (amalgam.factor1, amalgam.factor2, amalgam.c1, amalgam.c2)
+
+
+def test_presentation_reprs_are_unchanged():
+    assert repr(parse_presentation(HNN_TEXT)) == "HnnPresentation(<H, t | a b^2 a^-1^t = b a b^-1>)"
+    assert repr(parse_presentation(AMALGAM_TEXT)) == "AmalgamPresentation(p^2 q = r^3 s^-1)"

@@ -51,6 +51,17 @@ def test_generator_names_reject_trailing_newline():
         HnnPresentation(base, "t\n", w(base, "a"), w(base, "b"))
 
 
+@pytest.mark.parametrize("name", ["x", "_", "b_2", "Z9", "\u00e9", "x-y", "", "x^2", "\u0663"])
+def test_generator_names_match_regex(name):
+    # Alphabet accepts exactly the nonempty names over [A-Za-z0-9_].
+    try:
+        accepted = Alphabet([name]).generators == (name,)
+    except ValueError as exc:
+        accepted = False
+        assert str(exc) == f"bad generator name {name!r}"
+    assert accepted == oracle.is_name(name)
+
+
 def test_parse_and_format(f2):
     assert format_word(w(f2, "x y y^-1")) == "x"
     assert format_word(w(f2, "x^3 y^-2")) == "x^3 y^-2"
@@ -98,6 +109,12 @@ DIGITS = Alphabet(["2", "x1"])
         (DIGITS, "2 x1 2^-1 x1^-1"),
         (DIGITS, "2^-1 2^3 x1"),
         (DIGITS, "x 2"),
+        (XY, "x^1_0"),
+        (XY, "x^\u0663 y^-\u0663"),
+        (XY, "x^-"),
+        (XY, "\u00e9"),
+        (XY, "x^\u00b2"),
+        (XY, "y x^--1"),
     ],
 )
 def test_parse_word_matches_regex_parser(alphabet, text):
@@ -108,7 +125,8 @@ def _tokens(alphabet: Alphabet):
     names = list(alphabet.generators)
     letter = st.sampled_from(names + [f"{n}^-1" for n in names])
     power = st.builds(lambda n, k: f"{n}^{k}", st.sampled_from(names), st.sampled_from(["0", "-0", "1", "01", "-01", "2", "-3"]))
-    odd = st.sampled_from(["1", "q", "x^^2", "x^", "^2", "x^+1", "x-1", "2^-1"])
+    # x^1_0: int() reads 10, the regex rejects it; x^\u0663 (Arabic-Indic three) both read as x^3.
+    odd = st.sampled_from(["1", "q", "x^^2", "x^", "^2", "x^+1", "x-1", "2^-1", "x^1_0", "x^\u0663", "x^-", "\u00e9"])
     return st.one_of(letter, letter, letter, power, odd)
 
 

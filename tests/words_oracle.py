@@ -1,8 +1,9 @@
 """Reference paths for the word-algebra tests: parsing by regex, roots by
 divisors, powers by two roots.
 
-``parse_word`` matches every token with one regex, the only path before
-the library read single-letter tokens from a table.
+``parse_word`` matches every token with one regex, and ``is_name``
+matches generator names with its name part; the library reads tokens
+from a table and checks the rest with str methods.
 
 ``extract_root`` tries every divisor d of the cyclic-core length in
 increasing order and keeps the first whose prefix, repeated, is the
@@ -20,7 +21,13 @@ from typing import Optional
 
 from freegroups.words import Alphabet, Word, cyclically_reduce
 
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(r"^([A-Za-z0-9_]+)(?:\^(-?\d+))?$")
+
+
+def is_name(name: str) -> bool:
+    """Whether the name regex matches all of name."""
+    return _NAME_RE.fullmatch(name) is not None
 
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
