@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import closure, endos, splittings, stallings, whitehead, words
 
@@ -40,7 +39,8 @@ REPORT_LINE = {
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 

@@ -193,7 +193,7 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
     d = parse_word(h_alphabet, "a y^-1 b y^-1")
     y = parse_word(h_alphabet, "y")
 
-    base_images = {name: parse_word(h_alphabet, name) for name in a_names}
+    base_images = {name: Word(h_alphabet, (i,), _reduced=True) for i, name in enumerate(a_names, 1)}
     base_images["y"] = ~y
     g_base = Endomorphism(h_alphabet, base_images)
 

@@ -22,6 +22,8 @@ from .words import Alphabet, Word, free_reduce, iter_reduced_words
 
 
 class Endomorphism:
+    twist_power = None  # p on the maps splittings.dehn_twist(pres, p) returns; no comparison reads it
+
     def __init__(self, domain, images: Mapping[str, Word]):
         alphabet = domain.alphabet
         missing = [name for name in alphabet.generators if name not in images]
@@ -191,7 +193,7 @@ def orbit_bounded(
     for its least period d, f_0 .. f_(d-1) are distinct and (0, d) is the
     first collision; with d > bound all bound + 1 images are distinct
     (none if bound < 0).  ``family`` is asked for f_0 and, if bound >= 1,
-    for tau = f_1.  If tau = ``dehn_twist(pres, p)``, p != 0, and the
+    for tau = f_1.  If ``dehn_twist(pres, p)``, p != 0, built tau and the
     splitting meets the hypotheses below, ``pres.twist_fixes(tau, w)``
     answers by one reduction of w: each tau^k = dehn_twist(pres, kp)
     fixes exactly the vertex group (Cohen and Lustig, Topology 34, 1995),

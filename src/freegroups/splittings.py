@@ -101,9 +101,8 @@ class HnnPresentation:
         return hnn_equal(self, w1, w2)
 
     def twist_fixes(self, f: Endomorphism, w: Word) -> Optional[bool]:
-        """Whether f fixes w if f = dehn_twist(self, p != 0) and self validates, else None."""
-        p = _power_in(f.images[self.stable].letters[:-1], self._edge_parts[0])
-        twist = p and f == dehn_twist(self, p) and validate_presentation(self).ok
+        """Whether f fixes w if f was built by dehn_twist(self, p != 0) and self validates, else None."""
+        twist = f.domain == self and f.twist_power and validate_presentation(self).ok
         return not britton_reduce(self, w).tail if twist else None
 
     @property
@@ -306,22 +305,12 @@ class AmalgamPresentation:
         return amalgam_equal(self, w1, w2)
 
     def twist_fixes(self, f: Endomorphism, w: Word) -> Optional[bool]:
-        """Whether f fixes w if f = dehn_twist(self, p != 0) and c2 is root-free, else None.
-        f moves a factor-2 generator g to Z g Z^-1, where Z g^m = c2^p and
-        g^m is the last run of g-letters of c2^(sign p)."""
-        parts, shift = self._edge_parts[1], self.factor1.rank
-        moved = [(g - shift, im) for g, im in enumerate(f.images.values(), 1) if g > shift and im.letters != (g,)]
-        if parts[4] != 1 or not moved:
+        """Whether f fixes w if f was built by dehn_twist(self, p != 0) and c2 is root-free, else None."""
+        parts = self._edge_parts[1]
+        if f.domain != self or not f.twist_power or parts[4] != 1:
             return None
-        g, image = moved[0]
-        for sign in (1, -1):
-            power = _power_letters(parts, sign)
-            run = next((k for k, letter in enumerate(reversed(power)) if abs(letter) != g), len(power))
-            p, rest = divmod(len(image) // 2 + run - 2 * len(parts[0]), len(parts[1]))
-            if not rest and p > 0 and f == dehn_twist(self, sign * p):
-                form = amalgam_reduce(self, w).syllables  # K1: no syllable, a factor-1 one or a c2-power
-                return len(form) < 2 and all(side == 1 or _power_in(s.letters, parts) is not None for side, s in form)
-        return None
+        form = amalgam_reduce(self, w).syllables  # K1: no syllable, a factor-1 one or a c2-power
+        return len(form) < 2 and all(side == 1 or _power_in(s.letters, parts) is not None for side, s in form)
 
     def word(self, text: str) -> Word:
         return parse_word(self.union_alphabet, text)
@@ -431,7 +420,7 @@ def dehn_twist(splitting, power: int):
     HNN case: identity on the base, t -> u^power t (left multiplication
     keeps t^-1 u t = v preserved under this orientation).  Amalgam case:
     identity on factor 1, conjugation g -> c^power g c^-power on factor 2.
-    Power 0 gives the identity map.
+    Power 0 gives the identity map.  The map keeps power as ``twist_power``.
     """
     if isinstance(splitting, HnnPresentation):
         twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
@@ -448,7 +437,9 @@ def dehn_twist(splitting, power: int):
         name: Word(alphabet, twisted.get(name, (i + 1,)), _reduced=True)
         for i, name in enumerate(alphabet.generators)
     }
-    return Endomorphism(splitting, images)
+    twist = Endomorphism(splitting, images)
+    twist.twist_power = power
+    return twist
 
 
 def parse_presentation(text: str):

@@ -41,6 +41,8 @@ class SubgroupGraph:
         self.alphabet, self.edges, self._tree = alphabet, frozenset(edges), None
         self._adj = adj = {0: {}}
         for src, g, dst in self.edges:
+            if not 0 < g <= alphabet.rank:
+                raise ValueError(f"edge label {g} is not a generator of rank {alphabet.rank}")
             out, inc = adj.setdefault(src, {}), adj.setdefault(dst, {})
             if g in out or -g in inc:
                 raise ValueError("graph is not folded")

@@ -488,10 +488,11 @@ def test_cli_import_leaves_numpy_out():
 
 def test_cli_import_generates_no_code():
     # The value types are NamedTuples and slotted classes: no dataclass
-    # decoration, which would pull in dataclasses and inspect.  -S keeps
-    # site's own imports out of the probe.
+    # decoration, which would pull in dataclasses and inspect.  Files are
+    # read with open(), so pathlib stays out too.  -S keeps site's own
+    # imports out of the probe.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    probe = "import freegroups.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = "import freegroups.cli, sys; print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 

@@ -470,6 +470,57 @@ def test_free_group_orbits_take_the_scan(f2):
         assert report == oracle.orbit_pairwise(powers(nielsen), w(f2, text), 8)
 
 
+@pytest.mark.parametrize("pres", [ORBIT_SPLITTINGS[0], ORBIT_SPLITTINGS[3]], ids=repr)
+@pytest.mark.parametrize("p", [1, -2])
+def test_hand_built_twists_take_the_scan(monkeypatch, pres, p):
+    # Only dehn_twist records its power: an equal map built from the same
+    # images is not recognised, and its orbit is the twist family's.
+    twist = dehn_twist(pres, p)
+    hand_built = Endomorphism(pres, twist.images)
+    assert hand_built == twist and hand_built.twist_power is None and twist.twist_power == p
+    family = lambda n: Endomorphism(pres, dehn_twist(pres, p * n).images)
+    for name in pres.alphabet.generators:
+        element = pres.word(name)
+        assert pres.twist_fixes(hand_built, element) is None
+        calls = count_equality_tests(monkeypatch)
+        report = orbit_bounded(family, element, 6)
+        assert calls
+        monkeypatch.undo()
+        assert report == orbit_bounded(lambda n: dehn_twist(pres, p * n), element, 6)
+
+
+def test_twist_fixes_needs_a_twist_of_its_own_splitting():
+    hnn, amalgam = ORBIT_SPLITTINGS[0], ORBIT_SPLITTINGS[3]
+    other_amalgam = parse_presentation("gens p q\ngens r s\namalgam : p = s\n")
+    for p1, p2 in [(hnn, ORBIT_SPLITTINGS[1]), (amalgam, other_amalgam), (ORBIT_SPLITTINGS[1], amalgam)]:
+        element = p2.word(p2.alphabet.generators[0])
+        assert p2.twist_fixes(dehn_twist(p2, 1), element) is not None
+        assert p2.twist_fixes(dehn_twist(p1, 1), element) is None
+    # A presentation equal by value is the same splitting.
+    same = build_counterexample(0).pres
+    assert same is not hnn and same.twist_fixes(dehn_twist(hnn, 1), same.word("a")) is True
+
+
+# <p, q> *_{[p, q] = s} <s>: no generator moves, so every twist is the
+# identity map; c2 = s is root-free, so the exact path answers.
+RANK_ONE_FACTOR = parse_presentation("gens p q\ngens s\namalgam : p q p^-1 q^-1 = s\n")
+
+
+@pytest.mark.parametrize("scale", [1, -2])
+def test_rank_one_second_factor_takes_the_exact_path(monkeypatch, scale):
+    pres = RANK_ONE_FACTOR
+    family = lambda n: dehn_twist(pres, scale * n)
+    assert family(1) == Endomorphism.identity(pres)
+    for text in ("p", "q", "s", "p s^2 q^-1", "s^-1 q p"):
+        element = pres.word(text)
+        calls = count_equality_tests(monkeypatch)
+        report = orbit_bounded(family, element, 12)
+        assert calls == []
+        monkeypatch.undo()
+        assert report == oracle.orbit_pairwise(family, element, 12)
+        assert pres.twist_fixes(family(1), element) is True
+
+
 def test_orbit_of_a_million_twists_without_equality_tests(monkeypatch, setup):
     # The ROADMAP target: a moved element at n = 10^6 answers at once.
     pres = setup.pres

@@ -201,6 +201,16 @@ def test_not_folded_rejected(f2):
         SubgroupGraph(f2, {(1, 1, 0), (2, 1, 0)})
 
 
+@pytest.mark.parametrize("edges, label", [
+    ([(0, -1, 1), (1, 2, 0)], -1),  # would read as x^-1 y
+    ([(0, 0, 0)], 0),  # would read as a y^-1 loop
+    ([(0, 5, 0)], 5),  # basis() and to_text() would raise IndexError
+])
+def test_edge_labels_outside_the_rank_rejected(f2, edges, label):
+    with pytest.raises(ValueError, match=f"^edge label {label} is not a generator of rank 2$"):
+        SubgroupGraph(f2, edges)
+
+
 def test_disconnected_edge_sets_rejected(f2):
     # A loop away from the base: rank 0 and "malnormal" if it were accepted.
     with pytest.raises(ValueError, match="^graph must be connected to base vertex 0$"):
