@@ -43,7 +43,7 @@ def main():
     print("# Dehn twists t -> u^n t and their bounded orbits")
     twist = dehn_twist(pres, 1)
     print("twist(1) sends t to", twist.images["t"])
-    report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 20, "twists")
+    report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 20)
     print(f"orbit of t under twists, n <= 20: {report.distinct_count} distinct images")
 
 

@@ -6,9 +6,9 @@ roots, centralizers, abelianization); folded subgroup graphs
 minimization (primitivity and free-factor detection); HNN extensions
 with Britton normal forms and amalgams with alternating normal forms;
 endomorphisms, bounded fixed subgroups and orbit periods; and the
-closure procedures built from them, including a verified rank-4 family
-of splittings in which one element is algebraic but not definable over
-a distinguished subgroup.
+closure procedures built from them, including a verified family of
+splittings of free groups of rank k + 4 in which one element is algebraic
+but not definable over a distinguished subgroup.
 """
 
 from .words import (

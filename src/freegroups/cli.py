@@ -296,16 +296,14 @@ def cmd_fixed(args) -> int:
 def cmd_orbit(args) -> int:
     pres = _presentation(args)
     element = words.parse_word(pres.alphabet, args.element)
+    bound = _count(args, "n")
+    report = endos.orbit_bounded(lambda n: splittings.dehn_twist(pres, n), element, bound)
     if isinstance(pres, splittings.HnnPresentation):
-        description = "hnn twists: t -> u^n t"
+        print("family: hnn twists: t -> u^n t")
     else:
-        description = "amalgam twists: conjugation by c^n on factor 2"
-    report = endos.orbit_bounded(
-        lambda n: splittings.dehn_twist(pres, n), element, _count(args, "n"), description
-    )
-    print(f"family: {report.family}")
+        print("family: amalgam twists: conjugation by c^n on factor 2")
     print(f"element: {words.format_word(report.element)}")
-    print(f"bound: {report.bound}")
+    print(f"bound: {bound}")
     print(f"distinct: {report.distinct_count}")
     collision = report.first_collision
     print(f"first_collision: {' '.join(map(str, collision)) if collision else 'none'}")
@@ -324,8 +322,8 @@ def cmd_verify_counterexample(args) -> int:
     if args.format == "text":
         print(f"a0_size: {report.a0_size}")
         print(f"rank: {report.rank}")
-        print(f"l_solution: {report.l_solution}")
-        print(f"l_separation: {report.l_separation}")
+        print(f"l_solution: {args.l_solution}")
+        print(f"l_separation: {args.l_separation}")
     return _print_report(report, args.format)
 
 

@@ -39,6 +39,7 @@ from .words import (
     format_word,
     free_reduce,
     iter_reduced_letter_tuples,
+    letter_key,
     parse_word,
     _rotations,
 )
@@ -291,7 +292,7 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
         found = set(filter(solves, set(map(free_reduce, candidates))))
     hits = sorted(
         (h for h in found if len(h) <= max_len),
-        key=lambda h: (len(h), [2 * abs(x) + (x < 0) for x in h]),
+        key=lambda h: (len(h), list(map(letter_key, h))),
     )
     return [Word(alphabet, h, _reduced=True) for h in hits]
 
@@ -336,8 +337,6 @@ class CounterexampleReport(NamedTuple):
     checks: tuple[Check, ...]
     a0_size: int
     rank: int
-    l_solution: int
-    l_separation: int
     # Solutions of length <= l_solution (exact over F, cut at that length).
     solutions: tuple[Word, ...]
 
@@ -395,7 +394,5 @@ def verify_counterexample(
         checks=tuple(checks),
         a0_size=a0_size,
         rank=a0_size + 4,
-        l_solution=l_solution,
-        l_separation=l_separation,
         solutions=solutions,
     )

@@ -173,19 +173,12 @@ def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
 
 
 class OrbitReport(NamedTuple):
-    family: str
     element: Word
-    bound: int
     distinct_count: int
     first_collision: Optional[tuple[int, int]]
 
 
-def orbit_bounded(
-    family: Callable[[int], Endomorphism],
-    element: Word,
-    bound: int,
-    description: str = "family",
-) -> OrbitReport:
+def orbit_bounded(family: Callable[[int], Endomorphism], element: Word, bound: int) -> OrbitReport:
     """Count the distinct images f_n(element) for 0 <= n <= bound.
 
     Contract: f_n = tau^n for one automorphism tau, as for the twists
@@ -223,8 +216,8 @@ def orbit_bounded(
     tau = family(1) if bound >= 1 else None
     fixed = None if tau is None else tau.domain.twist_fixes(tau, start)
     if fixed:
-        return OrbitReport(description, element, bound, 1, (0, 1))
+        return OrbitReport(element, 1, (0, 1))
     for k in range(1, bound + 1 if fixed is None else 1):  # a moved element needs no scan
         if f.domain.equal(start, image := tau.apply(image)):
-            return OrbitReport(description, element, bound, k, (0, k))
-    return OrbitReport(description, element, bound, max(bound + 1, 0), None)
+            return OrbitReport(element, k, (0, k))
+    return OrbitReport(element, max(bound + 1, 0), None)

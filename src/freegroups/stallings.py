@@ -7,11 +7,12 @@ so paths reading a given word are unique in both directions.  Core means
 every vertex except possibly the base has total degree >= 2; the base is
 kept even at degree <= 1 because membership is base-point sensitive.
 
-Graphs are canonically renumbered (breadth-first from the base, edges
-ordered by generator index and sign) on construction, so two graphs are
-label-isomorphic exactly when their edge sets are equal.  A graph is held
-as letter maps, vertex -> {signed letter: neighbour}, the form the fold
-builds.  Instances are immutable and all operations here are pure.
+The graphs built here (fold, ``intersect``, ``graph_from_text``) are
+renumbered canonically, breadth-first from the base in letter order, so
+for these ``==`` is label-isomorphism; ``SubgroupGraph(alphabet, edges)``
+keeps the caller's vertex ids, and reading its ``to_text`` renumbers it.
+Graphs are immutable, held as letter maps, vertex -> {signed letter:
+neighbour}, the form the fold builds; all operations here are pure.
 
 Costs, for V vertices and E edges over rank n: folding generators of
 total length L is near-linear in L, as each word is read in from both

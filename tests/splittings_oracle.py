@@ -17,7 +17,7 @@ from freegroups.splittings import ClassificationResult, validate_presentation
 from freegroups.words import Word, is_conjugate, power_of
 
 
-def orbit_pairwise(family, element, bound: int, description: str = "family") -> OrbitReport:
+def orbit_pairwise(family, element, bound: int) -> OrbitReport:
     """Count pairwise-distinct images f_n(element), 0 <= n <= bound, by all-pairs comparison."""
     reps = []
     first_collision = None
@@ -29,7 +29,7 @@ def orbit_pairwise(family, element, bound: int, description: str = "family") -> 
             reps.append((n, image))
         elif first_collision is None:
             first_collision = (hit, n)
-    return OrbitReport(description, element, bound, len(reps), first_collision)
+    return OrbitReport(element, len(reps), first_collision)
 
 
 def amalgam_rescan(pres, w) -> tuple:

@@ -113,9 +113,7 @@ def test_criterion_3_centralizers(capsys):
 def test_criterion_4_orbit_counts(capsys):
     setup = build_counterexample(0)
     pres = setup.pres
-    report = orbit_bounded(
-        lambda n: dehn_twist(pres, n), pres.word("t"), 100, "twists t -> u^n t"
-    )
+    report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 100)
     assert report.distinct_count == 101
     assert report.first_collision is None
 

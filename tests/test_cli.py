@@ -1,6 +1,7 @@
 import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -519,6 +520,30 @@ def test_compressed_check_amalgam_golden(capsys):
     code, out, err = run(capsys, "compressed-check", "--cert", str(DATA / "amalgam_cert.txt"))
     assert code == 0 and err == ""
     assert out == (DATA / "amalgam_cert_report.txt").read_text()
+
+
+# Whole outputs that other tests check only in part: orbit's exact path
+# (moved and fixed), its scan (period 2 over BS(2, 3); the amalgam
+# p^2 = r^3, whose edge word r^3 is a proper power), and a whitehead-min
+# trace of four moves, three of them the same.  Paths are from the repo
+# root; CI reruns these lines, quoting and all, on the installed package.
+TRANSCRIPT = [
+    "orbit --pres tests/data/pipeline.txt --element t --n 5",
+    'orbit --pres tests/data/pipeline.txt --element "t^-1 u t" --n 5',
+    'orbit --pres tests/data/bs23.txt --element "t t a t^-1 t^-1" --n 5',
+    'orbit --pres tests/data/amalgam_p2_r3.txt --element "q s" --n 4',
+    'whitehead-min --gens "x y z" "x y^3 z x^-1 y^2" "z y x y^2 z^-1"',
+]
+
+
+def test_transcript_golden(capsys, monkeypatch):
+    monkeypatch.chdir(DATA.parents[1])
+    text = ""
+    for line in TRANSCRIPT:
+        code, out, err = run(capsys, *shlex.split(line))
+        assert code == 0 and err == ""
+        text += f"$ freegroups {line}\n{out}"
+    assert text == (DATA / "cli_transcript.txt").read_text()
 
 
 @pytest.mark.parametrize(

@@ -255,7 +255,7 @@ def test_fixed_inside_rose_sanity(f2):
 
 def test_orbit_bounded_hnn(setup):
     pres = setup.pres
-    report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 10, "twists")
+    report = orbit_bounded(lambda n: dehn_twist(pres, n), pres.word("t"), 10)
     assert report.distinct_count == 11
     assert report.first_collision is None
 

@@ -41,8 +41,8 @@ RECORDS = [
         "AmalgamForm(syllables=((1, Word('x^2')), (2, Word('y'))))",
     ),
     (
-        lambda: OrbitReport("tau", w("x y^-1"), 3, 4, None),
-        "OrbitReport(family='tau', element=Word('x y^-1'), bound=3, distinct_count=4, first_collision=None)",
+        lambda: OrbitReport(w("x y^-1"), 4, None),
+        "OrbitReport(element=Word('x y^-1'), distinct_count=4, first_collision=None)",
     ),
     (
         lambda: MinimizationTrace((w("x y x^-1"),), (w("y"),), (WhiteheadMove(XY, "permutation", (2, 1)),)),
@@ -81,7 +81,7 @@ RECORDS = [
         "Check(name='solution_set', passed=True, detail='solutions up to length 3: {y, y^-1}'), "
         "Check(name='dcl_separation_ok', passed=True, "
         "detail='no fixed word at any length (exact: g permutes letters and fixes no generator outside A)')), "
-        "a0_size=0, rank=4, l_solution=3, l_separation=3, solutions=(Word('y'), Word('y^-1')))",
+        "a0_size=0, rank=4, solutions=(Word('y'), Word('y^-1')))",
     ),
 ]
 IDS = [expected.split("(", 1)[0] for _, expected in RECORDS]

@@ -179,6 +179,14 @@ def test_serialization_round_trip(f2):
     assert graph_from_text(text) == g
 
 
+def test_equality_is_label_isomorphism_for_built_graphs_only(f2):
+    # The constructor keeps the caller's vertex ids; a graph file is renumbered.
+    fold = subgroup_graph(f2, [w(f2, "x^2"), w(f2, "x y x^-1"), w(f2, "y x y^-1")])
+    relabelled = SubgroupGraph(f2, {(-7 * src, g, -7 * dst) for src, g, dst in fold.edges})
+    assert relabelled != fold
+    assert graph_from_text(relabelled.to_text()) == fold
+
+
 def test_graph_from_text_errors():
     with pytest.raises(ValueError):
         graph_from_text("0 x 1\n")
