@@ -3,7 +3,8 @@
 No operation has two subcommands.  All output is plain text,
 byte-identical across runs for identical inputs; randomized checks live
 in the test suite, never here.  Exit status: 0 for success / true /
-PASS, 1 for a mathematical false / FAIL, 2 for usage or parse errors.
+PASS, 1 for a mathematical false / FAIL, 2 for usage or parse errors and
+for numbers too large to hold.
 
 Each fact of the text boundary is stated once: ``build_parser`` declares
 every subcommand with its handler and options, ``_given`` rejects a
@@ -373,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("order", cmd_order, "gens", "pres", "map").add_argument("--max", type=int, default=20)
     add("fixed", cmd_fixed, "gens", "map").add_argument("--max-len", type=int, default=6)
     p = add("orbit", cmd_orbit, "pres")
-    p.add_argument("--element", required=True)
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--element", required=True, help="the word whose images under the twists are counted")
+    p.add_argument("--n", type=int, default=20, help="the largest twist power; exact at once when the splitting"
+                   " meets the twist lemma's hypotheses, otherwise a scan in time quadratic in n")
     add("compressed-check", cmd_compressed_check, "cert")
     p = add("verify-counterexample", cmd_verify_counterexample)
     p.add_argument("--a0", type=int, default=0)
@@ -395,8 +397,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:  # the last two: a number too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

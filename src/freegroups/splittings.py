@@ -32,6 +32,7 @@ from .words import (
     _root_parts,
     content_lines,
     cyclic_core,
+    free_reduce,
     is_conjugate,
     parse_word,
 )
@@ -280,7 +281,7 @@ class AmalgamPresentation:
             raise ValueError("edge words must be nontrivial")
         self.factor1, self.factor2, self.c1, self.c2 = factor1, factor2, c1, c2
         self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
-        self._edge_parts = (_root_parts(c1), _root_parts(c2))
+        self._edge_parts = (_root_parts(self.to_union(1, c1)), _root_parts(self.to_union(2, c2)))  # in union letters
 
     def __eq__(self, other: object) -> bool:
         values = lambda p: (p.factor1, p.factor2, p.c1, p.c2)
@@ -335,17 +336,12 @@ class AmalgamPresentation:
     def edge_word(self, side: int) -> Word:
         return self.c1 if side == 1 else self.c2
 
-    def _edge_power(self, side: int, p: int) -> Word:
-        """c_side^p as a factor word, from the root split once."""
-        parts = self._edge_parts[side - 1]
-        return Word(self.edge_word(side).alphabet, _power_letters(parts, p), _reduced=True)
-
     def __repr__(self) -> str:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
 
 
 class AmalgamForm(NamedTuple):
-    """Alternating syllables (side, factor word); interior syllables not in <c>."""
+    """Alternating syllables (side, word over the union alphabet); interior syllables not in <c>."""
 
     syllables: tuple[tuple[int, Word], ...]
 
@@ -354,14 +350,7 @@ class AmalgamForm(NamedTuple):
 
     def to_word(self, pres: AmalgamPresentation) -> Word:
         """Already reduced: the syllables are, and neighbours lie in different factors."""
-        letters: list[int] = []
-        for side, w in self.syllables:
-            letters.extend(pres.to_union(side, w).letters)
-        return Word(pres.union_alphabet, tuple(letters), _reduced=True)
-
-
-def _syllables_of(pres: AmalgamPresentation, w: Word) -> list[tuple[int, Word]]:
-    return [(side, pres.to_factor(side, tuple(run))) for side, run in groupby(w.letters, pres.side_of)]
+        return Word(pres.union_alphabet, tuple(x for _, w in self.syllables for x in w.letters), _reduced=True)
 
 
 def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
@@ -379,35 +368,37 @@ def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
     power below its top, so an edge power on top is the leftmost one:
     the next syllable absorbs it, and the result merges with the
     syllable below, which shares its side.  An edge power left on top at
-    the end joins its left neighbour.
+    the end joins its left neighbour.  Syllables are lists of union
+    letters, sliced against edge roots split once, and cancel at seams.
     """
     if w.alphabet != pres.union_alphabet:
         raise ValueError("word is not over the amalgam alphabet")
-    stack: list[tuple[int, Word]] = []
-    for side, wd in _syllables_of(pres, w):
+    parts, stack = pres._edge_parts, []
+    for side, run in groupby(w.letters, pres.side_of):
+        wd = list(run)
         while stack and wd:
             top_side, top = stack[-1]
-            if top_side == side:
-                wd = top * wd
-            else:
-                p = _power_in(top.letters, pres._edge_parts[top_side - 1])
+            if top_side != side:
+                p = _power_in(tuple(top), parts[top_side - 1])
                 if p is None:
                     break
-                wd = pres._edge_power(side, p) * wd
+                top = list(_power_letters(parts[side - 1], p))
             stack.pop()
+            _push(top, wd)
+            wd = top
         if wd:
             stack.append((side, wd))
     while len(stack) >= 2:
         side, last = stack[-1]
-        p = _power_in(last.letters, pres._edge_parts[side - 1])
+        p = _power_in(tuple(last), parts[side - 1])
         if p is None:
             break
         stack.pop()
-        side, wd = stack.pop()
-        wd = wd * pres._edge_power(side, p)
-        if wd:
-            stack.append((side, wd))
-    return AmalgamForm(tuple(stack))
+        side, wd = stack[-1]
+        _push(wd, _power_letters(parts[side - 1], p))
+        if not wd:
+            stack.pop()
+    return AmalgamForm(tuple((side, Word(pres.union_alphabet, tuple(ls), _reduced=True)) for side, ls in stack))
 
 
 def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:
@@ -425,10 +416,10 @@ def dehn_twist(splitting, power: int):
     if isinstance(splitting, HnnPresentation):
         twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
     elif isinstance(splitting, AmalgamPresentation):
-        conj = splitting._edge_power(2, power)
+        parts, shift = splitting._edge_parts[1], splitting.factor1.rank
         twisted = {
-            name: splitting.to_union(2, conj * Word(splitting.factor2, (i + 1,), _reduced=True) * ~conj).letters
-            for i, name in enumerate(splitting.factor2.generators)
+            name: free_reduce(_power_letters(parts, power) + (shift + i,) + _power_letters(parts, -power))
+            for i, name in enumerate(splitting.factor2.generators, 1)
         }
     else:
         raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")

@@ -18,11 +18,11 @@ Costs, for V vertices and E edges over rank n: folding generators of
 total length L is near-linear in L, as each word is read in from both
 ends, only its unread middle is added, and union-find merges run only
 when the reads meet.  Each result graph is built once: a degree queue
-trims its letter maps in place, then one breadth-first pass, O(V n),
-renumbers them into the final maps.  ``intersect`` is linear in the base
-component of the fiber product; ``is_malnormal`` streams only the
-off-diagonal product edges (about E^2 / n), each one union-find step on
-integer keys, and stops at the first cycle.
+trims its letter maps in place, then ``_bfs``, O(V n), numbers the
+vertices and each row is copied into the final maps.  ``intersect`` is
+linear in the base component of the fiber product; ``is_malnormal``
+streams only the off-diagonal product edges (about E^2 / n), each one
+union-find step on integer keys, and stops at the first cycle.
 """
 
 from __future__ import annotations
@@ -215,21 +215,12 @@ def _trim(adj: dict, base) -> None:
 
 
 def _canonical(alphabet: Alphabet, adj: dict, base) -> SubgroupGraph:
-    """Renumber the base component by BFS in canonical letter order, building its final maps.
+    """Renumber the base component in the order ``_bfs`` finds it, copying each row into the final maps.
 
     This gives a unique labeled form.  The maps are trusted to be folded.
     """
-    letters = alphabet.letters()
-    rename, order, maps = {base: 0}, [base], {}
-    for i, v in enumerate(order):  # order grows as vertices are found
-        m = adj[v]
-        row = maps[i] = {}
-        for letter in letters:
-            if (w := m.get(letter)) is not None:
-                if (j := rename.get(w)) is None:
-                    j = rename[w] = len(order)
-                    order.append(w)
-                row[letter] = j
+    rename = {v: i for i, v in enumerate(_bfs(base, adj, alphabet.letters()))}
+    maps = {i: {letter: rename[w] for letter, w in adj[v].items()} for v, i in rename.items()}
     graph = SubgroupGraph.__new__(SubgroupGraph)
     graph.alphabet, graph._adj, graph._tree = alphabet, maps, None
     graph.edges = frozenset((v, g, w) for v, m in maps.items() for g, w in m.items() if g > 0)
@@ -337,7 +328,7 @@ def is_malnormal(graph: SubgroupGraph) -> bool:
             row, row2 = p * size, p2 * size
             for q, q2 in pairs:
                 if p != q:
-                    a, b = row + q, row2 + q2
+                    a, b = row + q, row2 + q2  # inline finds: _find calls ran ~30% slower on the bench's malnormal ops
                     while (up := parent.get(a, a)) != a:
                         parent[a] = a = parent.get(up, up)
                     while (up := parent.get(b, b)) != b:

@@ -103,7 +103,7 @@ class WhiteheadMove:
         if w.alphabet != self._fields[0]:
             raise ValueError("alphabet mismatch")
         table, out = self._table or self._letter_table(), []
-        for letter in w.letters:
+        for letter in w.letters:  # inline: free_reduce of the chained images ran 0-4% slower on bench Whitehead ops
             for x in table[letter]:
                 if out and out[-1] == -x:
                     out.pop()

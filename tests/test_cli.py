@@ -462,6 +462,19 @@ def test_a0_has_no_rank_limit_and_rejects_negatives(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_numbers_too_large_to_hold_are_input_errors(capsys, monkeypatch):
+    code, out, err = run(capsys, "reduce", "--gens", "x y", "x^99999999999999999999")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+    # Whether a huge exponent raises MemoryError at once depends on the
+    # host's overcommit policy, so the handler raises it here.
+    def exhausted(w):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.words, "abelianize", exhausted)
+    assert run(capsys, "abelianize", "--gens", "x y", "x^3") == (2, "", "error: out of memory\n")
+
+
 def test_cached_parser_matches_fresh_parser(capsys, monkeypatch):
     argvs = [
         ["verify-counterexample", "--l-solution", "2", "--format", "tsv"],
@@ -533,6 +546,27 @@ TRANSCRIPT = [
     'orbit --pres tests/data/bs23.txt --element "t t a t^-1 t^-1" --n 5',
     'orbit --pres tests/data/amalgam_p2_r3.txt --element "q s" --n 4',
     'whitehead-min --gens "x y z" "x y^3 z x^-1 y^2" "z y x y^2 z^-1"',
+    # Amalgams: p^2 = r^3, and q p^2 q^-1 = r with a rank-1 second factor.
+    "dehn-twist --pres tests/data/amalgam_p2_r3.txt --power 3",
+    "dehn-twist --pres tests/data/amalgam_p2_r3.txt --power -2",
+    "dehn-twist --pres tests/data/amalgam_rank1.txt --power 2",
+    'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_map.txt "q s p^2 r^-3 s^-1 q r s"',
+    'apply --pres tests/data/amalgam_rank1.txt --map tests/data/amalgam_rank1_map.txt "q p^2 q^-1 r^-1 q r p"',
+    "compose --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_map.txt"
+    " --map2 tests/data/amalgam_p2_r3_map.txt",
+    "compose --pres tests/data/amalgam_rank1.txt --map tests/data/amalgam_rank1_map.txt"
+    " --map2 tests/data/amalgam_rank1_map.txt",
+    'orbit --pres tests/data/amalgam_p2_r3.txt --element "s q s^-1 r" --n 6',
+    'orbit --pres tests/data/amalgam_p2_r3.txt --element "r^3 s p^-2 s^-1" --n 3',
+    'orbit --pres tests/data/amalgam_rank1.txt --element "r q" --n 5',
+    'orbit --pres tests/data/amalgam_rank1.txt --element "q p^2 r q^-1" --n 5',
+    # Subgroup graphs: a hand-numbered file and a fold's output.
+    'fold --gens "x y" "x y x" "y^-2 x"',
+    "rank --graph tests/data/graph_hand.txt",
+    "rank --graph tests/data/graph_folded.txt",
+    "intersect --graph tests/data/graph_hand.txt --graph2 tests/data/graph_folded.txt",
+    'member --graph tests/data/graph_hand.txt "x^2 y x y^-1 x^-1"',
+    "malnormal --graph tests/data/graph_folded.txt",
 ]
 
 

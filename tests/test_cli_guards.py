@@ -121,6 +121,12 @@ GUARDS = [
     # the rank shows here.
     ("verify-counterexample at rank 124",
      ["verify-counterexample", "--a0", "120"], last_line("overall: PASS"), 0, 5),
+    # Numbers that fit in no index are input errors (exit 2), not a
+    # traceback's exit 1, which would read as a mathematical false.
+    ("word exponent too large for an index",
+     ["reduce", "--gens", "x y", "x^99999999999999999999"], exactly(""), 2, 5),
+    ("twist power too large for an index",
+     ["dehn-twist", "--pres", "pipeline.txt", "--power", "99999999999999999999"], exactly(""), 2, 5),
 ]
 
 

@@ -1,5 +1,8 @@
-"""The value records are NamedTuples: the same repr, immutability, value
-equality and defaults as the frozen dataclasses they replaced."""
+"""The value records are NamedTuples: the same immutability, value
+equality and defaults as the frozen dataclasses they replaced, and the
+same reprs except where a record has since dropped a field:
+``OrbitReport`` its family and bound, ``CounterexampleReport`` its two
+length bounds, the options its caller already holds."""
 
 import pytest
 
@@ -22,7 +25,8 @@ def w(text):
     return parse_word(XY, text)
 
 
-# One instance per record, with the repr its frozen dataclass printed.
+# One instance per record, with its pinned repr: what its frozen dataclass
+# printed, less the fields a record has dropped since.
 RECORDS = [
     (
         lambda: Check("u_root_free", True, "u = (u)^1"),

@@ -416,9 +416,25 @@ def amalgam_words(draw):
 def test_amalgam_reduce_matches_rescan(case):
     pres, word_ = case
     form = amalgam_reduce(pres, word_)
-    assert form.syllables == oracle.amalgam_rescan(pres, word_)
+    assert form.syllables == tuple((side, pres.to_union(side, wd)) for side, wd in oracle.amalgam_rescan(pres, word_))
     letters = form.to_word(pres).letters
     assert free_reduce(letters) == letters
+
+
+def test_amalgam_syllables_are_union_words(amalgam):
+    form = amalgam_reduce(amalgam, amalgam.word("q s p^2 r^-1 s"))
+    assert form.syllables == ((1, amalgam.word("q")), (2, amalgam.word("s r s")))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(amalgam_words())
+def test_amalgam_syllables_concatenate_to_the_form(case):
+    pres, word_ = case
+    form = amalgam_reduce(pres, word_)
+    for side, syllable in form.syllables:
+        assert syllable.alphabet == pres.union_alphabet
+        assert all(pres.side_of(letter) == side for letter in syllable.letters)
+    assert form.to_word(pres).letters == sum((syllable.letters for _, syllable in form.syllables), ())
 
 
 def test_amalgam_validation():
