@@ -29,7 +29,7 @@ def main():
     print()
     print("# Primitivity (cyclic length descent to a single letter)")
     for text in ("x y", "x y x", "x^2", "x y x^-1 y^-1", "x^2 y^2"):
-        print(f"is_primitive({text}) =", is_primitive(w(text), f2))
+        print(f"is_primitive({text}) =", is_primitive(w(text)))
 
     print()
     print("# Free factors (total length descent to one letter per word)")

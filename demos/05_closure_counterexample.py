@@ -29,7 +29,7 @@ def main():
     setup = build_counterexample(0)
     print("# The splitting:")
     print("  base H on", " ".join(setup.h_alphabet.generators))
-    print("  u =", setup.u, "   v =", setup.v)
+    print("  u =", setup.pres.u, "   v =", setup.v)
     print("  g: y -> y^-1, t -> t d^-1 with d =", setup.d)
 
     print()

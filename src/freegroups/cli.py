@@ -198,8 +198,7 @@ def cmd_malnormal(args) -> int:
 
 
 def cmd_is_primitive(args) -> int:
-    alphabet = _alphabet(args)
-    return _bool_exit(whitehead.is_primitive(words.parse_word(alphabet, args.word), alphabet))
+    return _bool_exit(whitehead.is_primitive(words.parse_word(_alphabet(args), args.word)))
 
 
 def cmd_is_free_factor(args) -> int:
@@ -303,7 +302,7 @@ def cmd_orbit(args) -> int:
         print("family: hnn twists: t -> u^n t")
     else:
         print("family: amalgam twists: conjugation by c^n on factor 2")
-    print(f"element: {words.format_word(report.element)}")
+    print(f"element: {words.format_word(element)}")
     print(f"bound: {bound}")
     print(f"distinct: {report.distinct_count}")
     collision = report.first_collision
@@ -321,7 +320,7 @@ def cmd_compressed_check(args) -> int:
 def cmd_verify_counterexample(args) -> int:
     report = closure.verify_counterexample(args.a0, args.l_solution, args.l_separation)
     if args.format == "text":
-        print(f"a0_size: {report.a0_size}")
+        print(f"a0_size: {args.a0}")
         print(f"rank: {report.rank}")
         print(f"l_solution: {args.l_solution}")
         print(f"l_separation: {args.l_separation}")

@@ -161,11 +161,9 @@ def parse_certificate(text: str):
 
 
 class CounterexampleSetup(NamedTuple):
-    a0_size: int
     h_alphabet: Alphabet
     a_names: tuple[str, ...]
     pres: HnnPresentation
-    u: Word
     v: Word
     d: Word
     y: Word
@@ -184,13 +182,12 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
         raise ValueError("a0 size must be nonnegative")
     a_names = tuple(f"c{i + 1}" for i in range(a0_size)) + ("a", "b", "u")
     h_alphabet = Alphabet(a_names + ("y",))
-    u = parse_word(h_alphabet, "u")
     v = parse_word(h_alphabet, "a y b y a y^-1 b y^-1")
     if v_override is not None:
         if v_override.alphabet != h_alphabet:
             raise ValueError("v override must be a word over the base alphabet")
         v = v_override
-    pres = HnnPresentation(h_alphabet, "t", u, v)
+    pres = HnnPresentation(h_alphabet, "t", parse_word(h_alphabet, "u"), v)
     d = parse_word(h_alphabet, "a y^-1 b y^-1")
     y = parse_word(h_alphabet, "y")
 
@@ -202,9 +199,7 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
     lifted = {name: pres.lift(w) for name, w in base_images.items()}
     g = Endomorphism(pres, {**lifted, "t": t_word * pres.lift(~d)})
     g_inv = Endomorphism(pres, {**lifted, "t": t_word * pres.lift(g_base.apply(d))})
-    return CounterexampleSetup(
-        a0_size, h_alphabet, a_names, pres, u, v, d, y, g, g_inv, g_base
-    )
+    return CounterexampleSetup(h_alphabet, a_names, pres, v, d, y, g, g_inv, g_base)
 
 
 def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
@@ -335,7 +330,6 @@ def dcl_separation_check(
 
 class CounterexampleReport(NamedTuple):
     checks: tuple[Check, ...]
-    a0_size: int
     rank: int
     # Solutions of length <= l_solution (exact over F, cut at that length).
     solutions: tuple[Word, ...]
@@ -363,7 +357,7 @@ def verify_counterexample(
     checks.append(Check("presentation_valid", validation.ok, detail))
 
     # (b) no base solution: the equation word never abelianizes to u.
-    ab_v, ab_u = abelianize(setup.v), abelianize(setup.u)
+    ab_v, ab_u = abelianize(setup.v), abelianize(setup.pres.u)
     detail = f"ab(v) = {ab_v} != ab(u) = {ab_u}" if ab_v != ab_u else f"ab(v) = ab(u) = {ab_u}"
     checks.append(Check("abelianization_obstruction_ok", ab_v != ab_u, detail))
 
@@ -390,9 +384,4 @@ def verify_counterexample(
     ok, witness = dcl_separation_check(setup.g_base, setup.a_names, l_separation)
     exact = "no fixed word at any length (exact: g permutes letters and fixes no generator outside A)"
     checks.append(Check("dcl_separation_ok", ok, exact if ok else f"fixed witness {format_word(witness)}"))
-    return CounterexampleReport(
-        checks=tuple(checks),
-        a0_size=a0_size,
-        rank=a0_size + 4,
-        solutions=solutions,
-    )
+    return CounterexampleReport(checks=tuple(checks), rank=a0_size + 4, solutions=solutions)

@@ -140,9 +140,10 @@ def order_bounded(f: Endomorphism, max_order: int) -> Optional[int]:
     """Least k <= max_order with f^k = id on generators, else None."""
     power = f
     for k in range(1, max_order + 1):
+        if k > 1:
+            power = compose(f, power)
         if power.is_identity():
             return k
-        power = compose(f, power)
     return None
 
 
@@ -173,7 +174,6 @@ def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
 
 
 class OrbitReport(NamedTuple):
-    element: Word
     distinct_count: int
     first_collision: Optional[tuple[int, int]]
 
@@ -216,8 +216,8 @@ def orbit_bounded(family: Callable[[int], Endomorphism], element: Word, bound: i
     tau = family(1) if bound >= 1 else None
     fixed = None if tau is None else tau.domain.twist_fixes(tau, start)
     if fixed:
-        return OrbitReport(element, 1, (0, 1))
+        return OrbitReport(1, (0, 1))
     for k in range(1, bound + 1 if fixed is None else 1):  # a moved element needs no scan
         if f.domain.equal(start, image := tau.apply(image)):
-            return OrbitReport(element, k, (0, k))
-    return OrbitReport(element, max(bound + 1, 0), None)
+            return OrbitReport(k, (0, k))
+    return OrbitReport(max(bound + 1, 0), None)

@@ -326,16 +326,6 @@ class AmalgamPresentation:
         lets = tuple(l + shift if l > 0 else l - shift for l in w.letters)
         return Word(self.union_alphabet, lets, _reduced=True)
 
-    def to_factor(self, side: int, letters: tuple[int, ...]) -> Word:
-        if side == 1:
-            return Word(self.factor1, letters, _reduced=True)
-        shift = self.factor1.rank
-        lets = tuple(l - shift if l > 0 else l + shift for l in letters)
-        return Word(self.factor2, lets, _reduced=True)
-
-    def edge_word(self, side: int) -> Word:
-        return self.c1 if side == 1 else self.c2
-
     def __repr__(self) -> str:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
 
@@ -413,16 +403,19 @@ def dehn_twist(splitting, power: int):
     identity on factor 1, conjugation g -> c^power g c^-power on factor 2.
     Power 0 gives the identity map.  The map keeps power as ``twist_power``.
     """
-    if isinstance(splitting, HnnPresentation):
-        twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
-    elif isinstance(splitting, AmalgamPresentation):
-        parts, shift = splitting._edge_parts[1], splitting.factor1.rank
-        twisted = {
-            name: free_reduce(_power_letters(parts, power) + (shift + i,) + _power_letters(parts, -power))
-            for i, name in enumerate(splitting.factor2.generators, 1)
-        }
-    else:
-        raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
+    try:
+        if isinstance(splitting, HnnPresentation):
+            twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
+        elif isinstance(splitting, AmalgamPresentation):
+            parts, shift = splitting._edge_parts[1], splitting.factor1.rank
+            twisted = {
+                name: free_reduce(_power_letters(parts, power) + (shift + i,) + _power_letters(parts, -power))
+                for i, name in enumerate(splitting.factor2.generators, 1)
+            }
+        else:
+            raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
+    except OverflowError:
+        raise OverflowError(f"twist power {power} is too large to hold") from None
     alphabet = splitting.alphabet
     images = {
         name: Word(alphabet, twisted.get(name, (i + 1,)), _reduced=True)

@@ -51,9 +51,6 @@ class SubgroupGraph:
         if len(_bfs(0, adj, alphabet.letters())) != len(adj):
             raise ValueError(f"{_source} must be connected to base vertex 0")
 
-    # The base vertex is always 0 after canonical renumbering.
-    base = 0
-
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self._adj)

@@ -45,7 +45,6 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import stallings
-from .endos import Endomorphism
 from .words import Alphabet, Word, abelianize, cyclic_core, letter_key
 
 
@@ -123,13 +122,6 @@ class WhiteheadMove:
         a = self.multiplier
         affected = frozenset(self.affected - {a}) | {-a}
         return WhiteheadMove(self.alphabet, "multiplier", multiplier=-a, affected=affected)
-
-    def endomorphism(self):
-        """The underlying endomorphism (an automorphism of the free group)."""
-        images = {}
-        for i, name in enumerate(self.alphabet.generators):
-            images[name] = Word(self.alphabet, self.letter_image(i + 1), _reduced=True)
-        return Endomorphism(self.alphabet, images)
 
     def __repr__(self) -> str:
         if self.kind == "permutation":
@@ -324,7 +316,7 @@ def minimize_tuple(words: Sequence[Word], cyclic: bool = False) -> MinimizationT
     return _descend(words, cyclic, _first_move)
 
 
-def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
+def is_primitive(w: Word) -> bool:
     """Whitehead's criterion: w is primitive iff its cyclic word minimizes to length 1.
 
     First, in O(|w|), w is not primitive if the gcd of its exponent sums
@@ -334,8 +326,6 @@ def is_primitive(w: Word, alphabet: Optional[Alphabet] = None) -> bool:
     and a vector in a basis of Z^n has coprime entries, as their gcd
     divides the determinant, +-1, of the matrix with the basis as rows.
     """
-    if alphabet is not None and w.alphabet != alphabet:
-        raise ValueError("alphabet mismatch")
     if not w:
         raise ValueError("the empty word is not a candidate for primitivity")
     return math.gcd(*abelianize(w)) == 1 and _descend((w,), True, _min_cut_move).final_length == 1

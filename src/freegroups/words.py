@@ -213,7 +213,10 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
                 k = int(exp) if caret else 1
                 if k == 0:
                     raise ValueError(f"zero exponent in token {token!r}")
-                letters += [alphabet.letter(name, k)] * abs(k)
+                try:
+                    letters += [alphabet.letter(name, k)] * abs(k)
+                except OverflowError:
+                    raise OverflowError(f"exponent too large to hold in token {token!r}") from None
     reduced = 0 not in map(add, letters, letters[1:])
     return Word(alphabet, tuple(letters) if reduced else free_reduce(letters), _reduced=True)
 

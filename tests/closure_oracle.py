@@ -211,7 +211,7 @@ def v_perturbations(a0_size: int = 0) -> list[Word]:
                 continue
             w = Word(alphabet, candidate, _reduced=True)
             try:
-                pres = HnnPresentation(alphabet, "t", setup.u, w)
+                pres = HnnPresentation(alphabet, "t", setup.pres.u, w)
             except ValueError:
                 continue
             if validate_presentation(pres).ok:

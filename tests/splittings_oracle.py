@@ -29,7 +29,7 @@ def orbit_pairwise(family, element, bound: int) -> OrbitReport:
             reps.append((n, image))
         elif first_collision is None:
             first_collision = (hit, n)
-    return OrbitReport(element, len(reps), first_collision)
+    return OrbitReport(len(reps), first_collision)
 
 
 def amalgam_rescan(pres, w) -> tuple:
@@ -48,7 +48,14 @@ def amalgam_rescan(pres, w) -> tuple:
             syl[-1][1].append(letter)
         else:
             syl.append((side, [letter]))
-    syl = [(side, pres.to_factor(side, tuple(ls))) for side, ls in syl]
+    # Union letters to factor words, shifting factor 2 back by factor 1's rank here.
+    shift = pres.factor1.rank
+    to_factor = {
+        1: lambda ls: Word(pres.factor1, ls),
+        2: lambda ls: Word(pres.factor2, [l - shift if l > 0 else l + shift for l in ls]),
+    }
+    edge = {1: pres.c1, 2: pres.c2}
+    syl = [(side, to_factor[side](ls)) for side, ls in syl]
     changed = True
     while changed:
         changed = False
@@ -69,11 +76,11 @@ def amalgam_rescan(pres, w) -> tuple:
         if len(syl) < 2:
             break
         for i, (side, wd) in enumerate(syl):
-            p = power_of(wd, pres.edge_word(side))
+            p = power_of(wd, edge[side])
             if p is None:
                 continue
             other = 2 if side == 1 else 1
-            converted = pres.edge_word(other) ** p
+            converted = edge[other] ** p
             if i + 1 < len(syl):
                 syl[i : i + 2] = [(other, converted * syl[i + 1][1])]
             else:

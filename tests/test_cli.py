@@ -567,6 +567,10 @@ TRANSCRIPT = [
     "intersect --graph tests/data/graph_hand.txt --graph2 tests/data/graph_folded.txt",
     'member --graph tests/data/graph_hand.txt "x^2 y x y^-1 x^-1"',
     "malnormal --graph tests/data/graph_folded.txt",
+    # Header lines the handlers print from their parsed arguments: an
+    # unreduced element, printed reduced, and the a0 and two bounds.
+    'orbit --pres tests/data/pipeline.txt --element "a a^-1 t" --n 3',
+    "verify-counterexample --a0 3 --l-solution 2 --l-separation 5",
 ]
 
 

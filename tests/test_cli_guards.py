@@ -3,9 +3,9 @@
 Each guard runs ``python -m freegroups.cli`` on the package these tests
 import: the source tree under tier-1, the installed package in CI's
 packaging step.  A row gives the arguments, what stdout must satisfy,
-the exit code and the time box in seconds (None where the guard has
-none).  Arguments may name the files of ``FILES``, written once per
-module: the pipeline's presentation and two folded graphs.
+the exit code, the exact stderr and the time box in seconds (None where
+the guard has none).  Arguments may name the files of ``FILES``, written
+once per module: the pipeline's presentation and two folded graphs.
 """
 
 import os
@@ -62,71 +62,74 @@ def same_as(name):
 
 
 GUARDS = [
-    # (why, arguments, stdout, exit code, time box)
+    # (why, arguments, stdout, exit code, stderr, time box)
     ("not a free factor",
-     ["is-free-factor", "--gens", "x y", "x^2 y^2"], exactly("false\n"), 1, None),
+     ["is-free-factor", "--gens", "x y", "x^2 y^2"], exactly("false\n"), 1, "", None),
     # Rank 12 and already Whitehead-minimal: the min-cut step decides it
     # in milliseconds, while a sweep over all ~10^8 moves of the step
     # takes about 17 s on a 2-core box.
     ("rank-12 squares by the gcd test",
-     ["is-primitive", "--gens", GENS12, SQUARES12], exactly("false\n"), 1, 5),
+     ["is-primitive", "--gens", GENS12, SQUARES12], exactly("false\n"), 1, "", 5),
     # The exponent sums of that word have gcd 2, so is-primitive answers
     # it before any descent.  Those of g1^3 g2^2 ... g12^2 have gcd 1:
     # here the min-cut descent must run and find the word minimal.
     ("rank-12 word by the min-cut descent",
-     ["is-primitive", "--gens", GENS12, "g1^3" + SQUARES12[4:]], exactly("false\n"), 1, 5),
+     ["is-primitive", "--gens", GENS12, "g1^3" + SQUARES12[4:]], exactly("false\n"), 1, "", 5),
     # whitehead-min's canonical first-move picker must also report the
     # squares minimal (no move) by min cuts.
     ("whitehead-min of the rank-12 squares",
-     ["whitehead-min", "--gens", GENS12, SQUARES12], minimal(24), 0, 5),
+     ["whitehead-min", "--gens", GENS12, SQUARES12], minimal(24), 0, "", 5),
     # An edge word with a conjugator and an exponent above 1: the pinch
     # t^-1 u^-2 t is found by slicing against u's root.
     ("britton pinch against a conjugated power",
      ["britton", "--pres", str(DATA / "hnn_conjugated_power.txt"), "t^-1 a b^-4 a^-1 t b t a b^-2 a^-1 t^-1"],
-     exactly("form: b a^-2 t a b^-2 a^-1 t^-1\nt_letters: 2\n"), 0, None),
+     exactly("form: b a^-2 t a b^-2 a^-1 t^-1\nt_letters: 2\n"), 0, "", None),
     # Exponent 40,000 on the pipeline's presentation: classify tests one
     # candidate exponent per case, where trying every exponent up to the
     # length bound took 24 s on a 2-core box.
     ("classify at exponent 40,000",
-     ["classify", "--pres", "pipeline.txt", "u^40000", "a^40000"], exactly("solvable: false\n"), 1, 5),
+     ["classify", "--pres", "pipeline.txt", "u^40000", "a^40000"], exactly("solvable: false\n"), 1, "", 5),
     # A million twists: the presentation validates, so one Britton
     # reduction decides each orbit, where a scan with an equality test per
     # twist is quadratic (15 s at n = 10^4 on a 2-core box).
     ("orbit of t over a million twists",
      ["orbit", "--pres", "pipeline.txt", "--element", "t", "--n", "1000000"],
-     with_lines("distinct: 1000001", "first_collision: none"), 0, 5),
+     with_lines("distinct: 1000001", "first_collision: none"), 0, "", 5),
     ("orbit of t^-1 u t over a million twists",
      ["orbit", "--pres", "pipeline.txt", "--element", "t^-1 u t", "--n", "1000000"],
-     with_lines("distinct: 1", "first_collision: 0 1"), 0, 5),
+     with_lines("distinct: 1", "first_collision: 0 1"), 0, "", 5),
     # Each conjugate is read in from both ends and adds only its unread
     # middle, where folding a petal per letter by a quadratic merge loop
     # would not finish.
     ("rank of the six folded conjugates",
-     ["rank", "--graph", "conjugates.txt"], first_line("rank: 6"), 0, None),
+     ["rank", "--graph", "conjugates.txt"], first_line("rank: 6"), 0, "", None),
     # H meet H = H: the product's base component, trimmed and renumbered,
     # prints the fold's canonical text byte for byte.
     ("intersection of the conjugates with themselves",
-     ["intersect", "--graph", "conjugates.txt", "--graph2", "conjugates.txt"], same_as("conjugates.txt"), 0, 5),
+     ["intersect", "--graph", "conjugates.txt", "--graph2", "conjugates.txt"], same_as("conjugates.txt"), 0, "", 5),
     # <w> is malnormal: the test streams about 480,000 off-diagonal
     # product edge pairs through one union-find.
     ("malnormal root-free cycle",
-     ["malnormal", "--graph", "root_free.txt"], exactly("true\n"), 0, 5),
+     ["malnormal", "--graph", "root_free.txt"], exactly("true\n"), 0, "", 5),
     # Rank 6, length 40: only an exact check 6 finishes; a sweep to length
     # 40 would not.
     ("verify-counterexample at length 40",
      ["verify-counterexample", "--a0", "2", "--l-solution", "40", "--l-separation", "1"],
-     last_line("overall: PASS"), 0, 5),
+     last_line("overall: PASS"), 0, "", 5),
     # Rank 124: the call takes about 2.5 ms in process on a 2-core box,
     # growing about linearly in the rank, so a super-linear regression in
     # the rank shows here.
     ("verify-counterexample at rank 124",
-     ["verify-counterexample", "--a0", "120"], last_line("overall: PASS"), 0, 5),
+     ["verify-counterexample", "--a0", "120"], last_line("overall: PASS"), 0, "", 5),
     # Numbers that fit in no index are input errors (exit 2), not a
-    # traceback's exit 1, which would read as a mathematical false.
+    # traceback's exit 1, which would read as a mathematical false; the
+    # error line names the token or the power.
     ("word exponent too large for an index",
-     ["reduce", "--gens", "x y", "x^99999999999999999999"], exactly(""), 2, 5),
+     ["reduce", "--gens", "x y", "x^99999999999999999999"], exactly(""), 2,
+     "error: exponent too large to hold in token 'x^99999999999999999999'\n", 5),
     ("twist power too large for an index",
-     ["dehn-twist", "--pres", "pipeline.txt", "--power", "99999999999999999999"], exactly(""), 2, 5),
+     ["dehn-twist", "--pres", "pipeline.txt", "--power", "99999999999999999999"], exactly(""), 2,
+     "error: twist power 99999999999999999999 is too large to hold\n", 5),
 ]
 
 
@@ -151,8 +154,9 @@ def files(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("why, argv, stdout, code, seconds", GUARDS, ids=[row[0] for row in GUARDS])
-def test_guard(files, why, argv, stdout, code, seconds):
+@pytest.mark.parametrize("why, argv, stdout, code, stderr, seconds", GUARDS, ids=[row[0] for row in GUARDS])
+def test_guard(files, why, argv, stdout, code, stderr, seconds):
     done = freegroups_cli(argv, seconds, files)
     assert done.returncode == code, done.stderr
     assert stdout(done.stdout, files), done.stdout[-2000:]
+    assert done.stderr == stderr

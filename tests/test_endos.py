@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from freegroups import splittings
+from freegroups import endos, splittings
 from freegroups.closure import build_counterexample
 from freegroups.endos import (
     Endomorphism,
@@ -28,6 +28,7 @@ from freegroups.whitehead import whitehead_moves
 from freegroups.words import Alphabet, Word, abelianize, extract_root, parse_word
 
 import splittings_oracle as oracle
+import whitehead_oracle
 from conftest import integer_determinant, random_reduced, reduced_words, w
 
 
@@ -156,7 +157,7 @@ def pair_cases():
     rng = random.Random(1729)
     cases = []
     for gens in ("x y", "x y z", "a b c d"):
-        moves = [move.endomorphism() for move in whitehead_moves(Alphabet(gens))]
+        moves = [whitehead_oracle.endomorphism(move) for move in whitehead_moves(Alphabet(gens))]
         for f, other in zip(rng.sample(moves, 8), rng.sample(moves, 8)):
             cases += [(f, inverse_of(f, moves)), (f, other)]
     setup = build_counterexample(0)
@@ -214,6 +215,16 @@ def test_order_bounded(f2):
     assert order_bounded(Endomorphism.identity(f2), 5) == 1
     nielsen = endo(f2, x="x y", y="y")
     assert order_bounded(nielsen, 20) is None
+
+
+@pytest.mark.parametrize("max_order, expected", [(0, None), (1, None), (2, 2), (3, 2), (8, None)])
+def test_order_bounded_composes_no_power_past_its_bound(monkeypatch, f2, max_order, expected):
+    """f^k is built only to be tested, k <= max_order: at most max_order - 1 compositions."""
+    calls = []
+    monkeypatch.setattr(endos, "compose", lambda f, g, real=endos.compose: calls.append(f) or real(f, g))
+    f = endo(f2, x="y", y="x") if expected else endo(f2, x="x y", y="x")  # a swap, or Fibonacci's map
+    assert order_bounded(f, max_order) == expected
+    assert len(calls) == max((expected or max_order) - 1, 0)
 
 
 def test_fixed_words_examples(f2, f3):

@@ -405,7 +405,7 @@ def amalgam_words(draw):
             letters += draw(reduced_words(union, 3)).letters
             continue
         side = draw(st.sampled_from((1, 2)))
-        power = pres.to_union(side, pres.edge_word(side) ** draw(st.sampled_from((-2, -1, 1, 2))))
+        power = pres.to_union(side, (pres.c1, pres.c2)[side - 1] ** draw(st.sampled_from((-2, -1, 1, 2))))
         g = draw(reduced_words(union, 3)) if kind == 2 else identity(union)
         letters += (g * power * ~g).letters
     return pres, Word(union, letters)

@@ -18,11 +18,16 @@ that the library's min-cut pickers replace, kept as their reference.
 ``min_cut_move_both_signs`` is the steepest-move picker with one max flow
 for each of the 2n multipliers in both modes: the reference for cyclic
 steps, which the library decides with the n multipliers a > 0.
+
+``endomorphism`` turns a move into the free-group map its letter images
+define, for the tests that treat moves as automorphisms.
 """
 
 from __future__ import annotations
 
+from freegroups.endos import Endomorphism
 from freegroups.whitehead import WhiteheadMove, _max_flow, _multiplier_move, _star_graph, whitehead_moves
+from freegroups.words import Word
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -49,6 +54,13 @@ def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def apply(move, letters: tuple[int, ...]) -> tuple[int, ...]:
     return reduce(l for x in letters for l in move.letter_image(x))
+
+
+def endomorphism(move) -> Endomorphism:
+    """The map sending each generator to its image under ``move``."""
+    alphabet = move.alphabet
+    images = {name: Word(alphabet, move.letter_image(i)) for i, name in enumerate(alphabet.generators, 1)}
+    return Endomorphism(alphabet, images)
 
 
 def minimize(alphabet, words, cyclic: bool = False) -> tuple[list, tuple]:
