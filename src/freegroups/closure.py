@@ -23,7 +23,7 @@ canonical letter order), so they are deterministic.
 
 from __future__ import annotations
 
-from itertools import groupby, takewhile
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 from .endos import Endomorphism, iter_fixed_words, verify_automorphism_pair
@@ -35,12 +35,13 @@ from .words import (
     Word,
     abelianize,
     content_lines,
-    cyclic_core,
     format_word,
     free_reduce,
     iter_reduced_letter_tuples,
     letter_key,
     parse_word,
+    _core,
+    _inverse,
     _rotations,
 )
 
@@ -182,24 +183,24 @@ def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) ->
         raise ValueError("a0 size must be nonnegative")
     a_names = tuple(f"c{i + 1}" for i in range(a0_size)) + ("a", "b", "u")
     h_alphabet = Alphabet(a_names + ("y",))
-    v = parse_word(h_alphabet, "a y b y a y^-1 b y^-1")
+    a, b, u, y, t = range(a0_size + 1, a0_size + 6)
+    word = lambda alphabet, *letters: Word(alphabet, letters, _reduced=True)
+    v = word(h_alphabet, a, y, b, y, a, -y, b, -y)
     if v_override is not None:
         if v_override.alphabet != h_alphabet:
             raise ValueError("v override must be a word over the base alphabet")
         v = v_override
-    pres = HnnPresentation(h_alphabet, "t", parse_word(h_alphabet, "u"), v)
-    d = parse_word(h_alphabet, "a y^-1 b y^-1")
-    y = parse_word(h_alphabet, "y")
+    pres = HnnPresentation(h_alphabet, "t", word(h_alphabet, u), v)
+    d = word(h_alphabet, a, -y, b, -y)
 
-    base_images = {name: Word(h_alphabet, (i,), _reduced=True) for i, name in enumerate(a_names, 1)}
-    base_images["y"] = ~y
-    g_base = Endomorphism(h_alphabet, base_images)
+    def images(alphabet):  # A fixed, y inverted
+        return {name: word(alphabet, i) for i, name in enumerate(a_names, 1)} | {"y": word(alphabet, -y)}
 
-    t_word = Word(pres.extended, (pres.t_letter,), _reduced=True)
-    lifted = {name: pres.lift(w) for name, w in base_images.items()}
-    g = Endomorphism(pres, {**lifted, "t": t_word * pres.lift(~d)})
-    g_inv = Endomorphism(pres, {**lifted, "t": t_word * pres.lift(g_base.apply(d))})
-    return CounterexampleSetup(h_alphabet, a_names, pres, v, d, y, g, g_inv, g_base)
+    g_base = Endomorphism(h_alphabet, images(h_alphabet))
+    lifted = images(pres.extended)
+    g = Endomorphism(pres, {**lifted, "t": word(pres.extended, t, *_inverse(d.letters))})
+    g_inv = Endomorphism(pres, {**lifted, "t": word(pres.extended, t, *g_base.apply(d).letters)})
+    return CounterexampleSetup(h_alphabet, a_names, pres, v, d, word(h_alphabet, y), g, g_inv, g_base)
 
 
 def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
@@ -234,26 +235,28 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
       is literally p a p^-1 with p not ending in a^+-1, so gm = p a^k;
       likewise J4 = q a q^-1 gives g0 = a^-j q^-1, and p^-1 J1 q reduces
       to a^k b a^-j, which fixes k and j.  (B) J1 = 1: g0 = b^-1 gm^-1,
-      the syllables read red(M M) J2 M^-1 J3 M^-1 J4 for some 2m < N, and
-      p^-1 J3 p = a^k b^2 a^-k fixes k.  (C) J3 = 1: g0 = b gm^-1, the
-      syllables read M J1 M J2 red(M^-1 M^-1) J4, and p^-1 J1 p =
-      a^k b^2 a^-k fixes k.  Each (rotation, m, shape) gives at most one
-      h.  The patterns are not checked on the way: each distinct candidate
-      is kept only if the cyclic core of E(h) is a rotation of c, prepared
-      once per call, so no wrong h is returned.
+      the syllables read red(M M) J2 M^-1 J3 M^-1 J4, and p^-1 J3 p =
+      a^k b^2 a^-k fixes k.  (C) J3 = 1: g0 = b gm^-1, the syllables read
+      M J1 M J2 red(M^-1 M^-1) J4, and p^-1 J1 p = a^k b^2 a^-k fixes k.
+      In (B) and (C) red(M M) has N - 2m B-syllables, at least 1 (M^2 is
+      not in P) and at most 2m - 1 (M's end syllables meet), so
+      (N + 1)/4 <= m < N/2.  Each (rotation, m, shape) gives at most one
+      h, built only if the rotation reads M (or M^-1) twice where its
+      shape puts them and red(M M) (or red(M^-1 M^-1)) in place.  Each
+      distinct candidate is kept only if the cyclic core of E(h) is a
+      rotation of c, prepared once per call, so no wrong h is returned.
     """
     a, b = alphabet.letter("a"), alphabet.letter("b")
-    c = cyclic_core(v).letters
-    rotation = _rotations(c, alphabet.rank)
-    in_p = lambda x: abs(x) in (a, b)
-    inv = lambda w: tuple(-x for x in reversed(w))
-
-    def solves(h: tuple[int, ...]) -> bool:
-        e = free_reduce((a,) + h + (b,) + h + (a,) + inv(h) + (b,) + inv(h))
-        core = cyclic_core(Word(alphabet, e, _reduced=True)).letters
-        return len(core) == len(c) and rotation(core) >= 0
+    c = _core(v.letters)
+    in_p = {a, -a, b, -b}.__contains__
     if not any(map(in_p, c)):
         return []
+    rotation, inv = _rotations(c, alphabet), _inverse
+
+    def solves(h: tuple[int, ...]) -> bool:  # one free reduction of E(h), its core against c's rotations
+        h_inv = inv(h)
+        core = _core(free_reduce((a, *h, b, *h, a, *h_inv, b, *h_inv)))
+        return len(core) == len(c) and rotation(core) >= 0
     if all(map(in_p, c)):
         p_letters = {1: a, -1: -a, 2: b, -2: -b}
         words = (tuple(p_letters[x] for x in h) for h in iter_reduced_letter_tuples(2, max_len))
@@ -263,28 +266,35 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
         runs = [tuple(run) for _, run in groupby(c[start:] + c[:start], in_p)]
         n = len(runs) // 2  # N in the docstring
         power = lambda k: (a,) * k if k >= 0 else (-a,) * -k
-        lead = lambda w: sum(x // a for x in takewhile(lambda x: abs(x) == a, w))
         half = lambda j: j[: len(j) // 2]
+
+        def lead(w: tuple[int, ...]) -> int:  # the k with w = a^k w', w' not starting with a^+-1
+            k = 0
+            while k < len(w) and abs(w[k]) == a:
+                k += 1
+            return k if not k or w[0] == a else -k
+
+        def junction(M, j2, j, g0):  # (B), (C): h = g0 gm^-1 M gm with gm = p a^k, J2 = p a p^-1
+            p = half(j2)
+            gm = p + power(lead(free_reduce(inv(p) + j + p)))
+            return g0 + inv(gm) + M + gm
         candidates = []
         for r in range(n):
             seq = runs[2 * r :] + runs[: 2 * r]
             span = lambda i, j: sum(seq[2 * i : 2 * j - 1], ())  # B-syllables i+1..j
-            if n % 4 == 0:  # (A)
-                m = n // 4
+            twice = lambda i, m: seq[2 * i : 2 * (i + m) - 1] == seq[2 * (i + m) : 2 * (i + 2 * m) - 1]  # span twice
+            m = n // 4
+            if n % 4 == 0 and twice(0, m) and twice(2 * m, m) and span(2 * m, 3 * m) == inv(span(0, m)):  # (A)
                 p, q = half(seq[4 * m - 1]), half(seq[-1])
                 w = free_reduce(inv(p) + seq[2 * m - 1] + q)
                 candidates.append(power(-lead(inv(w))) + inv(q) + span(0, m) + p + power(lead(w)))
-            for m in range(1, (n + 1) // 2):
-                # (B): M^-1 is read off after red(M M) J2; (C): M comes first.
+            for m in range((n + 4) // 4, (n + 1) // 2):  # (N + 1)/4 <= m < N/2
                 r0 = n - 2 * m
-                for M, j2, j, g0 in (
-                    (inv(span(r0, r0 + m)), seq[2 * r0 - 1], seq[2 * (r0 + m) - 1], (-b,)),
-                    (span(0, m), seq[4 * m - 1], seq[2 * m - 1], (b,)),
-                ):
-                    p = half(j2)
-                    gm = p + power(lead(free_reduce(inv(p) + j + p)))
-                    candidates.append(g0 + inv(gm) + M + gm)
-        found = set(filter(solves, set(map(free_reduce, candidates))))
+                if twice(0, m) and span(2 * m, n) == free_reduce(inv(span(0, m)) * 2):  # (C)
+                    candidates.append(junction(span(0, m), seq[4 * m - 1], seq[2 * m - 1], (b,)))
+                if twice(r0, m) and span(0, r0) == free_reduce(inv(span(r0, r0 + m)) * 2):  # (B)
+                    candidates.append(junction(inv(span(r0, r0 + m)), seq[2 * r0 - 1], seq[2 * (r0 + m) - 1], (-b,)))
+        found = set(map(free_reduce, filter(solves, set(candidates))))  # solves reduces E(h) whole
     hits = sorted(
         (h for h in found if len(h) <= max_len),
         key=lambda h: (len(h), list(map(letter_key, h))),
@@ -323,14 +333,14 @@ def dcl_separation_check(
     at every length when g sends every generator to a single letter,
     else a scan up to max_len.
     """
-    outside = lambda w: any(w.alphabet.generators[abs(x) - 1] not in a_names for x in w.letters)
+    inside = set(a_names)
+    outside = lambda w: any(w.alphabet.letter_name(x) not in inside for x in w.letters)
     witness = next(filter(outside, iter_fixed_words(g_base, max_len)), None)
     return witness is None, witness
 
 
 class CounterexampleReport(NamedTuple):
     checks: tuple[Check, ...]
-    rank: int
     # Solutions of length <= l_solution (exact over F, cut at that length).
     solutions: tuple[Word, ...]
 
@@ -384,4 +394,4 @@ def verify_counterexample(
     ok, witness = dcl_separation_check(setup.g_base, setup.a_names, l_separation)
     exact = "no fixed word at any length (exact: g permutes letters and fixes no generator outside A)"
     checks.append(Check("dcl_separation_ok", ok, exact if ok else f"fixed witness {format_word(witness)}"))
-    return CounterexampleReport(checks=tuple(checks), rank=a0_size + 4, solutions=solutions)
+    return CounterexampleReport(checks=tuple(checks), solutions=solutions)

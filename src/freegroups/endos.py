@@ -15,10 +15,11 @@ substituted word in the domain.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import stallings
-from .words import Alphabet, Word, free_reduce, iter_reduced_words
+from .words import Alphabet, Word, _inverse, free_reduce, iter_reduced_words
 
 
 class Endomorphism:
@@ -29,19 +30,16 @@ class Endomorphism:
         missing = [name for name in alphabet.generators if name not in images]
         if missing:
             raise ValueError(f"missing images for generators {missing}")
-        extra = [name for name in images if name not in alphabet]
-        if extra:
-            raise ValueError(f"images given for unknown generators {extra}")
+        if len(images) > alphabet.rank:  # none is missing, so some name is unknown
+            raise ValueError(f"images given for unknown generators {[n for n in images if n not in alphabet]}")
         for name, img in images.items():
-            if img.alphabet != alphabet:
+            if img.alphabet is not alphabet and img.alphabet != alphabet:
                 raise ValueError(f"image of {name} is over the wrong alphabet")
-        self.domain = domain
+        self.domain, self._alphabet = domain, alphabet
         self.images = {name: images[name] for name in alphabet.generators}
-        self._alphabet = alphabet
         self._table = {}
-        for i, name in enumerate(alphabet.generators):
-            self._table[i + 1] = self.images[name].letters
-            self._table[-(i + 1)] = (~self.images[name]).letters
+        for i, img in enumerate(self.images.values(), 1):
+            self._table[i], self._table[-i] = img.letters, _inverse(img.letters)
 
     @classmethod
     def identity(cls, domain) -> "Endomorphism":
@@ -56,10 +54,13 @@ class Endomorphism:
         """Image word with free reduction only (no pinch rewriting)."""
         if w.alphabet != self._alphabet:
             raise ValueError("alphabet mismatch")
-        out: list[int] = []
-        for letter in w.letters:
-            out.extend(self._table[letter])
-        return Word(self._alphabet, free_reduce(out), _reduced=True)
+        return Word(self._alphabet, self._image(w.letters), _reduced=True)
+
+    def _image(self, letters: tuple[int, ...]) -> tuple[int, ...]:
+        """The freely reduced letters of the image of a letter sequence."""
+        if len(letters) == 1:  # a table row is reduced
+            return self._table[letters[0]]
+        return free_reduce(chain.from_iterable(map(self._table.__getitem__, letters)))
 
     def apply(self, w: Word) -> Word:
         return self.domain.normal_form(self.substitute(w))
@@ -131,9 +132,10 @@ def verify_automorphism_pair(f: Endomorphism, g: Endomorphism) -> bool:
         raise ValueError("domain mismatch")
     if not f.is_homomorphism or not g.is_homomorphism:
         raise ValueError("both maps must be homomorphisms")
-    gens = f._alphabet.generators
-    images = ((p.substitute(q.images[x]), f.generator_word(x)) for p, q in ((f, g), (g, f)) for x in gens)
-    return all(w == gen or f.domain.equal(w, gen) for w, gen in images)
+    alphabet = f._alphabet
+    word = lambda letters: Word(alphabet, letters, _reduced=True)
+    images = ((p._image(q._table[i]), (i,)) for p, q in ((f, g), (g, f)) for i in range(1, alphabet.rank + 1))
+    return all(w == x or f.domain.equal(word(w), word(x)) for w, x in images)
 
 
 def order_bounded(f: Endomorphism, max_order: int) -> Optional[int]:
@@ -160,11 +162,10 @@ def iter_fixed_words(f: Endomorphism, max_len: int) -> Iterator[Word]:
     """
     if not isinstance(f.domain, Alphabet):
         raise ValueError("fixed words are found over free groups only")
-    if f.is_letter_map():
-        words = map(f.generator_word, f.domain.generators if max_len >= 1 else ())
-    else:
-        words = iter_reduced_words(f.domain, max_len, min_len=1)
-    return (w for w in words if f.apply(w) == w)
+    if f.is_letter_map():  # f fixes the generator word x iff its table sends x to x
+        fixed = [i for i in range(1, f.domain.rank + 1) if max_len >= 1 and f._table[i] == (i,)]
+        return (Word(f.domain, (i,), _reduced=True) for i in fixed)
+    return (w for w in iter_reduced_words(f.domain, max_len, min_len=1) if f.apply(w) == w)
 
 
 def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":

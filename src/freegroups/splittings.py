@@ -27,6 +27,7 @@ from .endos import Endomorphism
 from .words import (
     Alphabet,
     Word,
+    _inverse,
     _power_in,
     _power_letters,
     _root_parts,
@@ -63,7 +64,7 @@ class Report(NamedTuple):
 class HnnPresentation:
     """<H, t | u^t = v> with free base H and nontrivial base words u, v."""
 
-    __slots__ = ("base", "stable", "u", "v", "extended", "_edge_parts", "_validation")
+    __slots__ = ("base", "stable", "u", "v", "extended", "relators", "_edge_parts", "_validation")
 
     def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
         if stable in base:
@@ -75,6 +76,8 @@ class HnnPresentation:
         self.base, self.stable, self.u, self.v = base, stable, u, v
         # Derived once; base letters keep their codes in the extended alphabet.
         self.extended = base.extend(stable)
+        t = self.t_letter  # the defining relator t^-1 u t v^-1, reduced as written
+        self.relators = (Word(self.extended, (-t, *u.letters, t, *_inverse(v.letters)), _reduced=True),)
         self._edge_parts = (_root_parts(u), _root_parts(v))
         self._validation: Optional[Report] = None  # see validate_presentation
 
@@ -88,12 +91,6 @@ class HnnPresentation:
     @property
     def alphabet(self) -> Alphabet:
         return self.extended
-
-    @property
-    def relators(self) -> tuple[Word, ...]:
-        """The defining relator t^-1 u t v^-1."""
-        t = Word(self.extended, (self.t_letter,), _reduced=True)
-        return (~t * self.lift(self.u) * t * ~self.lift(self.v),)
 
     def normal_form(self, w: Word) -> Word:
         return britton_reduce(self, w).to_word(self)
@@ -270,7 +267,7 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
 class AmalgamPresentation:
     """Amalgam of two free factors over identified cyclic subgroups <c1> = <c2>."""
 
-    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet", "_edge_parts")
+    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet", "relators", "_edge_parts")
 
     def __init__(self, factor1: Alphabet, factor2: Alphabet, c1: Word, c2: Word):
         if set(factor1.generators) & set(factor2.generators):
@@ -281,7 +278,9 @@ class AmalgamPresentation:
             raise ValueError("edge words must be nontrivial")
         self.factor1, self.factor2, self.c1, self.c2 = factor1, factor2, c1, c2
         self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
-        self._edge_parts = (_root_parts(self.to_union(1, c1)), _root_parts(self.to_union(2, c2)))  # in union letters
+        edges = self.to_union(1, c1), self.to_union(2, c2)  # the relator c1 c2^-1 is reduced as written
+        self.relators = (Word(self.union_alphabet, edges[0].letters + _inverse(edges[1].letters), _reduced=True),)
+        self._edge_parts = tuple(map(_root_parts, edges))  # in union letters
 
     def __eq__(self, other: object) -> bool:
         values = lambda p: (p.factor1, p.factor2, p.c1, p.c2)
@@ -293,11 +292,6 @@ class AmalgamPresentation:
     @property
     def alphabet(self) -> Alphabet:
         return self.union_alphabet
-
-    @property
-    def relators(self) -> tuple[Word, ...]:
-        """The defining relator c1 c2^-1."""
-        return (self.to_union(1, self.c1) * ~self.to_union(2, self.c2),)
 
     def normal_form(self, w: Word) -> Word:
         return amalgam_reduce(self, w).to_word(self)

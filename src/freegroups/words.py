@@ -34,7 +34,7 @@ class Alphabet:
     before negative) used for deterministic tie-breaking everywhere.
     """
 
-    __slots__ = ("generators", "_index", "_tokens")
+    __slots__ = ("generators", "_index", "_tokens", "_chars")
 
     def __init__(self, generators: Iterable[str] | str):
         if isinstance(generators, str):
@@ -54,6 +54,7 @@ class Alphabet:
         # The 2n single-letter tokens of parse_word: name -> code, name^-1 -> -code.
         self._tokens = {name: i for i, name in enumerate(gens, 1)}
         self._tokens.update({f"{name}^-1": -i for i, name in enumerate(gens, 1)})
+        self._chars: Optional[list[str]] = None  # the table of _letter_text, built at its first use
 
     @property
     def rank(self) -> int:
@@ -111,6 +112,11 @@ class Alphabet:
 def letter_key(letter: int) -> tuple[int, int]:
     """Canonical letter order: generator index ascending, + before -."""
     return (abs(letter), 0 if letter > 0 else 1)
+
+
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the inverse word."""
+    return tuple(map(neg, reversed(letters)))
 
 
 def free_reduce(seq: Iterable[int]) -> tuple[int, ...]:
@@ -173,7 +179,7 @@ class Word:
         return Word(self.alphabet, a[: len(a) - k] + b[k:], _reduced=True)
 
     def __invert__(self) -> "Word":
-        return Word(self.alphabet, tuple(map(neg, reversed(self.letters))), _reduced=True)
+        return Word(self.alphabet, _inverse(self.letters), _reduced=True)
 
     def __pow__(self, n: int) -> "Word":
         """conjugator * core^n * conjugator^-1, with no reduction left to do."""
@@ -222,9 +228,9 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
 
 def format_word(w: Word) -> str:
-    parts: list[str] = []
+    names, parts = w.alphabet.generators, []
     for letter, run in groupby(w.letters):
-        name, exp = w.alphabet.letter_name(letter), len(list(run)) * (1 if letter > 0 else -1)
+        name, exp = names[abs(letter) - 1], len(list(run)) * (1 if letter > 0 else -1)
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return " ".join(parts) or "1"
 
@@ -252,26 +258,32 @@ def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     return core, Word(w.alphabet, w.letters[: (len(w) - len(core)) // 2], _reduced=True)
 
 
-def cyclic_core(w: Word) -> Word:
-    """The cyclically reduced core of w, cut by index; w itself when it is cyclically reduced."""
-    lets, i = w.letters, 0
-    while 2 * i + 1 < len(lets) and lets[i] == -lets[-1 - i]:
+def _core(lets: tuple[int, ...]) -> tuple[int, ...]:
+    """The letters of the cyclic core of reduced letters, cut by index."""
+    i, n = 0, len(lets)
+    while 2 * i + 1 < n and lets[i] == -lets[n - 1 - i]:
         i += 1
-    return Word(w.alphabet, lets[i : len(lets) - i], _reduced=True) if i else w
+    return lets[i : n - i]
 
 
-def _letter_text(rank: int) -> Callable[[tuple[int, ...]], str]:
-    """One character per letter for substring search (negative letters index the codes from the end)."""
-    chars = [chr(i) for i in range(2 * rank + 1)]
-    return lambda letters: "".join(map(chars.__getitem__, letters))
+def cyclic_core(w: Word) -> Word:
+    """The cyclically reduced core of w; w itself when it is cyclically reduced."""
+    core = _core(w.letters)
+    return w if len(core) == len(w) else Word(w.alphabet, core, _reduced=True)
 
 
-def _rotations(core: tuple[int, ...], rank: int) -> Callable[[tuple[int, ...]], int]:
+def _letter_text(alphabet: Alphabet, letters: tuple[int, ...]) -> str:
+    """One character per letter for substring search (negative letters index the table from the end)."""
+    if alphabet._chars is None:
+        alphabet._chars = list(map(chr, range(2 * alphabet.rank + 1)))  # list indexing beats str indexing
+    return "".join(map(alphabet._chars.__getitem__, letters))
+
+
+def _rotations(core: tuple[int, ...], alphabet: Alphabet) -> Callable[[tuple[int, ...]], int]:
     """For a cyclic core c: d -> the least k with d == c[k:] + c[:k] (d as long as c), else -1, in linear time."""
-    text = _letter_text(rank)
-    t = text(core)
+    t = _letter_text(alphabet, core)
     rotations = t + t[:-1]
-    return lambda d: rotations.find(text(d))
+    return lambda d: rotations.find(_letter_text(alphabet, d))
 
 
 def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
@@ -283,23 +295,23 @@ def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
     """
     if w1.alphabet != w2.alphabet:
         raise ValueError("alphabet mismatch")
-    s1, c1 = cyclically_reduce(w1)
-    s2, c2 = cyclically_reduce(w2)
+    s1, s2 = _core(w1.letters), _core(w2.letters)
     if len(s1) != len(s2):
         return None
-    k = _rotations(s1.letters, w1.alphabet.rank)(s2.letters)
+    k = _rotations(s1, w1.alphabet)(s2)
     if k < 0:
         return None
-    return c2 * Word(w1.alphabet, s1.letters[k:] if k else (), _reduced=True) * ~c1
+    (_, c1), (_, c2) = cyclically_reduce(w1), cyclically_reduce(w2)
+    return c2 * Word(w1.alphabet, s1[k:] if k else (), _reduced=True) * ~c1
 
 
 def _root_parts(base: Word) -> tuple:
     """Letters c, s, s^-1, c^-1 and e with nontrivial base == (c s c^-1)^e, c s c^-1 root-free."""
-    core, conj = cyclically_reduce(base)
-    text = _letter_text(base.alphabet.rank)(core.letters)
+    core = _core(base.letters)
+    text = _letter_text(base.alphabet, core)
     period = (text + text).find(text, 1)  # the least rotation period, which divides len(core)
-    s, c = core.letters[:period], conj.letters
-    return c, s, tuple(map(neg, reversed(s))), tuple(map(neg, reversed(c))), len(core) // period
+    s, c = core[:period], base.letters[: (len(base) - len(core)) // 2]
+    return c, s, _inverse(s), _inverse(c), len(core) // period
 
 
 def _power_in(letters: tuple[int, ...], parts: tuple) -> Optional[int]:

@@ -190,6 +190,49 @@ def test_solution_set_methods_agree():
 
 
 @st.composite
+def v_overrides(draw):
+    """(a0, v, max_len) at ranks 4-6: v has no letter of P = <a, b>, lies
+    in P, mixes both, or is the cyclic core of E(h0) for h0 planted in one
+    of the three shapes (``planted_solutions``), so that some draws have
+    solutions other than y^+-1.  max_len keeps the sweep short."""
+    kind = draw(st.sampled_from(("no P-letter", "all in P", "mixed", "planted")))
+    a0_size, h0 = draw(planted_solutions()) if kind == "planted" else (draw(st.integers(0, 2)), None)
+    max_len = 4 if a0_size == 0 else 3
+    alphabet = build_counterexample(a0_size).h_alphabet
+    p_gens = [alphabet.letter("a"), alphabet.letter("b")]
+    a, b = (Word(alphabet, (g,)) for g in p_gens)
+    everything = list(range(1, alphabet.rank + 1))
+    signed = lambda gens: st.sampled_from(gens).flatmap(lambda g: st.sampled_from((g, -g)))
+    if kind == "planted":
+        assume(len(h0) <= max_len)
+        v = cyclically_reduce(a * h0 * b * h0 * a * ~h0 * b * ~h0)[0]
+    else:
+        gens = {"no P-letter": [g for g in everything if g not in p_gens], "all in P": p_gens}.get(kind, everything)
+        v = cyclically_reduce(Word(alphabet, draw(st.lists(signed(gens), min_size=1, max_size=10))))[0]
+    in_p = [abs(x) in p_gens for x in v.letters]
+    assume(v and (kind != "mixed" or 0 < sum(in_p) < len(in_p)))
+    return a0_size, v, max_len
+
+
+def _planted_core(a0_size, text):
+    """(a0, the cyclic core of E(h), |h|) for h read from text."""
+    alphabet = build_counterexample(a0_size).h_alphabet
+    a, b, h = (parse_word(alphabet, t) for t in ("a", "b", text))
+    return a0_size, cyclically_reduce(a * h * b * h * a * ~h * b * ~h)[0], len(h)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(v_overrides())
+# Shape (B), J1 = 1, with g0 = b^-1 gm^-1; its inverse has shape (C).
+@example(_planted_core(0, "b^-1 a^-1 y a"))
+@example(_planted_core(1, "b^-1 c1^-1 u"))
+def test_solution_set_matches_sequential_sweep(case):
+    # The decider, with its pattern checks, against the sweep over every h.
+    a0_size, v, max_len = case
+    assert counterexample_solution_set(a0_size, max_len, v) == closure_oracle.solution_set(v.alphabet, v, max_len)
+
+
+@st.composite
 def padded_rows(draw):
     """Left-aligned zero-padded int8 rows, letter codes up to rank 127.
 
@@ -396,10 +439,10 @@ def test_dcl_separation_generic_path():
 
 @st.composite
 def maps_with_names(draw):
-    """(g, a_names, max_len) at ranks 4-5: g sends each generator to
+    """(g, a_names, max_len) at ranks 4-6: g sends each generator to
     itself, to a drawn letter, or (about one time in four) to a drawn
     reduced word of length 0-3, so letter maps and other maps both occur."""
-    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(draw(st.integers(4, 5)))))
+    alphabet = Alphabet(tuple(f"x{i + 1}" for i in range(draw(st.integers(4, 6)))))
     images = {}
     for i, name in enumerate(alphabet.generators):
         kind = draw(st.sampled_from(("self", "letter", "letter", "word")))
@@ -494,7 +537,7 @@ CHECK_ORDER = (
 def test_verify_counterexample_passes():
     report = verify_counterexample(0, 4, 4)
     assert report.ok
-    assert report.rank == 4
+    assert build_counterexample(0).h_alphabet.rank == 4  # the rank the CLI header prints
     assert tuple(c.name for c in report.checks) == CHECK_ORDER
     assert [str(s) for s in report.solutions] == ["y", "y^-1"]
     # The solution set is closed under inverting the witness letter.
@@ -504,7 +547,7 @@ def test_verify_counterexample_passes():
 def test_verify_counterexample_spectators():
     report = verify_counterexample(2, 3, 4)
     assert report.ok
-    assert report.rank == 6
+    assert build_counterexample(2).h_alphabet.rank == 6
 
 
 def test_verify_counterexample_negative_control():

@@ -188,12 +188,12 @@ def test_verify_pair_equals_both_composed_checks(f, g):
     expected = compose(f, g).is_identity() and compose(g, f).is_identity()
     assert f.is_homomorphism and g.is_homomorphism  # cached before recording
     substituted = []
-    real = Endomorphism.substitute
+    real = Endomorphism._image
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Endomorphism, "substitute", lambda self, w: substituted.append((self, w)) or real(self, w))
+        mp.setattr(Endomorphism, "_image", lambda self, w: substituted.append((self, w)) or real(self, w))
         assert verify_automorphism_pair(f, g) == expected
     gens = f.domain.alphabet.generators
-    both_orders = [(f, g.images[x]) for x in gens] + [(g, f.images[x]) for x in gens]
+    both_orders = [(f, g.images[x].letters) for x in gens] + [(g, f.images[x].letters) for x in gens]
     if expected:
         assert substituted == both_orders
     else:
@@ -576,6 +576,42 @@ def test_domain_interface(domain):
         assert domain.equal(word_, nf)
         assert domain.normal_form(nf) == nf
     assert Endomorphism.identity(domain).is_homomorphism
+
+
+@st.composite
+def maps_on_domains(draw):
+    """A drawn map on the free group, or on an HNN extension or an amalgam
+    with drawn edge words (hypotheses not required)."""
+    kind = draw(st.sampled_from(("free", "hnn", "amalgam")))
+    if kind == "amalgam":
+        f1, f2 = Alphabet("p q"), Alphabet("r s")
+        c1, c2 = draw(reduced_words(f1, 4)), draw(reduced_words(f2, 4))
+        assume(c1 and c2)
+        domain = AmalgamPresentation(f1, f2, c1, c2)
+    else:
+        domain = Alphabet("a b c")
+        if kind == "hnn":
+            u, v = draw(reduced_words(domain, 4)), draw(reduced_words(domain, 4))
+            assume(u and v)
+            domain = HnnPresentation(domain, "t", u, v)
+    alphabet = domain.alphabet
+    return Endomorphism(domain, {name: draw(reduced_words(alphabet, 5)) for name in alphabet.generators})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(maps_on_domains())
+def test_letter_built_tables_equal_word_algebra(f):
+    # The substitution table's inverse rows and each splitting's kept
+    # relator are built from letters; Word algebra builds them afresh.
+    domain = f.domain
+    for i, name in enumerate(domain.alphabet.generators, 1):
+        assert f._table[i] == f.images[name].letters
+        assert f._table[-i] == (~f.images[name]).letters
+    if isinstance(domain, HnnPresentation):
+        t = domain.word("t")
+        assert domain.relators == (~t * domain.lift(domain.u) * t * ~domain.lift(domain.v),)
+    elif isinstance(domain, AmalgamPresentation):
+        assert domain.relators == (domain.to_union(1, domain.c1) * ~domain.to_union(2, domain.c2),)
 
 
 def test_amalgam_non_homomorphism_is_rejected(amalgam):

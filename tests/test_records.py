@@ -86,7 +86,7 @@ RECORDS = [
         "Check(name='solution_set', passed=True, detail='solutions up to length 3: {y, y^-1}'), "
         "Check(name='dcl_separation_ok', passed=True, "
         "detail='no fixed word at any length (exact: g permutes letters and fixes no generator outside A)')), "
-        "rank=4, solutions=(Word('y'), Word('y^-1')))",
+        "solutions=(Word('y'), Word('y^-1')))",
     ),
 ]
 IDS = [expected.split("(", 1)[0] for _, expected in RECORDS]
