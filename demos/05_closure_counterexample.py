@@ -40,7 +40,7 @@ def main():
 
     print()
     print("# The full pipeline")
-    report = verify_counterexample(0, 5, 6)
+    report = verify_counterexample(0, 5)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"  {check.name}: {status}")

@@ -1,11 +1,12 @@
 """Vectorized word sweeps (numpy), the kernels of the former check-6 sweep.
 
 No runtime code calls this module: check 6 is now an exact decider
-(``closure._solution_set``), and ``import freegroups.cli`` does not load
-numpy.  The tests use these kernels as the fast reference sweep
+(``closure._solution_set``), and numpy is no dependency of the package.
+The tests use these kernels as the fast reference sweep
 (``tests/closure_oracle.py::solution_set_bulk``), and the benchmark
 still resolves them by name, so the module stays in the package until
-both move to the test tree.
+both move to the test tree; its numpy comes from the test and benchmark
+environment.
 
 Words are rows of signed int8 letters, left-aligned with zero padding;
 ``bulk_reduce`` reduces a block in one column-by-column stack pass, and

@@ -317,7 +317,9 @@ def cmd_compressed_check(args) -> int:
 
 
 def cmd_verify_counterexample(args) -> int:
-    report = closure.verify_counterexample(args.a0, args.l_solution, args.l_separation)
+    if args.l_separation < 1:  # the bound reaches only the header line below
+        raise ValueError("bounds must be at least 1")
+    report = closure.verify_counterexample(args.a0, args.l_solution)
     if args.format == "text":
         print(f"a0_size: {args.a0}")
         print(f"rank: {args.a0 + 4}")

@@ -65,9 +65,6 @@ class Endomorphism:
     def apply(self, w: Word) -> Word:
         return self.domain.normal_form(self.substitute(w))
 
-    def __call__(self, w: Word) -> Word:
-        return self.apply(w)
-
     @cached_property
     def is_homomorphism(self) -> bool:
         """Whether every defining relator of the domain maps to 1."""
@@ -77,13 +74,10 @@ class Endomorphism:
         """True iff every generator maps to one letter; non-injective maps like ``a -> b`` count."""
         return all(len(img) == 1 for img in self.images.values())
 
-    def generator_word(self, name: str) -> Word:
-        return Word(self._alphabet, (self._alphabet.index(name) + 1,), _reduced=True)
-
     def is_identity(self) -> bool:
         return all(
-            self.domain.equal(self.images[name], self.generator_word(name))
-            for name in self._alphabet.generators
+            self.domain.equal(img, Word(self._alphabet, (i,), _reduced=True))
+            for i, img in enumerate(self.images.values(), 1)
         )
 
     def __eq__(self, other: object) -> bool:

@@ -34,7 +34,7 @@ class Alphabet:
     before negative) used for deterministic tie-breaking everywhere.
     """
 
-    __slots__ = ("generators", "_index", "_tokens", "_chars")
+    __slots__ = ("generators", "_tokens", "_chars")
 
     def __init__(self, generators: Iterable[str] | str):
         if isinstance(generators, str):
@@ -50,7 +50,6 @@ class Alphabet:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
         self.generators = gens
-        self._index = {name: i for i, name in enumerate(gens)}
         # The 2n single-letter tokens of parse_word: name -> code, name^-1 -> -code.
         self._tokens = {name: i for i, name in enumerate(gens, 1)}
         self._tokens.update({f"{name}^-1": -i for i, name in enumerate(gens, 1)})
@@ -61,13 +60,13 @@ class Alphabet:
         return len(self.generators)
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown generator {name!r}") from None
+        code = self._tokens.get(name, 0)
+        if code < 1:  # a name^-1 token has a negative code
+            raise ValueError(f"unknown generator {name!r}")
+        return code - 1
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return self._tokens.get(name, 0) > 0
 
     def letter(self, name: str, sign: int = 1) -> int:
         code = self.index(name) + 1

@@ -75,7 +75,7 @@ def test_criterion_2_negative_control(capsys):
     samples = [rng.choice(pool) for _ in range(100)]
     detected = 0
     for perturbed in samples:
-        report = verify_counterexample(0, 6, 8, v_override=perturbed)
+        report = verify_counterexample(0, 6, v_override=perturbed)
         if not report.ok:
             detected += 1
     elapsed = time.monotonic() - start

@@ -420,6 +420,18 @@ def test_verify_counterexample_golden(capsys, golden, argv):
     assert out == (DATA / golden).read_text()
 
 
+def test_l_separation_changes_only_its_header(capsys):
+    # Check 7 is exact for the pipeline's letter map g, so the bound
+    # reaches no verdict: the reports differ only in their header line.
+    reports = set()
+    for bound in ("1", "3", "8", "40"):
+        code, out, err = run(capsys, "verify-counterexample", "--l-separation", bound)
+        assert (code, err) == (0, "")
+        assert f"\nl_separation: {bound}\n" in out
+        reports.add(out.replace(f"\nl_separation: {bound}\n", "\nl_separation: L\n"))
+    assert len(reports) == 1
+
+
 def test_cli_determinism(capsys):
     argv = ["verify-counterexample", "--l-solution", "3", "--l-separation", "3"]
     _, first, _ = run(capsys, *argv)
@@ -498,6 +510,28 @@ def test_cli_import_leaves_numpy_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     probe = "import sys, freegroups.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_runtime_modules_import_with_numpy_blocked():
+    # numpy is no runtime dependency: with it blocked, every module of the
+    # package imports but _bulk, the sweep kernels the tests and the
+    # benchmark still use.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = """
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None
+import freegroups, freegroups.cli
+failed = []
+for module in pkgutil.iter_modules(freegroups.__path__, "freegroups."):
+    try:
+        importlib.import_module(module.name)
+    except ImportError:
+        failed.append(module.name)
+print(failed)
+"""
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "['freegroups._bulk']\n", "")
 
 
 def test_cli_import_generates_no_code():

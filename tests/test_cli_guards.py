@@ -121,6 +121,12 @@ GUARDS = [
     # the rank shows here.
     ("verify-counterexample at rank 124",
      ["verify-counterexample", "--a0", "120"], last_line("overall: PASS"), 0, "", 5),
+    # Both bounds count letters, so 0 is a usage error, raised before the
+    # pipeline runs: empty stdout, one error line, exit 2.
+    ("verify-counterexample at --l-separation 0",
+     ["verify-counterexample", "--l-separation", "0"], exactly(""), 2, "error: bounds must be at least 1\n", 5),
+    ("verify-counterexample at --l-solution 0",
+     ["verify-counterexample", "--l-solution", "0"], exactly(""), 2, "error: bounds must be at least 1\n", 5),
     # Numbers that fit in no index are input errors (exit 2), not a
     # traceback's exit 1, which would read as a mathematical false; the
     # error line names the token or the power.

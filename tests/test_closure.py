@@ -535,7 +535,7 @@ CHECK_ORDER = (
 
 
 def test_verify_counterexample_passes():
-    report = verify_counterexample(0, 4, 4)
+    report = verify_counterexample(0, 4)
     assert report.ok
     assert build_counterexample(0).h_alphabet.rank == 4  # the rank the CLI header prints
     assert tuple(c.name for c in report.checks) == CHECK_ORDER
@@ -545,7 +545,7 @@ def test_verify_counterexample_passes():
 
 
 def test_verify_counterexample_spectators():
-    report = verify_counterexample(2, 3, 4)
+    report = verify_counterexample(2, 3)
     assert report.ok
     assert build_counterexample(2).h_alphabet.rank == 6
 
@@ -554,7 +554,7 @@ def test_verify_counterexample_negative_control():
     # The perturbed v breaks checks 3-6; every check still runs and reports.
     setup = build_counterexample(0)
     perturbed = parse_word(setup.h_alphabet, "a y b y a y^-1 b y")
-    report = verify_counterexample(0, 4, 4, v_override=perturbed)
+    report = verify_counterexample(0, 4, v_override=perturbed)
     assert [(c.name, c.passed, c.detail) for c in report.checks] == [
         ("presentation_valid", True, "u, v root-free and non-conjugate"),
         (
@@ -578,7 +578,14 @@ def test_verify_counterexample_negative_control():
 
 def test_verify_counterexample_bad_bounds():
     with pytest.raises(ValueError):
-        verify_counterexample(0, 0, 4)
+        verify_counterexample(0, 0)
+
+
+def test_verify_counterexample_takes_no_separation_bound():
+    # Check 7 decides the letter map g at length 1, so no third bound is
+    # taken, and v_override is keyword-only.
+    with pytest.raises(TypeError):
+        verify_counterexample(0, 6, 8)
 
 
 def test_v_perturbations_are_valid():

@@ -76,7 +76,7 @@ RECORDS = [
         "Check(name='v_root_free', passed=False, detail='v = (x)^2')))",
     ),
     (
-        lambda: verify_counterexample(0, 3, 3),
+        lambda: verify_counterexample(0, 3),
         "CounterexampleReport(checks=("
         "Check(name='presentation_valid', passed=True, detail='u, v root-free and non-conjugate'), "
         "Check(name='abelianization_obstruction_ok', passed=True, detail='ab(v) = (2, 2, 0, 0) != ab(u) = (0, 0, 1, 0)'), "
@@ -119,7 +119,7 @@ def test_equal_fields_give_equal_records(make, expected):
 
 
 def test_counterexample_report_looks_up_checks():
-    report = verify_counterexample(0, 3, 3)
+    report = verify_counterexample(0, 3)
     assert report.check("solution_set") == report.checks[5]
     with pytest.raises(KeyError):
         report.check("missing")

@@ -42,6 +42,32 @@ def test_alphabet_validation():
     assert "y" in a and "t" not in a
 
 
+def test_inverse_token_is_no_generator():
+    # parse_word's table maps "x^-1" to a negative code; it names no generator.
+    a = Alphabet("x y")
+    assert "x^-1" not in a
+    with pytest.raises(ValueError, match=r"^unknown generator 'x\^-1'$"):
+        a.index("x^-1")
+
+
+NAMES = st.text("ab_1Z", min_size=1, max_size=3).filter(lambda name: name != "1")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(NAMES, unique=True, max_size=10), NAMES)
+def test_alphabet_lookups_agree_with_positions(names, probe):
+    a = Alphabet(names)
+    for i, name in enumerate(names):
+        assert name in a and a.index(name) == i
+        assert (a.letter(name), a.letter(name, -1)) == (i + 1, -(i + 1))
+        assert a.letter_name(a.letter(name, -1)) == name
+    for text in (probe, f"{probe}^-1", f"{probe}^1"):
+        assert (text in a) == (text in names)
+        if text not in names:
+            with pytest.raises(ValueError, match="unknown generator"):
+                a.index(text)
+
+
 def test_generator_names_reject_trailing_newline():
     # "$" also matches before a final newline; names must match in full.
     with pytest.raises(ValueError, match="bad generator name"):
