@@ -7,9 +7,11 @@ PASS, 1 for a mathematical false / FAIL, 2 for usage or parse errors and
 for numbers too large to hold.
 
 Each fact of the text boundary is stated once: ``build_parser`` declares
-every subcommand with its handler and options, ``_given`` rejects a
-missing required option, ``_print_report`` writes every check report,
-and the file formats skip blank and ``#`` lines through
+every subcommand with its handler and options, ``main`` dispatches a call
+that starts with a subcommand to that subcommand's parser (the top-level
+parser takes every other call and reports leftover arguments), ``_given``
+rejects a missing required option, ``_print_report`` writes every check
+report, and the file formats skip blank and ``#`` lines through
 ``words.content_lines``.
 """
 
@@ -321,10 +323,8 @@ def cmd_verify_counterexample(args) -> int:
         raise ValueError("bounds must be at least 1")
     report = closure.verify_counterexample(args.a0, args.l_solution)
     if args.format == "text":
-        print(f"a0_size: {args.a0}")
-        print(f"rank: {args.a0 + 4}")
-        print(f"l_solution: {args.l_solution}")
-        print(f"l_separation: {args.l_separation}")
+        print(f"a0_size: {args.a0}\nrank: {args.a0 + 4}\nl_solution: {args.l_solution}\n"
+              f"l_separation: {args.l_separation}")
     return _print_report(report, args.format)
 
 
@@ -336,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="free groups, subgroup graphs, Whitehead moves, one-edge splittings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for main's dispatch
 
     def add(name, handler, *options):
         """Declare a subcommand once: its handler and its OPTION_HELP options."""
@@ -390,8 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None  # a known subcommand parses its own arguments
     try:
-        args = parser.parse_args(argv)
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else (None, None)
+        if sub is None or extra:  # no arguments, -h, an unknown command, a leading --, or leftovers to report
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else 2

@@ -278,11 +278,11 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
             p = half(j2)
             gm = p + power(lead(free_reduce(inv(p) + j + p)))
             return g0 + inv(gm) + M + gm
-        candidates = []
+        candidates, cycle = [], runs * 2
+        span = lambda i, j: sum(seq[2 * i : 2 * j - 1], ())  # B-syllables i+1..j of the rotation seq
+        twice = lambda i, m: seq[2 * i : 2 * (i + m) - 1] == seq[2 * (i + m) : 2 * (i + 2 * m) - 1]  # span twice
         for r in range(n):
-            seq = runs[2 * r :] + runs[: 2 * r]
-            span = lambda i, j: sum(seq[2 * i : 2 * j - 1], ())  # B-syllables i+1..j
-            twice = lambda i, m: seq[2 * i : 2 * (i + m) - 1] == seq[2 * (i + m) : 2 * (i + 2 * m) - 1]  # span twice
+            seq = cycle[2 * r : 2 * (r + n)]
             m = n // 4
             if n % 4 == 0 and twice(0, m) and twice(2 * m, m) and span(2 * m, 3 * m) == inv(span(0, m)):  # (A)
                 p, q = half(seq[4 * m - 1]), half(seq[-1])
@@ -334,7 +334,7 @@ def dcl_separation_check(
     else a scan up to max_len.
     """
     inside = set(a_names)
-    outside = lambda w: any(w.alphabet.letter_name(x) not in inside for x in w.letters)
+    outside = lambda w: not inside.issuperset(map(w.alphabet.letter_name, w.letters))
     witness = next(filter(outside, iter_fixed_words(g_base, max_len)), None)
     return witness is None, witness
 
@@ -375,11 +375,12 @@ def verify_counterexample(
     detail = "g(t)^-1 u g(t) = g(v) in the extension"
     checks.append(Check("g_is_homomorphism", setup.g.is_homomorphism, detail))
     auto = setup.g_inv.is_homomorphism and verify_automorphism_pair(setup.g, setup.g_inv)
-    detail = f"explicit inverse sends t to t {format_word(setup.g_base.apply(setup.d))}"
+    detail = f"explicit inverse sends t to {format_word(setup.g_inv.images['t'])}"
     checks.append(Check("g_is_automorphism", auto, detail))
 
     # (d) the conjugation witness for g(v).
-    conj_ok = setup.g_base.apply(setup.v) == setup.d * setup.v * ~setup.d
+    d, v = setup.d.letters, setup.v.letters
+    conj_ok = setup.g_base.substitute(setup.v).letters == free_reduce(d + v + _inverse(d))
     detail = f"g(v) = d v d^-1 with d = {format_word(setup.d)}"
     checks.append(Check("gv_conjugate_to_v", conj_ok, detail))
 

@@ -27,18 +27,15 @@ class Endomorphism:
 
     def __init__(self, domain, images: Mapping[str, Word]):
         alphabet = domain.alphabet
-        missing = [name for name in alphabet.generators if name not in images]
-        if missing:
-            raise ValueError(f"missing images for generators {missing}")
+        self.images = {name: images[name] for name in alphabet.generators if name in images}
+        if len(self.images) < alphabet.rank:
+            raise ValueError(f"missing images for generators {[n for n in alphabet.generators if n not in images]}")
         if len(images) > alphabet.rank:  # none is missing, so some name is unknown
             raise ValueError(f"images given for unknown generators {[n for n in images if n not in alphabet]}")
-        for name, img in images.items():
+        self.domain, self._alphabet, self._table = domain, alphabet, {}
+        for i, (name, img) in enumerate(self.images.items(), 1):
             if img.alphabet is not alphabet and img.alphabet != alphabet:
                 raise ValueError(f"image of {name} is over the wrong alphabet")
-        self.domain, self._alphabet = domain, alphabet
-        self.images = {name: images[name] for name in alphabet.generators}
-        self._table = {}
-        for i, img in enumerate(self.images.values(), 1):
             self._table[i], self._table[-i] = img.letters, _inverse(img.letters)
 
     @classmethod

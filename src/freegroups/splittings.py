@@ -64,7 +64,7 @@ class Report(NamedTuple):
 class HnnPresentation:
     """<H, t | u^t = v> with free base H and nontrivial base words u, v."""
 
-    __slots__ = ("base", "stable", "u", "v", "extended", "relators", "_edge_parts", "_validation")
+    __slots__ = ("base", "stable", "u", "v", "extended", "t_letter", "relators", "_edge_parts", "_validation")
 
     def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
         if stable in base:
@@ -76,7 +76,7 @@ class HnnPresentation:
         self.base, self.stable, self.u, self.v = base, stable, u, v
         # Derived once; base letters keep their codes in the extended alphabet.
         self.extended = base.extend(stable)
-        t = self.t_letter  # the defining relator t^-1 u t v^-1, reduced as written
+        t = self.t_letter = base.rank + 1  # the defining relator t^-1 u t v^-1, reduced as written
         self.relators = (Word(self.extended, (-t, *u.letters, t, *_inverse(v.letters)), _reduced=True),)
         self._edge_parts = (_root_parts(u), _root_parts(v))
         self._validation: Optional[Report] = None  # see validate_presentation
@@ -103,10 +103,6 @@ class HnnPresentation:
         twist = f.domain == self and f.twist_power and validate_presentation(self).ok
         return not britton_reduce(self, w).tail if twist else None
 
-    @property
-    def t_letter(self) -> int:
-        return self.base.rank + 1
-
     def word(self, text: str) -> Word:
         return parse_word(self.extended, text)
 
@@ -128,9 +124,6 @@ class BrittonForm(NamedTuple):
 
     head: Word
     tail: tuple[tuple[int, Word], ...] = ()
-
-    def is_trivial(self) -> bool:
-        return not self.tail and not self.head
 
     def to_word(self, pres: HnnPresentation) -> Word:
         """Already reduced: the syllables are, and t^e 1 t^-e would be a pinch."""
@@ -170,21 +163,11 @@ def _push(out: list[int], letters: tuple[int, ...]) -> None:
     out.extend(letters[k:])
 
 
-def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
-    """Rewrite leftmost pinches until none remains, in one left-to-right pass.
-
-    t^-1 u^p t -> v^p and t v^p t^-1 -> u^p; membership in <u> or <v> is
-    exact, by slicing the syllable against the edge roots split once per
-    presentation, and a pinch builds no Word.  The syllables
-    read so far form a pinch-free stack, so a stable letter can only
-    close a pinch with the top base word, and that pinch is the leftmost
-    one in the word: the pinches are those of rescanning after each one.
-    A pinch appends its replacement and the next base syllable to the
-    base word below the top, cancelling at each seam.
-    """
-    if w.alphabet != pres.extended:
+def _britton_stack(pres: HnnPresentation, alphabet: Alphabet, lets) -> tuple[list[list[int]], list[int]]:
+    """Britton's pinch-free stack of reduced letters: base syllables as letter lists, and stable letter signs."""
+    if alphabet != pres.extended:
         raise ValueError("word is not over the extension alphabet")
-    lets, t = w.letters, pres.t_letter
+    t = pres.t_letter
     cuts = [i for i, letter in enumerate(lets) if letter == t or letter == -t] + [len(lets)]
     words = [list(lets[: cuts[0]])]
     signs: list[int] = []
@@ -201,6 +184,22 @@ def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
                 continue
         signs.append(eps)
         words.append(list(lets[i + 1 : j]))
+    return words, signs
+
+
+def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
+    """Rewrite leftmost pinches until none remains, in one left-to-right pass.
+
+    t^-1 u^p t -> v^p and t v^p t^-1 -> u^p; membership in <u> or <v> is
+    exact, by slicing the syllable against the edge roots split once per
+    presentation, and a pinch builds no Word.  The syllables
+    read so far form a pinch-free stack, so a stable letter can only
+    close a pinch with the top base word, and that pinch is the leftmost
+    one in the word: the pinches are those of rescanning after each one.
+    A pinch appends its replacement and the next base syllable to the
+    base word below the top, cancelling at each seam.
+    """
+    words, signs = _britton_stack(pres, w.alphabet, w.letters)
     base = [Word(pres.base, tuple(ls), _reduced=True) for ls in words]
     return BrittonForm(base[0], tuple(zip(signs, base[1:])))
 
@@ -211,8 +210,12 @@ def hnn_length(form: BrittonForm) -> int:
 
 
 def hnn_equal(pres: HnnPresentation, w1: Word, w2: Word) -> bool:
-    """Equality in the HNN extension, via Britton's lemma on w1 * w2^-1."""
-    return britton_reduce(pres, w1 * ~w2).is_trivial()
+    """Equality in the HNN extension: by Britton's lemma, w1 * w2^-1 = 1 iff its stack is one empty syllable."""
+    if w1.alphabet != w2.alphabet:
+        raise ValueError("alphabet mismatch")
+    lets = list(w1.letters)
+    _push(lets, _inverse(w2.letters))  # the letters of w1 * w2^-1
+    return _britton_stack(pres, w1.alphabet, lets) == ([[]], [])
 
 
 class ClassificationResult(NamedTuple):

@@ -34,7 +34,7 @@ class Alphabet:
     before negative) used for deterministic tie-breaking everywhere.
     """
 
-    __slots__ = ("generators", "_tokens", "_chars")
+    __slots__ = ("generators", "rank", "_tokens", "_chars")
 
     def __init__(self, generators: Iterable[str] | str):
         if isinstance(generators, str):
@@ -49,15 +49,11 @@ class Alphabet:
             if name in seen:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
-        self.generators = gens
+        self.generators, self.rank = gens, len(gens)
         # The 2n single-letter tokens of parse_word: name -> code, name^-1 -> -code.
         self._tokens = {name: i for i, name in enumerate(gens, 1)}
         self._tokens.update({f"{name}^-1": -i for i, name in enumerate(gens, 1)})
         self._chars: Optional[list[str]] = None  # the table of _letter_text, built at its first use
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
 
     def index(self, name: str) -> int:
         code = self._tokens.get(name, 0)
@@ -80,7 +76,12 @@ class Alphabet:
         return [x for g in range(1, self.rank + 1) for x in (g, -g)]
 
     def extend(self, name: str) -> "Alphabet":
-        return Alphabet(self.generators + (name,))
+        if name in self._tokens or name == "1" or not _is_name(name):  # only the new name is checked
+            return Alphabet(self.generators + (name,))  # raises the constructor's error for the name
+        extended, code = object.__new__(Alphabet), self.rank + 1  # the token table is copied, not rebuilt
+        extended.generators, extended.rank, extended._chars = self.generators + (name,), code, None
+        extended._tokens = {**self._tokens, name: code, f"{name}^-1": -code}
+        return extended
 
     # As a group domain, the free group: no relators, reduced words are normal forms, no splitting.
     relators: tuple = ()
@@ -115,7 +116,7 @@ def letter_key(letter: int) -> tuple[int, int]:
 
 def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
     """The letters of the inverse word."""
-    return tuple(map(neg, reversed(letters)))
+    return (-letters[0],) if len(letters) == 1 else tuple(map(neg, reversed(letters)))
 
 
 def free_reduce(seq: Iterable[int]) -> tuple[int, ...]:

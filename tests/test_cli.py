@@ -410,6 +410,9 @@ DATA = Path(__file__).parent / "data"
             ["--a0", "0", "--l-solution", "3", "--l-separation", "3", "--format", "tsv"],
         ),
         ("verify_a0_2_l7.txt", ["--a0", "2", "--l-solution", "7"]),
+        # The benchmark's verify-separation calls, argv for argv.
+        ("verify_a0_0_l4_l8.txt", ["--a0", "0", "--l-solution", "4", "--l-separation", "8"]),
+        ("verify_a0_1_l4_l7.txt", ["--a0", "1", "--l-solution", "4", "--l-separation", "7"]),
     ],
 )
 def test_verify_counterexample_golden(capsys, golden, argv):
@@ -503,6 +506,45 @@ def test_cached_parser_matches_fresh_parser(capsys, monkeypatch):
     fresh = [run(capsys, *argv) for argv in argvs + argvs]
     assert cached == fresh
     assert [code for code, _, _ in fresh[: len(argvs)]] == [0, 0, 2, 0, 0, 2, 0]
+
+
+# main parses a known subcommand with that subcommand's own parser; the
+# rest goes through the top-level parser, which also reports leftovers.
+DISPATCH_CORPUS = [
+    ["verify-counterexample", "--bogus"],
+    ["verify-counterexample", "--l", "3"],  # ambiguous: --l-solution or --l-separation
+    ["verify-counterexample", "--a", "1", "--l-solution", "1"],  # a unique abbreviation of --a0
+    ["verify-counterexample", "--a0", "x"],
+    ["verify-counterexample", "--a0"],
+    ["verify-counterexample", "--a0=2", "--l-solution", "2"],
+    ["verify-counterexample", "--format", "xml"],
+    ["verify-counterexample", "--l-so", "2", "--l-se", "2", "--format", "tsv"],
+    ["verify-counterexample", "--", "--a0", "1"],
+    ["verify-counterexample", "--help"],
+    ["reduce", "-h"],
+    ["reduce", "--gens", "x y", "x", "--bogus"],
+    ["reduce", "--gens", "x y"],
+    ["reduce", "x", "y", "--gens", "x y"],
+    ["reduce", "--gens=x y", "--", "y^-1"],
+    ["conjugate", "--gens", "x y", "x"],
+    ["fold", "--gens", "a b", "--", "a"],
+    ["--", "reduce"],
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["--gens", "x", "reduce", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    # The same stdout, stderr and exit code as parsing with the top-level
+    # parser alone, which main does for every call when its table is empty.
+    dispatched = run(capsys, *argv)
+    monkeypatch.setattr(cli.build_parser(), "subcommands", {})
+    assert run(capsys, *argv) == dispatched
+    if argv[1:] == ["--bogus"]:
+        assert dispatched[2].endswith("\nfreegroups: error: unrecognized arguments: --bogus\n")
 
 
 def test_cli_import_leaves_numpy_out():
@@ -605,6 +647,22 @@ TRANSCRIPT = [
     # unreduced element, printed reduced, and the a0 and two bounds.
     'orbit --pres tests/data/pipeline.txt --element "a a^-1 t" --n 3',
     "verify-counterexample --a0 3 --l-solution 2 --l-separation 5",
+    # Britton forms and HNN equality over the pipeline's splitting and
+    # BS(2, 3): single and nested pinches, a pinch-free word, and pinches
+    # on both sides of an equation.  classify needs the splitting
+    # hypotheses, which BS(2, 3) fails (u = a^2), so only the pipeline
+    # has classify rows: case 1 at p = 2 and case 2 at p = -1.
+    'britton --pres tests/data/pipeline.txt "t a t^-1 u^2 t b"',
+    'britton --pres tests/data/pipeline.txt "t^-1 a t u"',
+    'britton --pres tests/data/bs23.txt "t^-1 t^-1 a^4 t t b"',
+    'britton --pres tests/data/bs23.txt "t t a t^-1 t^-1"',
+    'britton --pres tests/data/bs23.txt "t a^6 t^-1 b t^-1 a^-2 t"',
+    'hnn-equal --pres tests/data/pipeline.txt "t^-1 u t" "a y b y a y^-1 b y^-1"',
+    'hnn-equal --pres tests/data/pipeline.txt "t^-1 u^3 t a" "a y b y a y^-1 b y^-1 t^-1 u^2 t a"',
+    'hnn-equal --pres tests/data/bs23.txt "t^-1 a^4 t" "a^6"',
+    'hnn-equal --pres tests/data/bs23.txt "t a^3 t^-1 b" "a^2 b"',
+    'classify --pres tests/data/pipeline.txt "a u^2 a^-1" "y^-1 a y b y a y^-1 b y^-1 a y b y a y^-1 b y^-1 y"',
+    'classify --pres tests/data/pipeline.txt "b y b^-1 y a^-1 y^-1 b^-1 y^-1 a^-1 b^-1" "y u^-1 y^-1"',
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from freegroups.words import Alphabet, Word, free_reduce, identity, parse_word, 
 import splittings_oracle as oracle
 import words_oracle
 from conftest import random_reduced, reduced_words, w
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -197,9 +200,9 @@ def _edge_power(draw, pres, side, depth):
 
 
 @st.composite
-def hnn_words(draw):
+def hnn_words(draw, presentations=PINCH_PRESENTATIONS):
     """A presentation and a word of base syllables, stray stable letters and nested pinches."""
-    pres = draw(st.sampled_from(PINCH_PRESENTATIONS))
+    pres = draw(st.sampled_from(presentations))
     t = pres.t_letter
     letters: list[int] = []
     for _ in range(draw(st.integers(0, 6))):
@@ -225,6 +228,39 @@ def test_britton_matches_rescan(case):
     assert free_reduce(letters) == letters
 
 
+FILE_PRESENTATIONS = [
+    parse_presentation((DATA / name).read_text()) for name in ("pipeline.txt", "bs23.txt", "hnn_conjugated_power.txt")
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_hnn_equal_matches_the_britton_form_of_the_quotient(data):
+    # hnn_equal reads Britton's letter stack of w1 w2^-1; the reference is
+    # the BrittonForm of the Word w1 * ~w2.  w2 is another word, or w1 times
+    # conjugates of the relator: equal to w1, and seldom freely so.
+    pres, w1 = data.draw(hnn_words(FILE_PRESENTATIONS))
+    planted = data.draw(st.booleans())
+    if planted:
+        w2 = w1
+        for _ in range(data.draw(st.integers(1, 3))):
+            g = data.draw(reduced_words(pres.extended, 4))
+            w2 = w2 * g * pres.relators[0] ** data.draw(st.sampled_from((1, -1))) * ~g
+    else:
+        _, w2 = data.draw(hnn_words([pres]))
+    form = britton_reduce(pres, w1 * ~w2)
+    assert hnn_equal(pres, w1, w2) == (not form.tail and not form.head)
+    assert hnn_equal(pres, w1, w2) or not planted
+
+
+def test_hnn_equal_rejects_words_off_the_extension(edge_pres):
+    pres = edge_pres
+    with pytest.raises(ValueError, match="^alphabet mismatch$"):
+        hnn_equal(pres, pres.word("t"), Word(pres.base, (1,)))
+    with pytest.raises(ValueError, match="^word is not over the extension alphabet$"):
+        hnn_equal(pres, pres.u, pres.v)
+
+
 def test_hnn_equal_examples(edge_pres):
     pres = edge_pres
     assert hnn_equal(pres, pres.word("t^-1 u t"), pres.lift(pres.v))
@@ -240,9 +276,8 @@ def test_britton_lemma_trivial_form(edge_pres):
     rng = random.Random(61)
     for _ in range(60):
         word_ = random_reduced(rng, pres.extended, 10)
-        assert hnn_equal(pres, word_, identity(pres.extended)) == britton_reduce(
-            pres, word_
-        ).is_trivial()
+        form = britton_reduce(pres, word_)
+        assert hnn_equal(pres, word_, identity(pres.extended)) == (not form.tail and not form.head)
     # On t-free words equality is free equality.
     for _ in range(40):
         a = pres.lift(random_reduced(rng, pres.base, 8))

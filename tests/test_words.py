@@ -68,6 +68,53 @@ def test_alphabet_lookups_agree_with_positions(names, probe):
                 a.index(text)
 
 
+EXTEND_NAMES = st.one_of(st.text("ab_1Z^- ", max_size=3), st.sampled_from(["1", "t", "\u00e9", "x\n"]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(NAMES, unique=True, max_size=8), EXTEND_NAMES)
+def test_extend_matches_a_fresh_alphabet(names, name):
+    # extend checks only the new name and copies the token table: the same
+    # alphabet, table and lookups as building it whole, or the same error.
+    base = Alphabet(names)
+    try:
+        fresh = Alphabet(names + [name])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            base.extend(name)
+        assert str(raised.value) == str(exc)
+        return
+    extended = base.extend(name)
+    assert extended == fresh and extended.generators == fresh.generators
+    assert extended._tokens == fresh._tokens and extended._chars is None
+    for probe in names + [name, f"{name}^-1", "1", "zz"]:
+        assert (probe in extended) == (probe in fresh)
+        if probe in fresh:
+            assert extended.index(probe) == fresh.index(probe)
+    text = " ".join(names + [f"{name}^-1", name, name])
+    assert parse_word(extended, text) == parse_word(fresh, text)
+    assert format_word(Word(extended, (len(names) + 1, 1))) == format_word(Word(fresh, (len(names) + 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("x y", "bad generator name 'x y'"),
+        ("a^-1", "bad generator name 'a^-1'"),
+        ("", "bad generator name ''"),
+        ("1", "generator name '1' is reserved for the empty word"),
+        ("a", "duplicate generator name 'a'"),
+        ("b", "duplicate generator name 'b'"),
+    ],
+)
+def test_extend_rejects_a_name_as_the_constructor_does(name, message):
+    base = Alphabet("a b")
+    for build in (lambda: base.extend(name), lambda: Alphabet(base.generators + (name,))):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
 def test_generator_names_reject_trailing_newline():
     # "$" also matches before a final newline; names must match in full.
     with pytest.raises(ValueError, match="bad generator name"):
