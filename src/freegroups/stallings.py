@@ -21,8 +21,9 @@ when the reads meet.  Each result graph is built once: a degree queue
 trims its letter maps in place, then ``_bfs``, O(V n), numbers the
 vertices and each row is copied into the final maps.  ``intersect`` is
 linear in the base component of the fiber product; ``is_malnormal``
-streams only the off-diagonal product edges (about E^2 / n), each one
-union-find step on integer keys, and stops at the first cycle.
+streams only the unordered pairs of off-diagonal product edges (about
+E^2 / 2n), each one ``_find`` step on integer keys, and stops at the
+first cycle.
 """
 
 from __future__ import annotations
@@ -313,24 +314,30 @@ def is_malnormal(graph: SubgroupGraph) -> bool:
     connected, so every (p, p) is joined to (0, 0) by the diagonal lift of
     a path from 0 to p; and as each letter steps injectively both ways in
     a folded graph, a product edge (p, q) -g-> (p', q') has p = q iff
-    p' = q', so no edge leaves it.  Hence only same-label edge pairs with
-    p != q go through one union-find, and the first that closes a cycle
-    answers False.  A product vertex is the int i * V + j of two vertex indices.
+    p' = q', so no edge leaves it.
+
+    Let P be the rest of the product.  The swap (p, q) -> (q, p) acts
+    freely on its vertices and edges, so P double-covers the quotient
+    P/swap, whose vertices are unordered pairs {p, q} and whose edges are
+    unordered pairs of distinct same-label edges.  P is a forest iff the
+    quotient is: a cover of a tree is a disjoint union of trees, and a
+    component D with a cycle is covered either by two copies of D or by a
+    connected C with Euler characteristic 2 chi(D) <= 0.  A letter that
+    swaps p and q gives a loop in the quotient, a cycle, as <x^2> needs.
+    So each unordered edge pair goes through ``_find`` once, on the key
+    min(p, q) * V + max(p, q) of vertex indices, and the first that
+    closes a cycle answers False.
     """
     adj, size, parent = graph._adj, len(graph._adj), {}
     index = {v: i for i, v in enumerate(adj)}
     for g in range(1, graph.alphabet.rank + 1):
-        pairs = [(index[p], index[m[g]]) for p, m in adj.items() if g in m]
-        for p, p2 in pairs:
-            row, row2 = p * size, p2 * size
-            for q, q2 in pairs:
-                if p != q:
-                    a, b = row + q, row2 + q2  # inline finds: _find calls ran ~30% slower on the bench's malnormal ops
-                    while (up := parent.get(a, a)) != a:
-                        parent[a] = a = parent.get(up, up)
-                    while (up := parent.get(b, b)) != b:
-                        parent[b] = b = parent.get(up, up)
-                    if a == b:
-                        return False
-                    parent[a] = b
+        pairs = [(index[p], index[m[g]]) for p, m in adj.items() if g in m]  # sources ascending: p < q below
+        for k, (p, p2) in enumerate(pairs, 1):
+            row = p * size
+            for q, q2 in pairs[k:]:
+                a = _find(parent, row + q)
+                b = _find(parent, p2 * size + q2 if p2 < q2 else q2 * size + p2)
+                if a == b:
+                    return False
+                parent[a] = b
     return True

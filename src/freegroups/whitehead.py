@@ -45,7 +45,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import stallings
-from .words import Alphabet, Word, abelianize, cyclic_core, letter_key
+from .words import Alphabet, Word, _core, abelianize, cyclic_core, free_reduce, letter_key
 
 
 class WhiteheadMove:
@@ -97,21 +97,12 @@ class WhiteheadMove:
         return table
 
     def apply(self, w: Word, cyclic: bool = False) -> Word:
-        """The reduced image of w, or with ``cyclic`` its cyclic core: each letter's
-        image goes onto a stack that cancels as it goes, and the core is cut from its ends."""
+        """The reduced image of w, or with ``cyclic`` its cyclic core."""
         if w.alphabet != self._fields[0]:
             raise ValueError("alphabet mismatch")
-        table, out = self._table or self._letter_table(), []
-        for letter in w.letters:  # inline: free_reduce of the chained images ran 0-4% slower on bench Whitehead ops
-            for x in table[letter]:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
-        i = 0
-        while cyclic and 2 * i + 1 < len(out) and out[i] == -out[-1 - i]:
-            i += 1
-        return Word(w.alphabet, tuple(out[i : len(out) - i] if i else out), _reduced=True)
+        table = self._table or self._letter_table()
+        out = free_reduce(itertools.chain.from_iterable(map(table.__getitem__, w.letters)))
+        return Word(w.alphabet, _core(out) if cyclic else out, _reduced=True)
 
     def inverse(self) -> "WhiteheadMove":
         if self.kind == "permutation":

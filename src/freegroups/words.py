@@ -16,9 +16,9 @@ split at ``^`` and checked by str methods.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from itertools import groupby
 from operator import add, neg
-from typing import Callable, Iterable, Iterator, Optional
 
 
 def _is_name(text: str) -> bool:
@@ -53,7 +53,7 @@ class Alphabet:
         # The 2n single-letter tokens of parse_word: name -> code, name^-1 -> -code.
         self._tokens = {name: i for i, name in enumerate(gens, 1)}
         self._tokens.update({f"{name}^-1": -i for i, name in enumerate(gens, 1)})
-        self._chars: Optional[list[str]] = None  # the table of _letter_text, built at its first use
+        self._chars: list[str] | None = None  # the table of _letter_text, built at its first use
 
     def index(self, name: str) -> int:
         code = self._tokens.get(name, 0)
@@ -286,7 +286,7 @@ def _rotations(core: tuple[int, ...], alphabet: Alphabet) -> Callable[[tuple[int
     return lambda d: rotations.find(_letter_text(alphabet, d))
 
 
-def is_conjugate(w1: Word, w2: Word) -> Optional[Word]:
+def is_conjugate(w1: Word, w2: Word) -> Word | None:
     """Witness g with g * w1 * g^-1 == w2, or None.
 
     Two words are conjugate iff their cyclic cores are rotations of each
@@ -314,7 +314,7 @@ def _root_parts(base: Word) -> tuple:
     return c, s, _inverse(s), _inverse(c), len(core) // period
 
 
-def _power_in(letters: tuple[int, ...], parts: tuple) -> Optional[int]:
+def _power_in(letters: tuple[int, ...], parts: tuple) -> int | None:
     """The p with reduced letters == base^p = c s^(e p) c^-1, by slicing in O(|letters|), or None."""
     if not letters:
         return 0
@@ -357,7 +357,7 @@ def centralizer(w: Word) -> Word:
     return extract_root(w)[0]
 
 
-def power_of(w: Word, base: Word) -> Optional[int]:
+def power_of(w: Word, base: Word) -> int | None:
     """The integer k with w == base^k, or None.
 
     Exact via root-free roots: nontrivial words are powers of a unique

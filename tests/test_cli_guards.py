@@ -107,8 +107,8 @@ GUARDS = [
     # prints the fold's canonical text byte for byte.
     ("intersection of the conjugates with themselves",
      ["intersect", "--graph", "conjugates.txt", "--graph2", "conjugates.txt"], same_as("conjugates.txt"), 0, "", 5),
-    # <w> is malnormal: the test streams about 480,000 off-diagonal
-    # product edge pairs through one union-find.
+    # <w> is malnormal: the test streams about 240,000 unordered pairs of
+    # same-label edges (480,000 ordered pairs) through one union-find.
     ("malnormal root-free cycle",
      ["malnormal", "--graph", "root_free.txt"], exactly("true\n"), 0, "", 5),
     # Rank 6, length 40: only an exact check 6 finishes; a sweep to length

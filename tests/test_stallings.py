@@ -152,7 +152,7 @@ def test_intersect_membership_conjunction(f2):
             assert meet.contains(word_) == (g1.contains(word_) and g2.contains(word_))
 
 
-def test_malnormal_examples(f2, h_rank4):
+def test_malnormal_examples(f2, f3, h_rank4):
     assert is_malnormal(subgroup_graph(f2, [w(f2, "x")]))
     assert not is_malnormal(subgroup_graph(f2, [w(f2, "x^2")]))
     v = w(h_rank4, "a y b y a y^-1 b y^-1")
@@ -162,6 +162,12 @@ def test_malnormal_examples(f2, h_rank4):
     # The whole group is trivially non-malnormal once rank >= 1 conjugates
     # land inside it; the rose has the diagonal component only, so stays True.
     assert is_malnormal(subgroup_graph(f2, [w(f2, "x"), w(f2, "y")]))
+    # Over x y z, each row also against the oracle.  In the first, x and y
+    # both join {0, p} to {1, q}, where z reaches p: parallel edges once the
+    # product's pairs are taken unordered.
+    for gens, expected in [(["x y^-1", "z x y^-1 z^-1"], False), (["x y^-1 z", "y z^-1 x"], True)]:
+        graph = subgroup_graph(f3, [w(f3, g) for g in gens])
+        assert is_malnormal(graph) is oracle.is_malnormal(graph.edges) is expected, gens
 
 
 def test_malnormal_matches_root_free_for_cyclic(f2):

@@ -401,6 +401,15 @@ def test_letter_tables_match_letter_image(rank):
         assert [twin._table[x] for x in letters] == [move.letter_image(x) for x in letters], move
         assert image.letters == oracle.apply(move, probe.letters), move
         assert move.apply(probe, cyclic=True) == cyclically_reduce(image)[0], move
+        # Runs a^+-k of the multiplier on both sides of each other letter, so that
+        # the a or a^-1 that a letter of A or of A^-1 gains cancels into a run.
+        a = move.multiplier
+        for x, s, t, k in itertools.product(letters if a else (), (1, -1), (1, -1), (1, 2)):
+            if x not in (a, -a):
+                run = Word(alphabet, [s * a] * k + [x] + [t * a] * k)
+                image = move.apply(run)
+                assert image.letters == oracle.apply(move, run.letters), (move, run)
+                assert move.apply(run, cyclic=True) == cyclically_reduce(image)[0], (move, run)
 
 
 def test_move_records_compare_hash_and_are_immutable(f2):
