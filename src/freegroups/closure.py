@@ -23,8 +23,8 @@ canonical letter order), so they are deterministic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple, Optional
 
 from .endos import Endomorphism, iter_fixed_words, verify_automorphism_pair
 from .splittings import Check, HnnPresentation, Report, validate_presentation
@@ -50,25 +50,19 @@ from .words import (
 # Compressed-rank certificates for one-edge splittings.
 
 
-class AmalgamCertificate(NamedTuple):
+class AmalgamCertificate(namedtuple("AmalgamCertificate", "ambient b1 b2 c")):
     """K = B1 *_<c> B2 inside an ambient free group, all given by words."""
 
-    ambient: Alphabet
-    b1: tuple[Word, ...]
-    b2: tuple[Word, ...]
-    c: Word
+    __slots__ = ()
 
 
-class HnnCertificate(NamedTuple):
+class HnnCertificate(namedtuple("HnnCertificate", "ambient base u v")):
     """K = <base, t | u^t = v> inside an ambient free group."""
 
-    ambient: Alphabet
-    base: tuple[Word, ...]
-    u: Word
-    v: Word
+    __slots__ = ()
 
 
-def _rewritten(graph: SubgroupGraph, w: Word) -> Optional[Word]:
+def _rewritten(graph: SubgroupGraph, w: Word) -> Word | None:
     """w in the basis b1, b2, ... of the graph's subgroup, or None when w is not in it."""
     expressed = graph.express_in_basis(w)
     if expressed is None:
@@ -161,19 +155,10 @@ def parse_certificate(text: str):
 # The rank-(k+4) splitting and its verification pipeline.
 
 
-class CounterexampleSetup(NamedTuple):
-    h_alphabet: Alphabet
-    a_names: tuple[str, ...]
-    pres: HnnPresentation
-    v: Word
-    d: Word
-    y: Word
-    g: Endomorphism
-    g_inv: Endomorphism
-    g_base: Endomorphism
+CounterexampleSetup = namedtuple("CounterexampleSetup", "h_alphabet a_names pres v d y g g_inv g_base")
 
 
-def build_counterexample(a0_size: int = 0, v_override: Optional[Word] = None) -> CounterexampleSetup:
+def build_counterexample(a0_size: int = 0, v_override: Word | None = None) -> CounterexampleSetup:
     """Assemble the splitting and the automorphism pair (g, g^-1).
 
     Spectator generators c1..ck are inert: every map fixes them, and no
@@ -305,7 +290,7 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
 def counterexample_solution_set(
     a0_size: int = 0,
     max_len: int = 6,
-    v_override: Optional[Word] = None,
+    v_override: Word | None = None,
 ) -> list[Word]:
     """All reduced h with |h| <= max_len whose equation word is conjugate to v.
 
@@ -325,7 +310,7 @@ def dcl_separation_check(
     g_base: Endomorphism,
     a_names: tuple[str, ...],
     max_len: int,
-) -> tuple[bool, Optional[Word]]:
+) -> tuple[bool, Word | None]:
     """Confirm g fixes no reduced word containing a generator outside a_names.
 
     Returns (ok, first fixed witness or None), the witness first in
@@ -339,11 +324,9 @@ def dcl_separation_check(
     return witness is None, witness
 
 
-class CounterexampleReport(NamedTuple):
-    checks: tuple[Check, ...]
-    # Solutions of length <= l_solution (exact over F, cut at that length).
-    solutions: tuple[Word, ...]
-
+class CounterexampleReport(namedtuple("CounterexampleReport", "checks solutions")):
+    # solutions: those of length <= l_solution (exact over F, cut at that length).
+    __slots__ = ()
     ok = Report.ok
     check = Report.check
 
@@ -352,7 +335,7 @@ def verify_counterexample(
     a0_size: int = 0,
     l_solution: int = 6,
     *,
-    v_override: Optional[Word] = None,
+    v_override: Word | None = None,
 ) -> CounterexampleReport:
     """Run the full check list, in order, against the splitting."""
     if l_solution < 1:

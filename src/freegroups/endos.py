@@ -14,9 +14,10 @@ substituted word in the domain.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import stallings
 from .words import Alphabet, Word, _inverse, free_reduce, iter_reduced_words
@@ -129,7 +130,7 @@ def verify_automorphism_pair(f: Endomorphism, g: Endomorphism) -> bool:
     return all(w == x or f.domain.equal(word(w), word(x)) for w, x in images)
 
 
-def order_bounded(f: Endomorphism, max_order: int) -> Optional[int]:
+def order_bounded(f: Endomorphism, max_order: int) -> int | None:
     """Least k <= max_order with f^k = id on generators, else None."""
     power = f
     for k in range(1, max_order + 1):
@@ -165,9 +166,7 @@ def fixed_words(f: Endomorphism, max_len: int) -> "stallings.SubgroupGraph":
     return stallings.subgroup_graph(f.domain, list(iter_fixed_words(f, max_len)))
 
 
-class OrbitReport(NamedTuple):
-    distinct_count: int
-    first_collision: Optional[tuple[int, int]]
+OrbitReport = namedtuple("OrbitReport", "distinct_count first_collision")
 
 
 def orbit_bounded(family: Callable[[int], Endomorphism], element: Word, bound: int) -> OrbitReport:

@@ -20,8 +20,8 @@ and ``twist_fixes``), as ``words.Alphabet`` is for the free group.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple, Optional
 
 from .endos import Endomorphism
 from .words import (
@@ -39,16 +39,14 @@ from .words import (
 )
 
 
-class Check(NamedTuple):
+class Check(namedtuple("Check", "name passed detail", defaults=("",))):
     """One named verdict inside a report."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
 
-class Report(NamedTuple):
-    checks: tuple[Check, ...]
+class Report(namedtuple("Report", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -79,7 +77,7 @@ class HnnPresentation:
         t = self.t_letter = base.rank + 1  # the defining relator t^-1 u t v^-1, reduced as written
         self.relators = (Word(self.extended, (-t, *u.letters, t, *_inverse(v.letters)), _reduced=True),)
         self._edge_parts = (_root_parts(u), _root_parts(v))
-        self._validation: Optional[Report] = None  # see validate_presentation
+        self._validation: Report | None = None  # see validate_presentation
 
     def __eq__(self, other: object) -> bool:
         values = lambda p: (p.base, p.stable, p.u, p.v)
@@ -98,7 +96,7 @@ class HnnPresentation:
     def equal(self, w1: Word, w2: Word) -> bool:
         return hnn_equal(self, w1, w2)
 
-    def twist_fixes(self, f: Endomorphism, w: Word) -> Optional[bool]:
+    def twist_fixes(self, f: Endomorphism, w: Word) -> bool | None:
         """Whether f fixes w if f was built by dehn_twist(self, p != 0) and self validates, else None."""
         twist = f.domain == self and f.twist_power and validate_presentation(self).ok
         return not britton_reduce(self, w).tail if twist else None
@@ -119,11 +117,10 @@ class HnnPresentation:
         return f"HnnPresentation(<H, {self.stable} | {self.u}^{self.stable} = {self.v}>)"
 
 
-class BrittonForm(NamedTuple):
+class BrittonForm(namedtuple("BrittonForm", "head tail", defaults=((),))):
     """Pinch-free syllable form g0 t^e1 g1 ... t^er gr (base-word syllables)."""
 
-    head: Word
-    tail: tuple[tuple[int, Word], ...] = ()
+    __slots__ = ()
 
     def to_word(self, pres: HnnPresentation) -> Word:
         """Already reduced: the syllables are, and t^e 1 t^-e would be a pinch."""
@@ -218,7 +215,7 @@ def hnn_equal(pres: HnnPresentation, w1: Word, w2: Word) -> bool:
     return _britton_stack(pres, w1.alphabet, lets) == ([[]], [])
 
 
-class ClassificationResult(NamedTuple):
+class ClassificationResult(namedtuple("ClassificationResult", "solvable case p gamma delta s", defaults=(None,) * 5)):
     """Outcome of the base-conjugacy classification alpha^s = beta, |s|_t >= 1.
 
     In case 1: alpha = (u^p)^gamma, beta = (v^p)^delta, s = gamma^-1 t delta.
@@ -226,12 +223,7 @@ class ClassificationResult(NamedTuple):
     (x^g denotes g^-1 x g.)
     """
 
-    solvable: bool
-    case: Optional[int] = None
-    p: Optional[int] = None
-    gamma: Optional[Word] = None
-    delta: Optional[Word] = None
-    s: Optional[Word] = None
+    __slots__ = ()
 
 
 def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> ClassificationResult:
@@ -302,7 +294,7 @@ class AmalgamPresentation:
     def equal(self, w1: Word, w2: Word) -> bool:
         return amalgam_equal(self, w1, w2)
 
-    def twist_fixes(self, f: Endomorphism, w: Word) -> Optional[bool]:
+    def twist_fixes(self, f: Endomorphism, w: Word) -> bool | None:
         """Whether f fixes w if f was built by dehn_twist(self, p != 0) and c2 is root-free, else None."""
         parts = self._edge_parts[1]
         if f.domain != self or not f.twist_power or parts[4] != 1:
@@ -327,13 +319,10 @@ class AmalgamPresentation:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
 
 
-class AmalgamForm(NamedTuple):
+class AmalgamForm(namedtuple("AmalgamForm", "syllables")):
     """Alternating syllables (side, word over the union alphabet); interior syllables not in <c>."""
 
-    syllables: tuple[tuple[int, Word], ...]
-
-    def is_trivial(self) -> bool:
-        return not self.syllables or (len(self.syllables) == 1 and not self.syllables[0][1])
+    __slots__ = ()
 
     def to_word(self, pres: AmalgamPresentation) -> Word:
         """Already reduced: the syllables are, and neighbours lie in different factors."""
@@ -389,7 +378,7 @@ def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
 
 
 def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:
-    return amalgam_reduce(pres, w1 * ~w2).is_trivial()
+    return not amalgam_reduce(pres, w1 * ~w2).syllables
 
 
 def dehn_twist(splitting, power: int):

@@ -28,7 +28,7 @@ first cycle.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .words import Alphabet, Word, content_lines, free_reduce
 
@@ -69,7 +69,7 @@ class SubgroupGraph:
     def __repr__(self) -> str:
         return f"SubgroupGraph(vertices={len(self._adj)}, edges={len(self.edges)}, rank={self.rank()})"
 
-    def step(self, vertex: int, letter: int) -> Optional[int]:
+    def step(self, vertex: int, letter: int) -> int | None:
         """Follow one letter from a vertex; None if no such edge."""
         return self._adj.get(vertex, {}).get(letter)
 
@@ -120,7 +120,7 @@ class SubgroupGraph:
             for src, g, dst in non_tree
         ]
 
-    def express_in_basis(self, w: Word) -> Optional[tuple[int, ...]]:
+    def express_in_basis(self, w: Word) -> tuple[int, ...] | None:
         """Rewrite a member word over the spanning-tree basis.
 
         Returns signed basis indices (1-based, aligned with ``basis()``),
@@ -161,7 +161,7 @@ def graph_from_text(text: str) -> SubgroupGraph:
         else:
             if alphabet is None:
                 raise ValueError("graph file must declare gens before edges")
-            if len(parts) != 3 or not all(v.removeprefix("-").isdecimal() for v in parts[::2]):
+            if len(parts) != 3 or not all(v.isascii() and v.removeprefix("-").isdecimal() for v in parts[::2]):
                 raise ValueError(f"bad edge line {line!r}")
             src, label, dst = parts
             edges.append((int(src), alphabet.index(label) + 1, int(dst)))

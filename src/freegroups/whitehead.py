@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import stallings
 from .words import Alphabet, Word, _core, abelianize, cyclic_core, free_reduce, letter_key
@@ -152,10 +153,8 @@ def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMo
     return moves
 
 
-class MinimizationTrace(NamedTuple):
-    initial: tuple[Word, ...]
-    final: tuple[Word, ...]
-    moves: tuple[WhiteheadMove, ...]
+class MinimizationTrace(namedtuple("MinimizationTrace", "initial final moves")):
+    __slots__ = ()
 
     @property
     def final_length(self) -> int:
@@ -182,7 +181,7 @@ def _multiplier_move(alphabet: Alphabet, a: int, others: list[int], mask: int) -
     return WhiteheadMove(alphabet, "multiplier", multiplier=a, affected=affected)
 
 
-def _first_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
+def _first_move(words: tuple[Word, ...], cyclic: bool) -> WhiteheadMove | None:
     """The first shortening type-II move in the order of ``whitehead_moves``, or None.
 
     For the first multiplier a whose min cut is below deg(a), the bits of
@@ -219,7 +218,7 @@ def _first_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove
     return _multiplier_move(words[0].alphabet, a, others, mask)
 
 
-def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> Optional[WhiteheadMove]:
+def _min_cut_move(words: tuple[Word, ...], cyclic: bool) -> WhiteheadMove | None:
     """A steepest shortening type-II move, or None.
 
     The most negative min cut - deg(a) wins, the first a on ties, with A

@@ -7,11 +7,11 @@ needs no coordination.
 
 Word syntax (used by :func:`parse_word` / :func:`format_word`): tokens
 separated by whitespace, each token ``name`` or ``name^k`` for a nonzero
-integer ``k``; the token ``1`` denotes the empty word.  Generator names
-are nonempty strings of ASCII letters, digits and ``_``, and the name
-``1`` is reserved.  The single-letter tokens ``name`` and ``name^-1``
-are read from a table each alphabet builds once; any other token is
-split at ``^`` and checked by str methods.
+integer ``k`` in ASCII digits; the token ``1`` denotes the empty word.
+Generator names are nonempty strings of ASCII letters, digits and
+``_``, and the name ``1`` is reserved.  The single-letter tokens
+``name`` and ``name^-1`` are read from a table each alphabet builds
+once; any other token is split at ``^`` and checked by str methods.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
 
     Tokens ``name`` and ``name^-1`` map through the alphabet's table, in
     range by construction; others are split at ``^``, the exponent an
-    optional ``-`` and decimal digits.  A text with no cancelling
+    optional ``-`` and ASCII decimal digits.  A text with no cancelling
     neighbours (x + y == 0, one pass in C) skips free reduction's loop.
     """
     tokens, table = text.split(), alphabet._tokens
@@ -214,7 +214,7 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
                 letters.append(table[token])
             elif token != "1":
                 name, caret, exp = token.partition("^")
-                if not _is_name(name) or caret and not exp.removeprefix("-").isdecimal():
+                if not _is_name(name) or caret and not (exp.isascii() and exp.removeprefix("-").isdecimal()):
                     raise ValueError(f"malformed word token {token!r}")
                 k = int(exp) if caret else 1
                 if k == 0:

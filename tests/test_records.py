@@ -1,7 +1,9 @@
-"""The value records are NamedTuples: the same immutability, value
-equality and defaults as the frozen dataclasses they replaced, and the
-same reprs except where a record has since dropped a field that echoed
-what its caller already holds: ``OrbitReport`` its family, bound and
+"""The value records are ``collections.namedtuple``s, subclassed with
+empty ``__slots__`` where they carry a docstring or methods, so they
+need neither dataclass code generation nor the ``typing`` module.  They
+keep the immutability, value equality and defaults of the frozen
+dataclasses they replaced, and the same reprs except where a record has
+since dropped a field that echoed what its caller already holds: ``OrbitReport`` its family, bound and
 element, ``CounterexampleReport`` its two length bounds and a0 size, and
 ``CounterexampleSetup`` its a0 size and ``u``, which is ``pres.u``."""
 
@@ -101,7 +103,7 @@ def test_repr_is_unchanged(make, expected):
 def test_records_are_immutable(make, expected):
     record = make()
     with pytest.raises(AttributeError):
-        setattr(record, next(iter(type(record).__annotations__)), None)
+        setattr(record, type(record)._fields[0], None)
     with pytest.raises(AttributeError):
         record.extra = None
 

@@ -406,7 +406,7 @@ def test_classify_preconditions(edge_pres, f2):
 
 def test_amalgam_examples(amalgam):
     am = amalgam
-    assert amalgam_reduce(am, am.word("p r^-1")).is_trivial()
+    assert amalgam_reduce(am, am.word("p r^-1")).syllables == ()
 
     form = amalgam_reduce(am, am.word("p^2 s"))
     assert [(side, str(word_)) for side, word_ in form.syllables] == [(2, "r^2 s")]
@@ -452,6 +452,8 @@ def test_amalgam_reduce_matches_rescan(case):
     pres, word_ = case
     form = amalgam_reduce(pres, word_)
     assert form.syllables == tuple((side, pres.to_union(side, wd)) for side, wd in oracle.amalgam_rescan(pres, word_))
+    # No syllable is empty, so an empty syllable tuple is the only form of 1.
+    assert all(syllable for _, syllable in form.syllables)
     letters = form.to_word(pres).letters
     assert free_reduce(letters) == letters
 

@@ -203,6 +203,9 @@ def test_graph_from_text_errors():
     # A later gens line would relabel the edges read before it.
     with pytest.raises(ValueError, match="repeated gens line 'gens x y z'"):
         graph_from_text("gens a b\nbase 0\n0 a 1\n1 b 0\ngens x y z\n")
+    # Vertices are ASCII integers: int() would read an Arabic-Indic three.
+    with pytest.raises(ValueError, match="^bad edge line '\u0663 x 0'$"):
+        graph_from_text("gens x y\nbase 0\n\u0663 x 0\n")
     for unfolded in ("0 x 1\n0 x 2\n", "1 x 0\n2 x 0\n"):
         with pytest.raises(ValueError, match="graph is not folded"):
             graph_from_text("gens x y\nbase 0\n" + unfolded)

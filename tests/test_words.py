@@ -146,6 +146,9 @@ def test_parse_and_format(f2):
         parse_word(f2, "z")
     with pytest.raises(ValueError):
         parse_word(f2, "x^^2")
+    # Exponents are ASCII digits, as names are ASCII: int() would read an Arabic-Indic three.
+    with pytest.raises(ValueError, match=r"^malformed word token 'x\^\u0663'$"):
+        parse_word(f2, "x^\u0663")
 
 
 def _parsed(parse, alphabet: Alphabet, text: str):
@@ -198,7 +201,7 @@ def _tokens(alphabet: Alphabet):
     names = list(alphabet.generators)
     letter = st.sampled_from(names + [f"{n}^-1" for n in names])
     power = st.builds(lambda n, k: f"{n}^{k}", st.sampled_from(names), st.sampled_from(["0", "-0", "1", "01", "-01", "2", "-3"]))
-    # x^1_0: int() reads 10, the regex rejects it; x^\u0663 (Arabic-Indic three) both read as x^3.
+    # x^1_0: int() reads 10, the regex rejects it; x^\u0663 (Arabic-Indic three): int() reads 3, both reject it.
     odd = st.sampled_from(["1", "q", "x^^2", "x^", "^2", "x^+1", "x-1", "2^-1", "x^1_0", "x^\u0663", "x^-", "\u00e9"])
     return st.one_of(letter, letter, letter, power, odd)
 

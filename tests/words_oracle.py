@@ -22,7 +22,7 @@ from typing import Optional
 from freegroups.words import Alphabet, Word, cyclically_reduce
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_TOKEN_RE = re.compile(r"^([A-Za-z0-9_]+)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"^([A-Za-z0-9_]+)(?:\^(-?[0-9]+))?$")
 
 
 def is_name(name: str) -> bool:
