@@ -10,9 +10,9 @@ Each fact of the text boundary is stated once: ``build_parser`` declares
 every subcommand with its handler and options, ``main`` dispatches a call
 that starts with a subcommand to that subcommand's parser (the top-level
 parser takes every other call and reports leftover arguments), ``_given``
-rejects a missing required option, ``_print_report`` writes every check
-report, and the file formats skip blank and ``#`` lines through
-``words.content_lines``.
+rejects a missing required option, ``_integer`` reads every numeric option,
+``_print_report`` writes every check report, and the file formats skip
+blank and ``#`` lines through ``words.content_lines``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,16 @@ def _given(args, option: str) -> str:
     if not value:
         raise ValueError(f"this subcommand needs --{option}" + ("" if option == "gens" else " FILE"))
     return value
+
+
+def _integer(text: str) -> int:
+    """The type of every numeric option: what a word exponent is, an optional - and ASCII digits."""
+    try:
+        if text.isascii() and text.removeprefix("-").isdecimal():
+            return int(text)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _count(args, option: str) -> int:
@@ -368,22 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, "pres")
     p.add_argument("alpha")
     p.add_argument("beta")
-    add("dehn-twist", cmd_dehn_twist, "pres").add_argument("--power", type=int, default=1)
+    add("dehn-twist", cmd_dehn_twist, "pres").add_argument("--power", type=_integer, default=1)
     add("apply", cmd_apply, "gens", "pres", "map").add_argument("word")
     add("compose", cmd_compose, "gens", "pres", "map", "map2")
     add("is-auto", cmd_is_auto, "gens", "map")
-    add("order", cmd_order, "gens", "pres", "map").add_argument("--max", type=int, default=20)
-    add("fixed", cmd_fixed, "gens", "map").add_argument("--max-len", type=int, default=6)
+    add("order", cmd_order, "gens", "pres", "map").add_argument("--max", type=_integer, default=20)
+    add("fixed", cmd_fixed, "gens", "map").add_argument("--max-len", type=_integer, default=6)
     p = add("orbit", cmd_orbit, "pres")
     p.add_argument("--element", required=True, help="the word whose images under the twists are counted")
-    p.add_argument("--n", type=int, default=20, help="the largest twist power; exact at once when the splitting"
+    p.add_argument("--n", type=_integer, default=20, help="the largest twist power; exact at once when the splitting"
                    " meets the twist lemma's hypotheses, otherwise a scan in time quadratic in n")
     add("compressed-check", cmd_compressed_check, "cert")
     p = add("verify-counterexample", cmd_verify_counterexample)
-    p.add_argument("--a0", type=int, default=0)
-    p.add_argument("--l-solution", type=int, default=6,
+    p.add_argument("--a0", type=_integer, default=0)
+    p.add_argument("--l-solution", type=_integer, default=6,
                    help="lists the solutions up to this length: check 6 itself is exact over F")
-    p.add_argument("--l-separation", type=int, default=8,
+    p.add_argument("--l-separation", type=_integer, default=8,
                    help="changes only its header line: check 7 is exact for the letter map g")
     p.add_argument("--format", default="text", choices=tuple(REPORT_LINE))
     return parser

@@ -7,11 +7,15 @@ power of u (rewriting to the same power of v) and ``t g t^-1`` with
 
 Elements of an HNN extension are plain words over the base alphabet
 extended by the stable letter; elements of an amalgam are words over the
-disjoint union of the factor alphabets.  Britton and amalgam forms are
-not canonical across pinch orders, so equality always goes through
-reduction of ``w1 * w2^-1``, never form comparison.  All operations are
-pure, and values are immutable by convention, as ``Word`` and
-``SubgroupGraph`` are.
+disjoint union of the factor alphabets.  Both reduce in one stack pass
+over syllables and the crossings between them.  A crossing is a stable
+letter, or a change of factor: +1 into factor 2, -1 into factor 1, so c1
+and c2 play u and v.  Pinch rule: two opposite crossings pinch around a
+power of the edge word between them.  End rule, for an amalgam's tree
+edge only: an edge power at either end of the word also moves across
+its one crossing.  Forms are not canonical across pinch orders, so
+equality reduces ``w1 * w2^-1``.  All operations are pure, and values
+are immutable by convention, as ``Word`` and ``SubgroupGraph`` are.
 
 This module owns the rules of both groups: each presentation is a group
 domain for ``endos`` (``alphabet``, ``relators``, ``normal_form``, ``equal``
@@ -21,7 +25,6 @@ and ``twist_fixes``), as ``words.Alphabet`` is for the free group.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
 
 from .endos import Endomorphism
 from .words import (
@@ -59,10 +62,50 @@ class Report(namedtuple("Report", "checks")):
         raise KeyError(name)
 
 
-class HnnPresentation:
+class _Splitting:
+    """The group-domain methods of both kinds, read off their stack; letters 1.._first span the first vertex group."""
+
+    __slots__ = ("alphabet", "relators", "_key", "_edge_parts", "_first")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def normal_form(self, w: Word) -> Word:
+        """The stack's syllables and crossings, already reduced: neighbours cancel only in a pinch."""
+        words, signs = _stack(self, w.alphabet, w.letters)
+        letters = words[0]
+        for eps, syllable in zip(signs, words[1:]):
+            letters += [*self._crossing[eps], *syllable]
+        return Word(self.alphabet, tuple(letters), _reduced=True)
+
+    def equal(self, w1: Word, w2: Word) -> bool:  # through the kind's module function, looked up at each call
+        return (amalgam_equal if self._tree else hnn_equal)(self, w1, w2)
+
+    def word(self, text: str) -> Word:
+        return parse_word(self.alphabet, text)
+
+    def twist_fixes(self, f: Endomorphism, w: Word) -> bool | None:
+        """Whether f fixes w if f was built by dehn_twist(self, p != 0) and the twist lemma holds, else None.
+
+        It then fixes just the first vertex group (the HNN base, factor 1), which holds c2's powers.
+        """
+        if f.domain != self or not f.twist_power or not self._twist_lemma:
+            return None
+        words, signs = _stack(self, w.alphabet, w.letters)
+        head = tuple(words[0])
+        in_first = not head or abs(head[0]) <= self._first
+        return not signs and (in_first or _power_in(head, self._edge_parts[1]) is not None)
+
+
+class HnnPresentation(_Splitting):
     """<H, t | u^t = v> with free base H and nontrivial base words u, v."""
 
-    __slots__ = ("base", "stable", "u", "v", "extended", "t_letter", "relators", "_edge_parts", "_validation")
+    __slots__ = ("base", "stable", "u", "v", "extended", "t_letter", "_crossing", "_validation")
+    _tree, _off_alphabet = False, "word is not over the extension alphabet"
+    _twist_lemma = property(lambda self: validate_presentation(self).ok)  # whether its hypotheses hold
 
     def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
         if stable in base:
@@ -71,38 +114,20 @@ class HnnPresentation:
             raise ValueError("u and v must be words over the base alphabet")
         if not u or not v:
             raise ValueError("edge words must be nontrivial")
-        self.base, self.stable, self.u, self.v = base, stable, u, v
+        self.base, self.stable, self.u, self.v = self._key = base, stable, u, v
         # Derived once; base letters keep their codes in the extended alphabet.
-        self.extended = base.extend(stable)
+        self.alphabet = self.extended = base.extend(stable)
         t = self.t_letter = base.rank + 1  # the defining relator t^-1 u t v^-1, reduced as written
         self.relators = (Word(self.extended, (-t, *u.letters, t, *_inverse(v.letters)), _reduced=True),)
-        self._edge_parts = (_root_parts(u), _root_parts(v))
+        self._edge_parts, self._first = (_root_parts(u), _root_parts(v)), base.rank
+        self._crossing = {1: (t,), -1: (-t,)}  # the letters of a crossing, by sign
         self._validation: Report | None = None  # see validate_presentation
 
-    def __eq__(self, other: object) -> bool:
-        values = lambda p: (p.base, p.stable, p.u, p.v)
-        return isinstance(other, HnnPresentation) and values(self) == values(other)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.stable, self.u, self.v))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.extended
-
-    def normal_form(self, w: Word) -> Word:
-        return britton_reduce(self, w).to_word(self)
-
-    def equal(self, w1: Word, w2: Word) -> bool:
-        return hnn_equal(self, w1, w2)
-
-    def twist_fixes(self, f: Endomorphism, w: Word) -> bool | None:
-        """Whether f fixes w if f was built by dehn_twist(self, p != 0) and self validates, else None."""
-        twist = f.domain == self and f.twist_power and validate_presentation(self).ok
-        return not britton_reduce(self, w).tail if twist else None
-
-    def word(self, text: str) -> Word:
-        return parse_word(self.extended, text)
+    def _syllables(self, lets):
+        """The base syllable before the first stable letter, then each stable letter's sign and next syllable."""
+        t = self.t_letter
+        cuts = [i for i, letter in enumerate(lets) if letter == t or letter == -t] + [len(lets)]
+        return lets[: cuts[0]], [(1 if lets[i] > 0 else -1, lets[i + 1 : j]) for i, j in zip(cuts, cuts[1:])]
 
     def base_word(self, text: str) -> Word:
         return parse_word(self.base, text)
@@ -125,10 +150,8 @@ class BrittonForm(namedtuple("BrittonForm", "head tail", defaults=((),))):
     def to_word(self, pres: HnnPresentation) -> Word:
         """Already reduced: the syllables are, and t^e 1 t^-e would be a pinch."""
         letters = list(self.head.letters)
-        t = pres.t_letter
         for eps, g in self.tail:
-            letters.append(t if eps > 0 else -t)
-            letters.extend(g.letters)
+            letters += pres._crossing[eps] + g.letters
         return Word(pres.extended, tuple(letters), _reduced=True)
 
 
@@ -160,43 +183,57 @@ def _push(out: list[int], letters: tuple[int, ...]) -> None:
     out.extend(letters[k:])
 
 
-def _britton_stack(pres: HnnPresentation, alphabet: Alphabet, lets) -> tuple[list[list[int]], list[int]]:
-    """Britton's pinch-free stack of reduced letters: base syllables as letter lists, and stable letter signs."""
-    if alphabet != pres.extended:
-        raise ValueError("word is not over the extension alphabet")
-    t = pres.t_letter
-    cuts = [i for i, letter in enumerate(lets) if letter == t or letter == -t] + [len(lets)]
-    words = [list(lets[: cuts[0]])]
-    signs: list[int] = []
-    for i, j in zip(cuts, cuts[1:]):
-        eps = 1 if lets[i] > 0 else -1
-        if signs and signs[-1] == -eps:
-            edge, image = pres._edge_parts[::eps]  # u's, v's parts at eps = 1; v's, u's at -1
+def _stack(pres, alphabet: Alphabet, lets) -> tuple[list[list[int]], list[int]]:
+    """The one reduction pass: a pinch-free stack of syllables, as reduced letter lists, and of crossing signs.
+
+    A crossing of sign eps pinches with the opposite one below the top syllable if the top is a power of the
+    edge word it crosses (u or c1 at eps = 1, v or c2 at -1): the same power of the other edge word and the
+    next syllable join the syllable below, cancelling at each seam.  The stack is pinch-free, so that is the
+    leftmost pinch in the word: the pinches are those of rescanning after each one.  Edge membership is
+    exact, by slicing against edge roots split once.  On a tree edge (the end rule) the head pinches at each
+    crossing too, with the image taking its place, and at the end the top crosses back if it is an edge power.
+    """
+    if alphabet != pres.alphabet:
+        raise ValueError(pres._off_alphabet)
+    head, crossings = pres._syllables(lets)
+    words, signs, parts, tree = [list(head)], [], pres._edge_parts, pres._tree
+    for eps, syllable in crossings:
+        if signs[-1] == -eps if signs else tree:
+            edge, image = parts if eps > 0 else parts[::-1]  # parts[::eps], with no slice at eps = 1
             p = _power_in(tuple(words[-1]), edge)
             if p is not None:
-                signs.pop()
-                words.pop()
+                if signs:
+                    signs.pop()
+                    words.pop()
+                else:  # the head, on a tree edge: the image takes its place
+                    words[-1] = []
                 _push(words[-1], _power_letters(image, p))
-                _push(words[-1], lets[i + 1 : j])
+                _push(words[-1], syllable)
                 continue
         signs.append(eps)
-        words.append(list(lets[i + 1 : j]))
+        words.append(list(syllable))
+    if tree and signs:  # once: the syllable below was no edge power when checked, nor is it times the image
+        edge, image = parts[::-signs[-1]]
+        p = _power_in(tuple(words[-1]), edge)
+        if p is not None:
+            signs.pop()
+            words.pop()
+            _push(words[-1], _power_letters(image, p))
     return words, signs
 
 
-def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
-    """Rewrite leftmost pinches until none remains, in one left-to-right pass.
+def _equal(pres, w1: Word, w2: Word) -> bool:
+    """w1 = w2 iff the stack of w1 w2^-1 is one empty syllable: Britton's lemma, or the amalgam normal form theorem."""
+    if w1.alphabet != w2.alphabet:
+        raise ValueError("alphabet mismatch")
+    lets = list(w1.letters)
+    _push(lets, _inverse(w2.letters))  # the letters of w1 * w2^-1, with no Word built
+    return _stack(pres, w1.alphabet, lets) == ([[]], [])
 
-    t^-1 u^p t -> v^p and t v^p t^-1 -> u^p; membership in <u> or <v> is
-    exact, by slicing the syllable against the edge roots split once per
-    presentation, and a pinch builds no Word.  The syllables
-    read so far form a pinch-free stack, so a stable letter can only
-    close a pinch with the top base word, and that pinch is the leftmost
-    one in the word: the pinches are those of rescanning after each one.
-    A pinch appends its replacement and the next base syllable to the
-    base word below the top, cancelling at each seam.
-    """
-    words, signs = _britton_stack(pres, w.alphabet, w.letters)
+
+def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
+    """Rewrite leftmost pinches t^-1 u^p t -> v^p and t v^p t^-1 -> u^p until none remains: ``_stack``."""
+    words, signs = _stack(pres, w.alphabet, w.letters)
     base = [Word(pres.base, tuple(ls), _reduced=True) for ls in words]
     return BrittonForm(base[0], tuple(zip(signs, base[1:])))
 
@@ -207,12 +244,8 @@ def hnn_length(form: BrittonForm) -> int:
 
 
 def hnn_equal(pres: HnnPresentation, w1: Word, w2: Word) -> bool:
-    """Equality in the HNN extension: by Britton's lemma, w1 * w2^-1 = 1 iff its stack is one empty syllable."""
-    if w1.alphabet != w2.alphabet:
-        raise ValueError("alphabet mismatch")
-    lets = list(w1.letters)
-    _push(lets, _inverse(w2.letters))  # the letters of w1 * w2^-1
-    return _britton_stack(pres, w1.alphabet, lets) == ([[]], [])
+    """Equality in the HNN extension, by Britton's lemma."""
+    return _equal(pres, w1, w2)
 
 
 class ClassificationResult(namedtuple("ClassificationResult", "solvable case p gamma delta s", defaults=(None,) * 5)):
@@ -259,10 +292,12 @@ def classify_base_conjugacy(pres: HnnPresentation, alpha: Word, beta: Word) -> C
     return ClassificationResult(False)
 
 
-class AmalgamPresentation:
+class AmalgamPresentation(_Splitting):
     """Amalgam of two free factors over identified cyclic subgroups <c1> = <c2>."""
 
-    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet", "relators", "_edge_parts")
+    __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet")
+    _tree, _off_alphabet, _crossing = True, "word is not over the amalgam alphabet", {1: (), -1: ()}
+    _twist_lemma = property(lambda self: self._edge_parts[1][4] == 1)  # whether c2 is root-free
 
     def __init__(self, factor1: Alphabet, factor2: Alphabet, c1: Word, c2: Word):
         if set(factor1.generators) & set(factor2.generators):
@@ -271,49 +306,25 @@ class AmalgamPresentation:
             raise ValueError("edge words must live in their own factors")
         if not c1 or not c2:
             raise ValueError("edge words must be nontrivial")
-        self.factor1, self.factor2, self.c1, self.c2 = factor1, factor2, c1, c2
-        self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
+        self.factor1, self.factor2, self.c1, self.c2 = self._key = factor1, factor2, c1, c2
+        self.alphabet = self.union_alphabet = Alphabet(factor1.generators + factor2.generators)
+        self._first = factor1.rank
         edges = self.to_union(1, c1), self.to_union(2, c2)  # the relator c1 c2^-1 is reduced as written
         self.relators = (Word(self.union_alphabet, edges[0].letters + _inverse(edges[1].letters), _reduced=True),)
         self._edge_parts = tuple(map(_root_parts, edges))  # in union letters
 
-    def __eq__(self, other: object) -> bool:
-        values = lambda p: (p.factor1, p.factor2, p.c1, p.c2)
-        return isinstance(other, AmalgamPresentation) and values(self) == values(other)
-
-    def __hash__(self) -> int:
-        return hash((self.factor1, self.factor2, self.c1, self.c2))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.union_alphabet
-
-    def normal_form(self, w: Word) -> Word:
-        return amalgam_reduce(self, w).to_word(self)
-
-    def equal(self, w1: Word, w2: Word) -> bool:
-        return amalgam_equal(self, w1, w2)
-
-    def twist_fixes(self, f: Endomorphism, w: Word) -> bool | None:
-        """Whether f fixes w if f was built by dehn_twist(self, p != 0) and c2 is root-free, else None."""
-        parts = self._edge_parts[1]
-        if f.domain != self or not f.twist_power or parts[4] != 1:
-            return None
-        form = amalgam_reduce(self, w).syllables  # K1: no syllable, a factor-1 one or a c2-power
-        return len(form) < 2 and all(side == 1 or _power_in(s.letters, parts) is not None for side, s in form)
-
-    def word(self, text: str) -> Word:
-        return parse_word(self.union_alphabet, text)
+    def _syllables(self, lets):
+        """The first factor run, and each later one with the sign of the change into it: +1 into factor 2."""
+        n = self._first
+        cuts = [i for i in range(1, len(lets)) if (abs(lets[i - 1]) > n) != (abs(lets[i]) > n)] + [len(lets)]
+        return lets[: cuts[0]], [(1 if abs(lets[i]) > n else -1, lets[i:j]) for i, j in zip(cuts, cuts[1:])]
 
     def side_of(self, letter: int) -> int:
-        return 1 if abs(letter) <= self.factor1.rank else 2
+        return 1 if abs(letter) <= self._first else 2
 
     def to_union(self, side: int, w: Word) -> Word:
-        if side == 1:
-            return Word(self.union_alphabet, w.letters, _reduced=True)
-        shift = self.factor1.rank
-        lets = tuple(l + shift if l > 0 else l - shift for l in w.letters)
-        return Word(self.union_alphabet, lets, _reduced=True)
+        shift = self._first if side == 2 else 0
+        return Word(self.union_alphabet, tuple(l + shift if l > 0 else l - shift for l in w.letters), _reduced=True)
 
     def __repr__(self) -> str:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
@@ -330,55 +341,20 @@ class AmalgamForm(namedtuple("AmalgamForm", "syllables")):
 
 
 def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
-    """Normal form: merge syllables lying in the edge group across sides.
+    """Normal form, by ``_stack``: merge syllables lying in the edge group across sides.
 
-    The rule: the leftmost syllable equal to an edge power c_i^p becomes
-    c_j^p on the other side and joins its right neighbour (its left one
-    when it is last); a trivial syllable is dropped and its two
-    neighbours merge.  The result is a single syllable, or an
-    alternating sequence with no syllable a power of its side's edge
-    word.
-
-    One left-to-right pass applies the rule.  The syllables read so far
-    form a stack that alternates, has no trivial syllable and no edge
-    power below its top, so an edge power on top is the leftmost one:
-    the next syllable absorbs it, and the result merges with the
-    syllable below, which shares its side.  An edge power left on top at
-    the end joins its left neighbour.  Syllables are lists of union
-    letters, sliced against edge roots split once, and cancel at seams.
+    The leftmost syllable equal to an edge power c_i^p becomes c_j^p on the other side and joins its right
+    neighbour (its left one when it is last); a trivial syllable is dropped and its neighbours merge.  The
+    result is a single syllable, or an alternating sequence with no syllable a power of its side's edge word.
     """
-    if w.alphabet != pres.union_alphabet:
-        raise ValueError("word is not over the amalgam alphabet")
-    parts, stack = pres._edge_parts, []
-    for side, run in groupby(w.letters, pres.side_of):
-        wd = list(run)
-        while stack and wd:
-            top_side, top = stack[-1]
-            if top_side != side:
-                p = _power_in(tuple(top), parts[top_side - 1])
-                if p is None:
-                    break
-                top = list(_power_letters(parts[side - 1], p))
-            stack.pop()
-            _push(top, wd)
-            wd = top
-        if wd:
-            stack.append((side, wd))
-    while len(stack) >= 2:
-        side, last = stack[-1]
-        p = _power_in(tuple(last), parts[side - 1])
-        if p is None:
-            break
-        stack.pop()
-        side, wd = stack[-1]
-        _push(wd, _power_letters(parts[side - 1], p))
-        if not wd:
-            stack.pop()
-    return AmalgamForm(tuple((side, Word(pres.union_alphabet, tuple(ls), _reduced=True)) for side, ls in stack))
+    words, _ = _stack(pres, w.alphabet, w.letters)
+    syllables = ((pres.side_of(ls[0]), Word(pres.alphabet, tuple(ls), _reduced=True)) for ls in words if ls)
+    return AmalgamForm(tuple(syllables))
 
 
 def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:
-    return not amalgam_reduce(pres, w1 * ~w2).syllables
+    """Equality in the amalgam, by the normal form theorem."""
+    return _equal(pres, w1, w2)
 
 
 def dehn_twist(splitting, power: int):
@@ -394,19 +370,15 @@ def dehn_twist(splitting, power: int):
             twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
         elif isinstance(splitting, AmalgamPresentation):
             parts, shift = splitting._edge_parts[1], splitting.factor1.rank
-            twisted = {
-                name: free_reduce(_power_letters(parts, power) + (shift + i,) + _power_letters(parts, -power))
-                for i, name in enumerate(splitting.factor2.generators, 1)
-            }
+            twisted = {name: free_reduce(_power_letters(parts, power) + (shift + i,) + _power_letters(parts, -power))
+                       for i, name in enumerate(splitting.factor2.generators, 1)}
         else:
             raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
     except OverflowError:
         raise OverflowError(f"twist power {power} is too large to hold") from None
     alphabet = splitting.alphabet
-    images = {
-        name: Word(alphabet, twisted.get(name, (i + 1,)), _reduced=True)
-        for i, name in enumerate(alphabet.generators)
-    }
+    images = {name: Word(alphabet, twisted.get(name, (i,)), _reduced=True)
+              for i, name in enumerate(alphabet.generators, 1)}
     twist = Endomorphism(splitting, images)
     twist.twist_power = power
     return twist

@@ -15,7 +15,9 @@ Theory, Prop. I.4.17; Higgins & Lyndon, J. London Math. Soc. 1974).  So
 one descent decides both questions asked here: primitivity of a single
 word, by its cyclic length, and free factors, by the total length of a
 tuple.  A word whose exponent sums have a gcd other than 1 is not
-primitive, which ``is_primitive`` reads off before any descent.
+primitive, which ``is_primitive`` reads off before any descent.  Before
+each step, both deciders drop every word holding a generator that occurs
+once in the tuple, and answer True when no word is left.
 
 No move is applied just to learn its length change.  The Whitehead
 (star) graph of a tuple has the 2n letters as vertices and, for every
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from . import stallings
@@ -279,15 +281,30 @@ def _max_flow(residual: list[list[int]], s: int, t: int, limit: int, flow: int =
     return limit, None
 
 
-def _descend(words: Sequence[Word], cyclic: bool, pick) -> MinimizationTrace:
-    """Apply the move ``pick`` finds until it finds none: the one descent loop."""
+def _drop_lone(words: tuple[Word, ...]) -> tuple[Word, ...]:
+    """Drop every word holding a generator that occurs once in the tuple, until none does.
+
+    Exact: if x^+-1 occurs once, in w = A x B, then x -> A^-1 x B^-1 sends w to x and fixes the other
+    words, which lie in F(X - x); by Kurosh, <x> * H' is a free factor of F = <x> * F(X - x) iff H' is
+    one of F(X - x).  A dropped letter has degree 0 in the star graph, so no later move brings it back.
+    """
+    while True:
+        counts = Counter(itertools.chain.from_iterable(w.letters for w in words))
+        lone = {x for x, c in counts.items() if c == 1 and -x not in counts}
+        if not lone:
+            return words
+        words = tuple(w for w in words if lone.isdisjoint(w.letters))
+
+
+def _descend(words: Sequence[Word], cyclic: bool, pick, drop: bool = False) -> MinimizationTrace:
+    """Apply the move ``pick`` finds until it finds none: the one descent loop; ``drop`` runs ``_drop_lone`` first."""
     words = tuple(cyclic_core(w) if cyclic else w for w in words)
     if not words:
         return MinimizationTrace((), (), ())
     if any(w.alphabet != words[0].alphabet for w in words):
         raise ValueError("alphabet mismatch")
     current, applied = words, []
-    while (move := pick(current, cyclic)) is not None:
+    while (current := _drop_lone(current) if drop else current) and (move := pick(current, cyclic)) is not None:
         current = tuple(move.apply(w, cyclic) for w in current)
         applied.append(move)
     return MinimizationTrace(words, current, tuple(applied))
@@ -318,7 +335,7 @@ def is_primitive(w: Word) -> bool:
     """
     if not w:
         raise ValueError("the empty word is not a candidate for primitivity")
-    return math.gcd(*abelianize(w)) == 1 and _descend((w,), True, _min_cut_move).final_length == 1
+    return math.gcd(*abelianize(w)) == 1 and not _descend((w,), True, _min_cut_move, True).final
 
 
 def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
@@ -331,7 +348,7 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     independence, which automorphisms preserve, makes their generators
     distinct.  Type-I moves keep lengths, and peak reduction makes the
     greedy type-II descent reach the least total length in the orbit.
-    So U is a free-factor basis iff its descent ends at length k.
+    So U is a free-factor basis iff its descent ends at length k, where each word is a lone letter and dropped.
 
     Raises ValueError when the words are not independent (the subgroup
     graph rank must equal the tuple length).
@@ -342,4 +359,4 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
             raise ValueError("alphabet mismatch")
     if stallings.subgroup_graph(alphabet, words).rank() != len(words):
         raise ValueError("words are not an independent basis")
-    return _descend(words, False, _min_cut_move).final_length == len(words)
+    return not _descend(words, False, _min_cut_move, True).final

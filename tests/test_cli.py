@@ -631,6 +631,14 @@ TRANSCRIPT = [
     "dehn-twist --pres tests/data/amalgam_rank1.txt --power 2",
     'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_map.txt "q s p^2 r^-3 s^-1 q r s"',
     'apply --pres tests/data/amalgam_rank1.txt --map tests/data/amalgam_rank1_map.txt "q p^2 q^-1 r^-1 q r p"',
+    # The amalgam's end rule, through the identity map, which prints the
+    # normal form: an edge power at either end of the word crosses into
+    # its neighbour, and a word that is one edge power stays as it is.
+    'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_identity.txt "p^2 s q"',
+    'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_identity.txt "q s p^2"',
+    'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_identity.txt "q s p^2 r^-3 s^-1 q"',
+    'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_identity.txt "r^3"',
+    'apply --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_identity.txt "p^2 r^-3"',
     "compose --pres tests/data/amalgam_p2_r3.txt --map tests/data/amalgam_p2_r3_map.txt"
     " --map2 tests/data/amalgam_p2_r3_map.txt",
     "compose --pres tests/data/amalgam_rank1.txt --map tests/data/amalgam_rank1_map.txt"
@@ -660,6 +668,11 @@ TRANSCRIPT = [
     'britton --pres tests/data/bs23.txt "t^-1 t^-1 a^4 t t b"',
     'britton --pres tests/data/bs23.txt "t t a t^-1 t^-1"',
     'britton --pres tests/data/bs23.txt "t a^6 t^-1 b t^-1 a^-2 t"',
+    # Pinches that empty a syllable: the head, an inner syllable whose
+    # emptying closes a second pinch, and one followed by a pinch-free pair.
+    'britton --pres tests/data/bs23.txt "t^-1 a^2 t a^-3 t b"',
+    'britton --pres tests/data/bs23.txt "t b t^-1 a^2 t a^-3 b^-1 t^-1"',
+    'britton --pres tests/data/bs23.txt "b t^-1 a^2 t a^-3 t^-1 a^3 t"',
     'hnn-equal --pres tests/data/pipeline.txt "t^-1 u t" "a y b y a y^-1 b y^-1"',
     'hnn-equal --pres tests/data/pipeline.txt "t^-1 u^3 t a" "a y b y a y^-1 b y^-1 t^-1 u^2 t a"',
     'hnn-equal --pres tests/data/bs23.txt "t^-1 a^4 t" "a^6"',
@@ -782,6 +795,27 @@ def test_repeated_certificate_line_is_a_usage_error(capsys, tmp_path, text, repe
     cert.write_text(text)
     code, out, err = run(capsys, "compressed-check", "--cert", str(cert))
     assert (code, out, err) == (2, "", f"error: repeated certificate line {repeat!r}\n")
+
+
+@pytest.mark.parametrize("value", ["\u0663", "+3", "3_000"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-counterexample", "--a0"],
+        ["verify-counterexample", "--l-solution"],
+        ["verify-counterexample", "--l-separation"],
+        ["dehn-twist", "--pres", "tests/data/bs23.txt", "--power"],
+        ["order", "--gens", "x", "--map", "f.txt", "--max"],
+        ["fixed", "--gens", "x", "--map", "f.txt", "--max-len"],
+        ["orbit", "--pres", "tests/data/bs23.txt", "--element", "t", "--n"],
+    ],
+)
+def test_numeric_options_read_ascii_digits_only(capsys, argv, value):
+    # A number is read as a word exponent is: an optional - and ASCII
+    # digits.  int() also reads other Unicode digits, a + sign and
+    # underscores; each is a usage error here, raised while parsing.
+    code, out, err = run(capsys, *argv, value)
+    assert (code, out) == (2, "") and err.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}\n")
 
 
 @pytest.mark.parametrize("edge", ["0 x q", "q x 0", "0 x 1.5", "0 x", "\u0663 x 0"])

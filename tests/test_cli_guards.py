@@ -79,6 +79,13 @@ GUARDS = [
     # squares minimal (no move) by min cuts.
     ("whitehead-min of the rank-12 squares",
      ["whitehead-min", "--gens", GENS12, SQUARES12], minimal(24), 0, "", 5),
+    # One x in a long word: the deciders drop every word that holds a
+    # generator occurring once, where a descent that removes one y per
+    # step took 3.7 s at y^4000 (2.6 s for the pair with z) on a 2-core box.
+    ("primitive word with a lone letter",
+     ["is-primitive", "--gens", "x y z", "x y^100000"], exactly("true\n"), 0, "", 5),
+    ("free factor with lone letters",
+     ["is-free-factor", "--gens", "x y z", "x y^100000", "z"], exactly("true\n"), 0, "", 5),
     # An edge word with a conjugator and an exponent above 1: the pinch
     # t^-1 u^-2 t is found by slicing against u's root.
     ("britton pinch against a conjugated power",

@@ -602,3 +602,42 @@ def test_hnn_and_amalgam_presentations_never_compare_equal():
 def test_presentation_reprs_are_unchanged():
     assert repr(parse_presentation(HNN_TEXT)) == "HnnPresentation(<H, t | a b^2 a^-1^t = b a b^-1>)"
     assert repr(parse_presentation(AMALGAM_TEXT)) == "AmalgamPresentation(p^2 q = r^3 s^-1)"
+
+
+# Two splittings whose groups are free, so that free reduction of an
+# image decides their word problem exactly: (file, free basis, images of
+# the other generators).
+FREE_SPLITTINGS = [
+    # <a, b, u, y, t | t^-1 u t = v> is free on a, b, y, t, as u = t v t^-1.
+    ("pipeline.txt", "a b y t", {"u": "t a y b y a y^-1 b y^-1 t^-1"}),
+    # <p, q> * <r> over q p^2 q^-1 = r is free on p, q, as r = q p^2 q^-1.
+    ("amalgam_rank1.txt", "p q", {"r": "q p^2 q^-1"}),
+]
+
+
+def _free_image(name, basis, images):
+    """The splitting of a file, and its isomorphism onto the free group on basis, on words."""
+    pres, free = parse_presentation((DATA / name).read_text()), Alphabet(basis)
+    rows = [parse_word(free, images.get(g, g)) for g in pres.alphabet.generators]
+    return pres, lambda word_: Word(free, [x for l in word_.letters for x in (rows[l - 1] if l > 0 else ~rows[-l - 1]).letters])
+
+
+FREE_IMAGES = [_free_image(*row) for row in FREE_SPLITTINGS]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_splittings_of_free_groups_match_free_reduction(data):
+    # w2 is w1 or another word, with conjugates of the relator planted at
+    # random cuts, so equal pairs are seldom freely equal.
+    pres, image = data.draw(st.sampled_from(FREE_IMAGES))
+    w1 = data.draw(reduced_words(pres.alphabet, 10))
+    w2 = w1 if data.draw(st.booleans()) else data.draw(reduced_words(pres.alphabet, 10))
+    for _ in range(data.draw(st.integers(0, 3))):
+        cut = data.draw(st.integers(0, len(w2)))
+        g = data.draw(reduced_words(pres.alphabet, 3))
+        planted = g * pres.relators[0] ** data.draw(st.sampled_from((1, -1))) * ~g
+        w2 = Word(pres.alphabet, w2.letters[:cut]) * planted * Word(pres.alphabet, w2.letters[cut:])
+    assert pres.equal(w1, w2) == (image(w1) == image(w2))
+    for word_ in (w1, w2):
+        assert image(pres.normal_form(word_)) == image(word_)

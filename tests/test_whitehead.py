@@ -11,6 +11,7 @@ from freegroups import stallings, whitehead
 from freegroups.whitehead import (
     WhiteheadMove,
     _descend,
+    _drop_lone,
     _first_move,
     _max_flow,
     _min_cut_move,
@@ -358,7 +359,7 @@ def test_product_of_squares_is_not_primitive(rank, monkeypatch):
     assert descents == []
     odd = Word(alphabet, [1] + [g for g in range(1, rank + 1) for _ in (0, 1)])
     assert not is_primitive(odd)
-    assert descents == [((odd,), True, _min_cut_move)]
+    assert descents == [((odd,), True, _min_cut_move, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -611,3 +612,55 @@ def test_squared_basis_word_is_not_a_free_factor(case, data):
     ]
     assert math.gcd(*minors) != 1
     assert not is_free_factor(words, alphabet)
+
+
+@st.composite
+def lone_letter_tuples(draw):
+    """At ranks 2-4, a word A x^+-1 B and 0-2 words free of x, under 0-2 random Whitehead moves.
+
+    Without moves x occurs once, so the deciders drop its word at once;
+    a move may hide x, and then the rule fires only later in the descent.
+    """
+    rank = draw(st.sampled_from((2, 3, 4)))
+    alphabet = ALPHABETS[rank]
+    x = draw(st.integers(1, rank))
+    free_of_x = st.lists(st.sampled_from([l for l in alphabet.letters() if abs(l) != x]), max_size=5)
+    words = [Word(alphabet, draw(free_of_x) + [draw(st.sampled_from((x, -x)))] + draw(free_of_x))]
+    words += [Word(alphabet, draw(free_of_x)) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 2))):
+        move = draw(st.sampled_from(MOVES[rank]))
+        words = [move.apply(w) for w in words]
+    return alphabet, tuple(words)
+
+
+@DIFFERENTIAL
+@given(lone_letter_tuples())
+def test_lone_letter_rule_matches_oracle(case):
+    # The deciders drop words; the oracle and the descent alone never do.
+    alphabet, words = case
+    if len(words) == 1:
+        assert is_primitive(words[0]) == oracle.is_primitive(alphabet, words[0].letters), words
+    if stallings.subgroup_graph(alphabet, words).rank() != len(words):
+        return
+    descent = _descend(words, False, _min_cut_move).final_length == len(words)
+    try:
+        expected = oracle.is_free_factor(alphabet, [w.letters for w in words], ORACLE_CAP)
+    except oracle.OrbitCapExceeded:
+        expected = False
+    assert is_free_factor(words, alphabet) == descent == expected, words
+
+
+@DIFFERENTIAL
+@given(word_tuples(ranks=(1, 2, 3, 4), max_len=8, max_size=4))
+def test_drop_lone_keeps_the_largest_lone_free_subtuple(case):
+    # Subtuples with no generator occurring once are closed under union, so
+    # there is a largest, and dropping never removes one of its words.
+    _, words = case
+
+    def lone_free(indices):
+        letters = [abs(l) for i in indices for l in words[i].letters]
+        return all(letters.count(g) != 1 for g in letters)
+
+    subtuples = [c for k in range(len(words) + 1) for c in itertools.combinations(range(len(words)), k)]
+    largest = max(filter(lone_free, subtuples), key=len)
+    assert _drop_lone(words) == tuple(words[i] for i in largest)
