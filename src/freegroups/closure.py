@@ -195,41 +195,39 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
     max_len, unless the cyclic core c of v lies in P = <a, b>.
 
     Split F = P * B, with B generated by the other generators.  E(h) is
-    nontrivial (it abelianizes to 2a + 2b), and E(h^-1) is E(h) read from
-    its second a, so h solves iff h^-1 does.  A reduced h outside P is
-    g0 M gm with g0, gm in P and M beginning and ending with B-letters,
-    with m B-syllables; cyclically E(h) = M J1 M J2 M^-1 J3 M^-1 J4 with
-    J1 = gm b g0, J2 = gm a gm^-1, J3 = g0^-1 b gm^-1, J4 = g0^-1 a g0.
-    J2 and J4 are never 1, and J1 = 1 gives J3 = gm b^2 gm^-1 != 1
-    (symmetrically for J3 = 1).  If J1 or J3 is 1, M M or M^-1 M^-1
-    merges but keeps M's end letters: M = s e s^-1 with e cyclically
-    reduced gives M^2 = s e^2 s^-1.  So E(h) is cyclically reduced in the
-    free product with a B-syllable, and conjugacy in a free product is
-    cyclic permutation of cyclically reduced syllable sequences (Lyndon &
-    Schupp IV.1).  Hence:
+    nontrivial (it abelianizes to 2a + 2b).  A reduced h outside P is
+    g0 M gm with g0, gm in P and M beginning and ending with B-letters, with
+    m B-syllables; cyclically E(h) = M J1 M J2 M^-1 J3 M^-1 J4 with
+    J1 = gm b g0, J2 = gm a gm^-1, J3 = g0^-1 b gm^-1, J4 = g0^-1 a g0.  J2
+    and J4 are never 1, and J1 = 1 gives J3 = gm b^2 gm^-1 != 1
+    (symmetrically for J3 = 1).  If J1 or J3 is 1, M M or M^-1 M^-1 merges
+    but keeps M's end letters: M = s e s^-1 with e cyclically reduced gives
+    M^2 = s e^2 s^-1.  So E(h) is cyclically reduced in the free product
+    with a B-syllable, and conjugacy in a free product is cyclic permutation
+    of cyclically reduced syllable sequences (Lyndon & Schupp IV.1).
+    Inversion sends h to gm^-1 M^-1 g0^-1, swapping J1 with J3, and E(h^-1)
+    is E(h) read from its second a: so h solves iff h^-1 does, and every
+    solution with J1 = 1 is the inverse of one with J3 = 1.  Hence:
 
-    * c has no letter of P (c = 1 included): no h solves, since E(h) has
-      a P-syllable (J2) or lies in P and is nontrivial.
+    * c has no letter of P (c = 1 included): no h solves, since E(h) has a
+      P-syllable (J2) or lies in P and is nontrivial.
     * c lies in P: every solution lies in P, and there may be infinitely
       many (every a^k solves for c = (a b)^2), so words over {a, b} are
       swept up to max_len; the only bounded case.
     * c has letters of both: c is cut cyclically into N B-syllables
       alternating with N P-syllables, and each of the N rotations that
-      starts at a B-syllable is read in three shapes.  (A) No junction
-      is 1: N = 4m and the syllables read M J1 M J2 M^-1 J3 M^-1 J4.  J2
-      is literally p a p^-1 with p not ending in a^+-1, so gm = p a^k;
-      likewise J4 = q a q^-1 gives g0 = a^-j q^-1, and p^-1 J1 q reduces
-      to a^k b a^-j, which fixes k and j.  (B) J1 = 1: g0 = b^-1 gm^-1,
-      the syllables read red(M M) J2 M^-1 J3 M^-1 J4, and p^-1 J3 p =
-      a^k b^2 a^-k fixes k.  (C) J3 = 1: g0 = b gm^-1, the syllables read
-      M J1 M J2 red(M^-1 M^-1) J4, and p^-1 J1 p = a^k b^2 a^-k fixes k.
-      In (B) and (C) red(M M) has N - 2m B-syllables, at least 1 (M^2 is
+      starts at a B-syllable is read in two shapes.  (A) No junction is 1:
+      N = 4m and the syllables read M J1 M J2 M^-1 J3 M^-1 J4.  J2 is
+      literally p a p^-1 with p not ending in a^+-1, so gm = p a^k; likewise
+      J4 = q a q^-1 gives g0 = a^-j q^-1, and p^-1 J1 q reduces to
+      a^k b a^-j, which fixes k and j.  (C) J3 = 1: g0 = b gm^-1, the
+      syllables read M J1 M J2 red(M^-1 M^-1) J4, p^-1 J1 p = a^k b^2 a^-k
+      fixes k, and red(M^-1 M^-1) has N - 2m B-syllables, at least 1 (M^2 is
       not in P) and at most 2m - 1 (M's end syllables meet), so
-      (N + 1)/4 <= m < N/2.  Each (rotation, m, shape) gives at most one
-      h, built only if the rotation reads M (or M^-1) twice where its
-      shape puts them and red(M M) (or red(M^-1 M^-1)) in place.  Each
-      distinct candidate is kept only if the cyclic core of E(h) is a
-      rotation of c, prepared once per call, so no wrong h is returned.
+      (N + 1)/4 <= m < N/2.  Each (rotation, m, shape) gives at most one h,
+      built only if the rotation reads its syllables in place.  A candidate,
+      or the inverse of one kept, is kept only if the cyclic core of E(h) is
+      a rotation of c (prepared once per call): no wrong h is returned.
     """
     a, b = alphabet.letter("a"), alphabet.letter("b")
     c = _core(v.letters)
@@ -259,10 +257,6 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
                 k += 1
             return k if not k or w[0] == a else -k
 
-        def junction(M, j2, j, g0):  # (B), (C): h = g0 gm^-1 M gm with gm = p a^k, J2 = p a p^-1
-            p = half(j2)
-            gm = p + power(lead(free_reduce(inv(p) + j + p)))
-            return g0 + inv(gm) + M + gm
         candidates, cycle = [], runs * 2
         span = lambda i, j: sum(seq[2 * i : 2 * j - 1], ())  # B-syllables i+1..j of the rotation seq
         twice = lambda i, m: seq[2 * i : 2 * (i + m) - 1] == seq[2 * (i + m) : 2 * (i + 2 * m) - 1]  # span twice
@@ -274,12 +268,12 @@ def _solution_set(alphabet: Alphabet, v: Word, max_len: int) -> list[Word]:
                 w = free_reduce(inv(p) + seq[2 * m - 1] + q)
                 candidates.append(power(-lead(inv(w))) + inv(q) + span(0, m) + p + power(lead(w)))
             for m in range((n + 4) // 4, (n + 1) // 2):  # (N + 1)/4 <= m < N/2
-                r0 = n - 2 * m
                 if twice(0, m) and span(2 * m, n) == free_reduce(inv(span(0, m)) * 2):  # (C)
-                    candidates.append(junction(span(0, m), seq[4 * m - 1], seq[2 * m - 1], (b,)))
-                if twice(r0, m) and span(0, r0) == free_reduce(inv(span(r0, r0 + m)) * 2):  # (B)
-                    candidates.append(junction(inv(span(r0, r0 + m)), seq[2 * r0 - 1], seq[2 * (r0 + m) - 1], (-b,)))
+                    p = half(seq[4 * m - 1])  # J2 = p a p^-1, gm = p a^k, g0 = b gm^-1
+                    gm = p + power(lead(free_reduce(inv(p) + seq[2 * m - 1] + p)))
+                    candidates.append((b, *inv(gm), *span(0, m), *gm))
         found = set(map(free_reduce, filter(solves, set(candidates))))  # solves reduces E(h) whole
+        found |= set(filter(solves, set(map(inv, found)) - found))  # J1 = 1: the inverses of the J3 = 1 solutions
     hits = sorted(
         (h for h in found if len(h) <= max_len),
         key=lambda h: (len(h), list(map(letter_key, h))),

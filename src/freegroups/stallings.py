@@ -161,10 +161,13 @@ def graph_from_text(text: str) -> SubgroupGraph:
         else:
             if alphabet is None:
                 raise ValueError("graph file must declare gens before edges")
-            if len(parts) != 3 or not all(v.isascii() and v.removeprefix("-").isdecimal() for v in parts[::2]):
-                raise ValueError(f"bad edge line {line!r}")
-            src, label, dst = parts
-            edges.append((int(src), alphabet.index(label) + 1, int(dst)))
+            try:  # int() also raises past its digit limit (4,300 by default)
+                if len(parts) != 3 or not all(v.isascii() and v.removeprefix("-").isdecimal() for v in parts[::2]):
+                    raise ValueError
+                src, dst = map(int, parts[::2])
+            except ValueError:
+                raise ValueError(f"bad edge line {line!r}") from None
+            edges.append((src, alphabet.index(parts[1]) + 1, dst))
     if alphabet is None:
         raise ValueError("graph file missing gens line")
     adj = SubgroupGraph(alphabet, edges, "graph file")._adj  # raises unless folded and connected

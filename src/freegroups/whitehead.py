@@ -349,6 +349,10 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     distinct.  Type-I moves keep lengths, and peak reduction makes the
     greedy type-II descent reach the least total length in the orbit.
     So U is a free-factor basis iff its descent ends at length k, where each word is a lone letter and dropped.
+    The descent starts from the spanning-tree basis of U's folded graph
+    with its hair trimmed, the base's too: a basis of g<U>g^-1 for the
+    hair word g, the image of <U> under an inner automorphism, so a free
+    factor iff <U> is.  A conjugator shared by U costs nothing.
 
     Raises ValueError when the words are not independent (the subgroup
     graph rank must equal the tuple length).
@@ -357,6 +361,9 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     for w in words:
         if w.alphabet != alphabet:
             raise ValueError("alphabet mismatch")
-    if stallings.subgroup_graph(alphabet, words).rank() != len(words):
+    graph = stallings.subgroup_graph(alphabet, words)
+    if graph.rank() != len(words):
         raise ValueError("words are not an independent basis")
-    return not _descend(words, False, _min_cut_move, True).final
+    stallings._trim(adj := graph._adj, None)  # in place, as the graph is not read again; no vertex kept
+    core = stallings._canonical(alphabet, adj, next(iter(adj))).basis() if adj else ()
+    return not _descend(core, False, _min_cut_move, True).final

@@ -183,11 +183,9 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         """conjugator * core^n * conjugator^-1, with no reduction left to do."""
-        if n == 0:
-            return Word(self.alphabet, (), _reduced=True)
-        core, conj = cyclically_reduce(self if n > 0 else ~self)
-        lets = conj.letters + core.letters * abs(n) + (~conj).letters
-        return Word(self.alphabet, lets, _reduced=True)
+        core = _core(self.letters)
+        c = self.letters[: (len(self) - len(core)) // 2]
+        return Word(self.alphabet, _power_letters((c, core, _inverse(core), _inverse(c), 1), n), _reduced=True)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -216,12 +214,12 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
                 name, caret, exp = token.partition("^")
                 if not _is_name(name) or caret and not (exp.isascii() and exp.removeprefix("-").isdecimal()):
                     raise ValueError(f"malformed word token {token!r}")
-                k = int(exp) if caret else 1
-                if k == 0:
+                if caret and not exp.lstrip("-0"):
                     raise ValueError(f"zero exponent in token {token!r}")
+                letter = alphabet.letter(name, -1 if exp.startswith("-") else 1)
                 try:
-                    letters += [alphabet.letter(name, k)] * abs(k)
-                except OverflowError:
+                    letters += [letter] * abs(int(exp or 1))
+                except (OverflowError, ValueError):  # past a list's size, or past int()'s digit limit
                     raise OverflowError(f"exponent too large to hold in token {token!r}") from None
     reduced = 0 not in map(add, letters, letters[1:])
     return Word(alphabet, tuple(letters) if reduced else free_reduce(letters), _reduced=True)

@@ -818,9 +818,17 @@ def test_numeric_options_read_ascii_digits_only(capsys, argv, value):
     assert (code, out) == (2, "") and err.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}\n")
 
 
-@pytest.mark.parametrize("edge", ["0 x q", "q x 0", "0 x 1.5", "0 x", "\u0663 x 0"])
+@pytest.mark.parametrize("edge", ["0 x q", "q x 0", "0 x 1.5", "0 x", "\u0663 x 0", pytest.param("0 x " + "1" * 5000, id="5000 digits")])
 def test_non_integer_vertex_is_a_bad_edge_line(capsys, tmp_path, edge):
     graph = tmp_path / "g.txt"
     graph.write_text(f"gens x y\nbase 0\n{edge}\n")
     code, out, err = run(capsys, "rank", "--graph", str(graph))
     assert (code, out, err) == (2, "", f"error: bad edge line {edge!r}\n")
+
+
+def test_exponent_past_the_integer_digit_limit_names_its_token(capsys):
+    # int() refuses more than 4,300 digits with a message of its own; the
+    # exponent is too large to hold, like any past a list's size.
+    token = "x^" + "1" * 5000
+    code, out, err = run(capsys, "reduce", "--gens", "x y", token)
+    assert (code, out, err) == (2, "", f"error: exponent too large to hold in token {token!r}\n")

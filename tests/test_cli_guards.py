@@ -25,6 +25,8 @@ SQUARES12 = " ".join(f"g{i}^2" for i in range(1, 13))
 # Six conjugates p x^i y x^-i p^-1 with |p| = 2,001, about 24,000 letters.
 P, P_INV = "x y z " * 667, "z^-1 y^-1 x^-1 " * 667
 CONJUGATES = [f"{P}y {P_INV}"] + [f"{P}x^{i} y x^-{i} {P_INV}" for i in range(1, 6)]
+# p x p^-1 and p y p^-1 with p = (y^2 z^2 x^2)^3333 y z, |p| = 20,000.
+P20K, P20K_INV = "y^2 z^2 x^2 " * 3333 + "y z ", "z^-1 y^-1 " + "x^-2 z^-2 y^-2 " * 3333
 # (x y z)^400 x y^-1: root-free, one cycle of 1,202 edges.
 ROOT_FREE = "x y z " * 400 + "x y^-1"
 
@@ -86,6 +88,12 @@ GUARDS = [
      ["is-primitive", "--gens", "x y z", "x y^100000"], exactly("true\n"), 0, "", 5),
     ("free factor with lone letters",
      ["is-free-factor", "--gens", "x y z", "x y^100000", "z"], exactly("true\n"), 0, "", 5),
+    # A conjugator shared by the whole tuple: the descent starts from the
+    # folded core, where descending from the words themselves strips p
+    # about a letter per move (still running after 90 s on a 2-core box).
+    ("free factor behind a long shared conjugator",
+     ["is-free-factor", "--gens", "x y z", f"{P20K}x {P20K_INV}", f"{P20K}y {P20K_INV}"],
+     exactly("true\n"), 0, "", 5),
     # An edge word with a conjugator and an exponent above 1: the pinch
     # t^-1 u^-2 t is found by slicing against u's root.
     ("britton pinch against a conjugated power",

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import whitehead_oracle as oracle
@@ -612,6 +612,32 @@ def test_squared_basis_word_is_not_a_free_factor(case, data):
     ]
     assert math.gcd(*minors) != 1
     assert not is_free_factor(words, alphabet)
+
+
+# Pairs, not triples, of random words: the orbit search on rank-4 triples
+# takes seconds.  Of the 300 examples, 24 are not free factors.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        word_tuples(ranks=(2, 3, 4), max_len=6, max_size=2),
+        *(moved_generators(tuple(r for r in (2, 3, 4) if r >= k), k) for k in (1, 2, 3)),
+    ),
+    st.data(),
+)
+def test_conjugated_tuples_match_descent_and_oracle(case, data):
+    # is_free_factor descends from the spanning-tree basis of the folded
+    # core, a conjugate of <U>: on c U c^-1 it must agree with the descent
+    # on c U c^-1 itself and with the orbit search on U.
+    alphabet, words = case
+    assume(stallings.subgroup_graph(alphabet, words).rank() == len(words))
+    try:
+        expected = oracle.is_free_factor(alphabet, [x.letters for x in words], ORACLE_CAP)
+    except oracle.OrbitCapExceeded:
+        expected = False
+    c = data.draw(reduced_words(alphabet, 8))
+    words = tuple(c * x * ~c for x in words)
+    descent = not _descend(words, False, _min_cut_move, True).final
+    assert is_free_factor(words, alphabet) == descent == expected, words
 
 
 @st.composite
