@@ -8,7 +8,8 @@ with Britton normal forms and amalgams with alternating normal forms;
 endomorphisms, bounded fixed subgroups and orbit periods; and the
 closure procedures built from them, including a verified family of
 splittings of free groups of rank k + 4 in which one element is algebraic
-but not definable over a distinguished subgroup.
+but not definable over a distinguished subgroup.  It exports what the
+CLI, the demos and the benchmark read, and no helper only tests call.
 """
 
 from .words import (
@@ -16,15 +17,12 @@ from .words import (
     Word,
     abelianize,
     centralizer,
-    commutator,
     cyclically_reduce,
     extract_root,
     format_word,
-    identity,
     is_conjugate,
     iter_reduced_words,
     parse_word,
-    power_of,
 )
 from .stallings import SubgroupGraph, graph_from_text, intersect, is_malnormal, subgroup_graph
 from .whitehead import (
@@ -41,7 +39,6 @@ from .splittings import (
     ClassificationResult,
     HnnPresentation,
     amalgam_equal,
-    amalgam_reduce,
     britton_reduce,
     classify_base_conjugacy,
     dehn_twist,

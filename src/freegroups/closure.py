@@ -322,7 +322,6 @@ class CounterexampleReport(namedtuple("CounterexampleReport", "checks solutions"
     # solutions: those of length <= l_solution (exact over F, cut at that length).
     __slots__ = ()
     ok = Report.ok
-    check = Report.check
 
 
 def verify_counterexample(

@@ -39,15 +39,6 @@ class Endomorphism:
                 raise ValueError(f"image of {name} is over the wrong alphabet")
             self._table[i], self._table[-i] = img.letters, _inverse(img.letters)
 
-    @classmethod
-    def identity(cls, domain) -> "Endomorphism":
-        alphabet = domain.alphabet
-        images = {
-            name: Word(alphabet, (i + 1,), _reduced=True)
-            for i, name in enumerate(alphabet.generators)
-        }
-        return cls(domain, images)
-
     def substitute(self, w: Word) -> Word:
         """Image word with free reduction only (no pinch rewriting)."""
         if w.alphabet != self._alphabet:

@@ -13,9 +13,11 @@ letter, or a change of factor: +1 into factor 2, -1 into factor 1, so c1
 and c2 play u and v.  Pinch rule: two opposite crossings pinch around a
 power of the edge word between them.  End rule, for an amalgam's tree
 edge only: an edge power at either end of the word also moves across
-its one crossing.  Forms are not canonical across pinch orders, so
-equality reduces ``w1 * w2^-1``.  All operations are pure, and values
-are immutable by convention, as ``Word`` and ``SubgroupGraph`` are.
+its one crossing.  ``normal_form`` returns the reduced word; an amalgam's
+alternating syllables are its factor runs.  Forms are not canonical
+across pinch orders, so equality reduces ``w1 * w2^-1``.  All operations
+are pure, and values are immutable by convention, as ``Word`` and
+``SubgroupGraph`` are.
 
 This module owns the rules of both groups: each presentation is a group
 domain for ``endos`` (``alphabet``, ``relators``, ``normal_form``, ``equal``
@@ -54,12 +56,6 @@ class Report(namedtuple("Report", "checks")):
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 class _Splitting:
@@ -224,11 +220,7 @@ def _stack(pres, alphabet: Alphabet, lets) -> tuple[list[list[int]], list[int]]:
 
 def _equal(pres, w1: Word, w2: Word) -> bool:
     """w1 = w2 iff the stack of w1 w2^-1 is one empty syllable: Britton's lemma, or the amalgam normal form theorem."""
-    if w1.alphabet != w2.alphabet:
-        raise ValueError("alphabet mismatch")
-    lets = list(w1.letters)
-    _push(lets, _inverse(w2.letters))  # the letters of w1 * w2^-1, with no Word built
-    return _stack(pres, w1.alphabet, lets) == ([[]], [])
+    return _stack(pres, w1.alphabet, (w1 * ~w2).letters) == ([[]], [])
 
 
 def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
@@ -319,37 +311,12 @@ class AmalgamPresentation(_Splitting):
         cuts = [i for i in range(1, len(lets)) if (abs(lets[i - 1]) > n) != (abs(lets[i]) > n)] + [len(lets)]
         return lets[: cuts[0]], [(1 if abs(lets[i]) > n else -1, lets[i:j]) for i, j in zip(cuts, cuts[1:])]
 
-    def side_of(self, letter: int) -> int:
-        return 1 if abs(letter) <= self._first else 2
-
     def to_union(self, side: int, w: Word) -> Word:
         shift = self._first if side == 2 else 0
         return Word(self.union_alphabet, tuple(l + shift if l > 0 else l - shift for l in w.letters), _reduced=True)
 
     def __repr__(self) -> str:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
-
-
-class AmalgamForm(namedtuple("AmalgamForm", "syllables")):
-    """Alternating syllables (side, word over the union alphabet); interior syllables not in <c>."""
-
-    __slots__ = ()
-
-    def to_word(self, pres: AmalgamPresentation) -> Word:
-        """Already reduced: the syllables are, and neighbours lie in different factors."""
-        return Word(pres.union_alphabet, tuple(x for _, w in self.syllables for x in w.letters), _reduced=True)
-
-
-def amalgam_reduce(pres: AmalgamPresentation, w: Word) -> AmalgamForm:
-    """Normal form, by ``_stack``: merge syllables lying in the edge group across sides.
-
-    The leftmost syllable equal to an edge power c_i^p becomes c_j^p on the other side and joins its right
-    neighbour (its left one when it is last); a trivial syllable is dropped and its neighbours merge.  The
-    result is a single syllable, or an alternating sequence with no syllable a power of its side's edge word.
-    """
-    words, _ = _stack(pres, w.alphabet, w.letters)
-    syllables = ((pres.side_of(ls[0]), Word(pres.alphabet, tuple(ls), _reduced=True)) for ls in words if ls)
-    return AmalgamForm(tuple(syllables))
 
 
 def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:

@@ -52,10 +52,6 @@ class SubgroupGraph:
         if len(_bfs(0, adj, alphabet.letters())) != len(adj):
             raise ValueError(f"{_source} must be connected to base vertex 0")
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._adj)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SubgroupGraph)
@@ -68,10 +64,6 @@ class SubgroupGraph:
 
     def __repr__(self) -> str:
         return f"SubgroupGraph(vertices={len(self._adj)}, edges={len(self.edges)}, rank={self.rank()})"
-
-    def step(self, vertex: int, letter: int) -> int | None:
-        """Follow one letter from a vertex; None if no such edge."""
-        return self._adj.get(vertex, {}).get(letter)
 
     def contains(self, w: Word) -> bool:
         """True iff w labels a closed path at the base vertex."""

@@ -239,14 +239,6 @@ def content_lines(text: str) -> Iterator[str]:
     return (line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#"))
 
 
-def identity(alphabet: Alphabet) -> Word:
-    return Word(alphabet, (), _reduced=True)
-
-
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * ~a * ~b
-
-
 def cyclically_reduce(w: Word) -> tuple[Word, Word]:
     """Return (core, conjugator) with w = conjugator * core * conjugator^-1.
 
@@ -353,19 +345,6 @@ def centralizer(w: Word) -> Word:
     if not w:
         raise ValueError("the empty word has no cyclic centralizer generator")
     return extract_root(w)[0]
-
-
-def power_of(w: Word, base: Word) -> int | None:
-    """The integer k with w == base^k, or None.
-
-    Exact via root-free roots: nontrivial words are powers of a unique
-    root-free word, so w is only sliced against the base's root, no search.
-    """
-    if w.alphabet != base.alphabet:
-        raise ValueError("alphabet mismatch")
-    if not base:
-        return None if w else 0
-    return _power_in(w.letters, _root_parts(base))
 
 
 def abelianize(w: Word) -> tuple[int, ...]:

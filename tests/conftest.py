@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from freegroups.endos import Endomorphism
 from freegroups.words import Alphabet, Word, parse_word
 
 
@@ -38,6 +39,17 @@ def random_raw_letters(rng: random.Random, rank: int, max_len: int) -> list[int]
 
 def w(alphabet: Alphabet, text: str) -> Word:
     return parse_word(alphabet, text)
+
+
+def identity_map(domain) -> Endomorphism:
+    """The identity endomorphism of a group domain: each generator to itself."""
+    alphabet = domain.alphabet
+    return Endomorphism(domain, {name: Word(alphabet, (i,)) for i, name in enumerate(alphabet.generators, 1)})
+
+
+def named_check(report, name: str):
+    """The check of a report with the given name."""
+    return next(c for c in report.checks if c.name == name)
 
 
 def integer_determinant(matrix: list[list[int]]) -> int:

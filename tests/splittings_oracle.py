@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from freegroups.endos import OrbitReport
 from freegroups.splittings import ClassificationResult, validate_presentation
-from freegroups.words import Word, is_conjugate, power_of
+from freegroups.words import Word, is_conjugate
+from words_oracle import power_of
 
 
 def orbit_pairwise(family, element, bound: int) -> OrbitReport:
@@ -43,7 +44,7 @@ def amalgam_rescan(pres, w) -> tuple:
     """
     syl = []
     for letter in w.letters:
-        side = pres.side_of(letter)
+        side = 1 if abs(letter) <= pres.factor1.rank else 2
         if syl and syl[-1][0] == side:
             syl[-1][1].append(letter)
         else:

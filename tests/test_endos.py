@@ -29,7 +29,7 @@ from freegroups.words import Alphabet, Word, abelianize, extract_root, parse_wor
 
 import splittings_oracle as oracle
 import whitehead_oracle
-from conftest import integer_determinant, random_reduced, reduced_words, w
+from conftest import identity_map, integer_determinant, random_reduced, reduced_words, w
 
 
 def abelianization_matrix(f: Endomorphism) -> list[list[int]]:
@@ -67,7 +67,7 @@ def test_apply_examples(setup, f2):
     gv = setup.g.apply(setup.pres.lift(setup.v))
     assert gv == setup.pres.word("a y^-1 b y^-1 a y b y")
 
-    ident = Endomorphism.identity(f2)
+    ident = identity_map(f2)
     word_ = w(f2, "x y^-1 x")
     assert ident.apply(word_) == word_
 
@@ -97,7 +97,7 @@ def test_apply_homomorphic(setup, f2):
 
 def test_compose_examples(setup, f2):
     nielsen = endo(f2, x="x y", y="y")
-    ident = Endomorphism.identity(f2)
+    ident = identity_map(f2)
     assert compose(ident, nielsen) == nielsen
 
     pres = setup.pres
@@ -131,7 +131,7 @@ def test_is_automorphism_free(f2):
 
 def test_verify_automorphism_pair(setup):
     assert verify_automorphism_pair(setup.g, setup.g_inv)
-    ident = Endomorphism.identity(setup.pres)
+    ident = identity_map(setup.pres)
     assert verify_automorphism_pair(ident, ident)
     assert verify_automorphism_pair(dehn_twist(setup.pres, 1), dehn_twist(setup.pres, -1))
     # The machine check shows g is not its own inverse: g squared is the
@@ -171,7 +171,7 @@ def pair_cases():
     pinched = endo(setup.pres, a="a", b="b", u="t a y b y a y^-1 b y^-1 t^-1", y="y", t="t")
     merged = endo(amalgam, p="p", q="r^3 p^-2 q", r="r", s="s")
     for f in (pinched, merged):
-        ident = Endomorphism.identity(f.domain)
+        ident = identity_map(f.domain)
         cases += [(f, ident), (ident, f), (f, f), (f, dehn_twist(f.domain, 1))]
     return cases
 
@@ -212,7 +212,7 @@ def test_verify_pair_rejects_non_homomorphism(setup):
 def test_order_bounded(f2):
     swap = endo(f2, x="y", y="x")
     assert order_bounded(swap, 5) == 2
-    assert order_bounded(Endomorphism.identity(f2), 5) == 1
+    assert order_bounded(identity_map(f2), 5) == 1
     nielsen = endo(f2, x="x y", y="y")
     assert order_bounded(nielsen, 20) is None
 
@@ -232,7 +232,7 @@ def test_fixed_words_examples(f2, f3):
     graph = fixed_words(conj, 6)
     assert graph == subgroup_graph(f2, [w(f2, "x")])
 
-    ident = Endomorphism.identity(f2)
+    ident = identity_map(f2)
     assert fixed_words(ident, 2).is_rose()
 
     swap = endo(f3, x="x", y="z", z="y")
@@ -423,7 +423,7 @@ def count_equality_tests(monkeypatch) -> list:
 
 def powers(f: Endomorphism):
     """n -> f^n, for families that are not twists."""
-    cache = [Endomorphism.identity(f.domain)]
+    cache = [identity_map(f.domain)]
     def family(n):
         while len(cache) <= n:
             cache.append(compose(f, cache[-1]))
@@ -521,7 +521,7 @@ RANK_ONE_FACTOR = parse_presentation("gens p q\ngens s\namalgam : p q p^-1 q^-1 
 def test_rank_one_second_factor_takes_the_exact_path(monkeypatch, scale):
     pres = RANK_ONE_FACTOR
     family = lambda n: dehn_twist(pres, scale * n)
-    assert family(1) == Endomorphism.identity(pres)
+    assert family(1) == identity_map(pres)
     for text in ("p", "q", "s", "p s^2 q^-1", "s^-1 q p"):
         element = pres.word(text)
         calls = count_equality_tests(monkeypatch)
@@ -575,7 +575,7 @@ def test_domain_interface(domain):
         nf = domain.normal_form(word_)
         assert domain.equal(word_, nf)
         assert domain.normal_form(nf) == nf
-    assert Endomorphism.identity(domain).is_homomorphism
+    assert identity_map(domain).is_homomorphism
 
 
 @st.composite

@@ -5,7 +5,8 @@ keep the immutability, value equality and defaults of the frozen
 dataclasses they replaced, and the same reprs except where a record has
 since dropped a field that echoed what its caller already holds: ``OrbitReport`` its family, bound and
 element, ``CounterexampleReport`` its two length bounds and a0 size, and
-``CounterexampleSetup`` its a0 size and ``u``, which is ``pres.u``."""
+``CounterexampleSetup`` its a0 size and ``u``, which is ``pres.u``.
+The amalgam normal form is a plain ``Word``, with no record of its own."""
 
 import pytest
 
@@ -17,7 +18,7 @@ from freegroups.closure import (
     verify_counterexample,
 )
 from freegroups.endos import OrbitReport
-from freegroups.splittings import AmalgamForm, BrittonForm, Check, ClassificationResult, Report
+from freegroups.splittings import BrittonForm, Check, ClassificationResult, Report
 from freegroups.whitehead import MinimizationTrace, WhiteheadMove
 from freegroups.words import Alphabet, parse_word
 
@@ -42,10 +43,6 @@ RECORDS = [
     (
         lambda: ClassificationResult(True, 1, -2, w("x"), w("y x^-1"), w("y")),
         "ClassificationResult(solvable=True, case=1, p=-2, gamma=Word('x'), delta=Word('y x^-1'), s=Word('y'))",
-    ),
-    (
-        lambda: AmalgamForm(((1, w("x^2")), (2, w("y")))),
-        "AmalgamForm(syllables=((1, Word('x^2')), (2, Word('y'))))",
     ),
     (
         lambda: OrbitReport(4, None),
@@ -118,13 +115,6 @@ def test_equal_fields_give_equal_records(make, expected):
             hash(first)
     else:
         assert hash(first) == hash(second)
-
-
-def test_counterexample_report_looks_up_checks():
-    report = verify_counterexample(0, 3)
-    assert report.check("solution_set") == report.checks[5]
-    with pytest.raises(KeyError):
-        report.check("missing")
 
 
 def test_defaults_are_kept():

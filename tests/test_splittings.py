@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from freegroups.splittings import (
     BrittonForm,
     HnnPresentation,
     amalgam_equal,
-    amalgam_reduce,
     britton_reduce,
     classify_base_conjugacy,
     dehn_twist,
@@ -19,11 +19,11 @@ from freegroups.splittings import (
     parse_presentation,
     validate_presentation,
 )
-from freegroups.words import Alphabet, Word, free_reduce, identity, parse_word, power_of
+from freegroups.words import Alphabet, Word, free_reduce, parse_word
 
 import splittings_oracle as oracle
 import words_oracle
-from conftest import random_reduced, reduced_words, w
+from conftest import named_check, random_reduced, reduced_words, w
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,7 +49,7 @@ def test_presentation_construction(h_rank4):
     with pytest.raises(ValueError):
         HnnPresentation(h_rank4, "y", w(h_rank4, "u"), w(h_rank4, "a"))
     with pytest.raises(ValueError):
-        HnnPresentation(h_rank4, "t", identity(h_rank4), w(h_rank4, "a"))
+        HnnPresentation(h_rank4, "t", Word(h_rank4), w(h_rank4, "a"))
 
 
 def test_validate_examples(edge_pres, f2, h_rank4):
@@ -64,15 +64,15 @@ def test_validate_examples(edge_pres, f2, h_rank4):
     bad1 = HnnPresentation(f2, "t", w(f2, "x^2"), w(f2, "y"))
     report1 = validate_presentation(bad1)
     assert not report1.ok
-    assert not report1.check("u_root_free").passed
-    assert report1.check("v_root_free").passed
+    assert not named_check(report1, "u_root_free").passed
+    assert named_check(report1, "v_root_free").passed
 
     f3 = Alphabet("x y z")
     bad2 = HnnPresentation(f3, "t", parse_word(f3, "x"), parse_word(f3, "z x z^-1"))
     report2 = validate_presentation(bad2)
-    assert not report2.check("u_v_not_conjugate").passed
-    assert report2.check("u_v_not_conjugate").detail == "u is conjugate to v^{+-1}"
-    assert report.check("u_v_not_conjugate").detail == "no conjugator exists"
+    assert not named_check(report2, "u_v_not_conjugate").passed
+    assert named_check(report2, "u_v_not_conjugate").detail == "u is conjugate to v^{+-1}"
+    assert named_check(report, "u_v_not_conjugate").detail == "no conjugator exists"
 
     # Conjugated proper powers c r^e c^-1 with c nonempty: the root details,
     # read from the edge parts, match the divisor-loop oracle's root and
@@ -88,7 +88,7 @@ def test_validate_examples(edge_pres, f2, h_rank4):
         report = validate_presentation(HnnPresentation(f3, "t", u, v))
         for name, edge, e in (("u", u, eu), ("v", v, ev)):
             root, exponent = words_oracle.extract_root(edge)
-            check = report.check(f"{name}_root_free")
+            check = named_check(report, f"{name}_root_free")
             assert exponent == e and check.detail == f"{name} = ({root})^{exponent}"
             assert check.passed == (exponent == 1)
 
@@ -107,7 +107,7 @@ def test_validate_names_the_empty_conjugator(v_text):
     # falsy, and must still be reported as found.
     base = Alphabet("a b")
     report = validate_presentation(HnnPresentation(base, "t", parse_word(base, "a b^2"), parse_word(base, v_text)))
-    check = report.check("u_v_not_conjugate")
+    check = named_check(report, "u_v_not_conjugate")
     assert not check.passed and check.detail == "u is conjugate to v^{+-1}"
 
 
@@ -157,7 +157,7 @@ def _britton_rescan(pres, w):
                 edge, image = pres.v, pres.u
             else:
                 continue
-            p = power_of(words[i + 1], edge)
+            p = words_oracle.power_of(words[i + 1], edge)
             if p is not None:
                 words[i : i + 3] = [words[i] * image**p * words[i + 2]]
                 del signs[i : i + 2]
@@ -277,7 +277,7 @@ def test_britton_lemma_trivial_form(edge_pres):
     for _ in range(60):
         word_ = random_reduced(rng, pres.extended, 10)
         form = britton_reduce(pres, word_)
-        assert hnn_equal(pres, word_, identity(pres.extended)) == (not form.tail and not form.head)
+        assert hnn_equal(pres, word_, Word(pres.extended)) == (not form.tail and not form.head)
     # On t-free words equality is free equality.
     for _ in range(40):
         a = pres.lift(random_reduced(rng, pres.base, 8))
@@ -329,8 +329,8 @@ def test_classify_examples(edge_pres):
     pres = edge_pres
     result = classify_base_conjugacy(pres, pres.u, pres.v)
     assert result.solvable and result.case == 1 and result.p == 1
-    assert result.gamma == identity(pres.base)
-    assert result.delta == identity(pres.base)
+    assert result.gamma == Word(pres.base)
+    assert result.delta == Word(pres.base)
     assert result.s == pres.word("t")
 
     result2 = classify_base_conjugacy(pres, pres.u**2, pres.v**2)
@@ -398,28 +398,31 @@ def test_classify_matches_exponent_loop(case):
 
 def test_classify_preconditions(edge_pres, f2):
     with pytest.raises(ValueError):
-        classify_base_conjugacy(edge_pres, identity(edge_pres.base), edge_pres.v)
+        classify_base_conjugacy(edge_pres, Word(edge_pres.base), edge_pres.v)
     bad = HnnPresentation(f2, "t", w(f2, "x^2"), w(f2, "y"))
     with pytest.raises(ValueError):
         classify_base_conjugacy(bad, w(f2, "x"), w(f2, "y"))
 
 
+def factor_runs(pres, word_):
+    """The syllables (side, union word) of the amalgam normal form: its maximal runs of one factor's letters."""
+    letters, n = pres.normal_form(word_).letters, pres.factor1.rank
+    runs = itertools.groupby(letters, key=lambda letter: 1 if abs(letter) <= n else 2)
+    return tuple((side, Word(pres.union_alphabet, tuple(run))) for side, run in runs)
+
+
 def test_amalgam_examples(amalgam):
     am = amalgam
-    assert amalgam_reduce(am, am.word("p r^-1")).syllables == ()
-
-    form = amalgam_reduce(am, am.word("p^2 s"))
-    assert [(side, str(word_)) for side, word_ in form.syllables] == [(2, "r^2 s")]
-
-    form2 = amalgam_reduce(am, am.word("q s"))
-    assert [(side, str(word_)) for side, word_ in form2.syllables] == [(1, "q"), (2, "s")]
+    assert factor_runs(am, am.word("p r^-1")) == ()
+    assert [(side, str(word_)) for side, word_ in factor_runs(am, am.word("p^2 s"))] == [(2, "r^2 s")]
+    assert [(side, str(word_)) for side, word_ in factor_runs(am, am.word("q s"))] == [(1, "q"), (2, "s")]
 
 
 def test_amalgam_merges_neighbours_of_a_dropped_syllable(amalgam):
     # s p r^-1 s^-1 cancels to the identity once p becomes r; q and the
     # last p are then neighbours in factor 1 and must merge.
-    form = amalgam_reduce(amalgam, amalgam.word("q s p r^-1 s^-1 p"))
-    assert [(side, str(word_)) for side, word_ in form.syllables] == [(1, "q p")]
+    syllables = factor_runs(amalgam, amalgam.word("q s p r^-1 s^-1 p"))
+    assert [(side, str(word_)) for side, word_ in syllables] == [(1, "q p")]
 
 
 AMALGAMS = [
@@ -441,37 +444,24 @@ def amalgam_words(draw):
             continue
         side = draw(st.sampled_from((1, 2)))
         power = pres.to_union(side, (pres.c1, pres.c2)[side - 1] ** draw(st.sampled_from((-2, -1, 1, 2))))
-        g = draw(reduced_words(union, 3)) if kind == 2 else identity(union)
+        g = draw(reduced_words(union, 3)) if kind == 2 else Word(union)
         letters += (g * power * ~g).letters
     return pres, Word(union, letters)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(amalgam_words())
-def test_amalgam_reduce_matches_rescan(case):
+def test_amalgam_normal_form_matches_rescan(case):
     pres, word_ = case
-    form = amalgam_reduce(pres, word_)
-    assert form.syllables == tuple((side, pres.to_union(side, wd)) for side, wd in oracle.amalgam_rescan(pres, word_))
-    # No syllable is empty, so an empty syllable tuple is the only form of 1.
-    assert all(syllable for _, syllable in form.syllables)
-    letters = form.to_word(pres).letters
+    expected = tuple((side, pres.to_union(side, wd)) for side, wd in oracle.amalgam_rescan(pres, word_))
+    assert factor_runs(pres, word_) == expected
+    letters = pres.normal_form(word_).letters
     assert free_reduce(letters) == letters
 
 
 def test_amalgam_syllables_are_union_words(amalgam):
-    form = amalgam_reduce(amalgam, amalgam.word("q s p^2 r^-1 s"))
-    assert form.syllables == ((1, amalgam.word("q")), (2, amalgam.word("s r s")))
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(amalgam_words())
-def test_amalgam_syllables_concatenate_to_the_form(case):
-    pres, word_ = case
-    form = amalgam_reduce(pres, word_)
-    for side, syllable in form.syllables:
-        assert syllable.alphabet == pres.union_alphabet
-        assert all(pres.side_of(letter) == side for letter in syllable.letters)
-    assert form.to_word(pres).letters == sum((syllable.letters for _, syllable in form.syllables), ())
+    syllables = factor_runs(amalgam, amalgam.word("q s p^2 r^-1 s"))
+    assert syllables == ((1, amalgam.word("q")), (2, amalgam.word("s r s")))
 
 
 def test_amalgam_validation():
@@ -481,7 +471,7 @@ def test_amalgam_validation():
         AmalgamPresentation(f1, f2, parse_word(f1, "p"), parse_word(f2, "r"))
     f2b = Alphabet("r s")
     with pytest.raises(ValueError):
-        AmalgamPresentation(f1, f2b, identity(f1), parse_word(f2b, "r"))
+        AmalgamPresentation(f1, f2b, Word(f1), parse_word(f2b, "r"))
 
 
 def test_amalgam_equal(amalgam):
@@ -494,7 +484,7 @@ def test_amalgam_equal(amalgam):
 
 def test_amalgam_malformed_rejected(amalgam):
     with pytest.raises(ValueError):
-        amalgam_reduce(amalgam, parse_word(Alphabet("p q"), "p"))
+        amalgam.normal_form(parse_word(Alphabet("p q"), "p"))
 
 
 def test_dehn_twist_hnn(edge_pres):

@@ -18,11 +18,15 @@ from freegroups.words import (
     Alphabet,
     Word,
     extract_root,
-    identity,
     iter_reduced_words,
 )
 
 from conftest import random_reduced, reduced_words, w
+
+
+def vertices(g: SubgroupGraph) -> set[int]:
+    """The base vertex and every edge end: all vertices, as the graph is connected."""
+    return {0, *(v for src, _, dst in g.edges for v in (src, dst))}
 
 
 def is_cyclically_reduced(w: Word) -> bool:
@@ -32,7 +36,7 @@ def is_cyclically_reduced(w: Word) -> bool:
 
 def test_single_loop(f2):
     g = subgroup_graph(f2, [w(f2, "x")])
-    assert len(g.vertices) == 1
+    assert len(vertices(g)) == 1
     assert len(g.edges) == 1
     assert g.rank() == 1
 
@@ -42,27 +46,19 @@ def test_folding_example(f2):
     # two cosets H and Hx (x y x^-1 in H identifies Hxy with Hx), so the
     # folded core has two vertices and rank 2.
     g = subgroup_graph(f2, [w(f2, "x^2"), w(f2, "x y x^-1")])
-    assert len(g.vertices) == 2
+    assert len(vertices(g)) == 2
     assert g.rank() == 2
 
 
 def test_empty_generating_set(f2):
     g = subgroup_graph(f2, [])
-    assert len(g.vertices) == 1
+    assert len(vertices(g)) == 1
     assert len(g.edges) == 0
     assert g.rank() == 0
-    assert g.contains(identity(f2))
+    assert g.contains(Word(f2))
     assert not g.contains(w(f2, "x"))
     assert SubgroupGraph(f2, []) == g
-    assert SubgroupGraph(f2, []).vertices == {0}
     assert SubgroupGraph(f2, []).rank() == 0
-    # step: None for a missing edge and for a vertex not in the graph.
-    assert g.step(0, 1) is None
-    assert g.step(5, 1) is None
-    loop = subgroup_graph(f2, [w(f2, "x")])
-    assert (loop.step(0, 1), loop.step(0, -1)) == (0, 0)
-    assert loop.step(0, 2) is None
-    assert loop.step(1, 1) is None
 
 
 def test_contains_examples(f2):
@@ -81,7 +77,7 @@ def test_contains_brute_force_products(f2):
         pool = gens + [~g for g in gens]
         for k in range(1, 4):
             for combo in itertools.product(pool, repeat=k):
-                product = identity(f2)
+                product = Word(f2)
                 for word_ in combo:
                     product = product * word_
                 assert graph.contains(product)
@@ -235,7 +231,8 @@ def test_disconnected_edge_sets_rejected(f2):
     # Two components, each folded: x^2 at the base and a y-loop on 2, 3.
     with pytest.raises(ValueError, match="^graph must be connected to base vertex 0$"):
         SubgroupGraph(f2, {(0, 1, 1), (1, 1, 0), (2, 2, 3), (3, 2, 2)})
-    assert SubgroupGraph(f2, {(0, 1, 1), (1, 1, 0), (1, 2, -7)}).vertices == {0, 1, -7}
+    graph = SubgroupGraph(f2, {(0, 1, 1), (1, 1, 0), (1, 2, -7)})
+    assert graph.rank() == 1 and graph.contains(w(f2, "x^2"))
 
 
 def test_express_in_basis(f2):
@@ -244,12 +241,12 @@ def test_express_in_basis(f2):
     rng = random.Random(53)
     for _ in range(40):
         expr = [rng.choice([1, -1]) * rng.randint(1, len(basis)) for _ in range(rng.randint(0, 4))]
-        member = identity(f2)
+        member = Word(f2)
         for idx in expr:
             member = member * (basis[idx - 1] if idx > 0 else ~basis[-idx - 1])
         coords = g.express_in_basis(member)
         assert coords is not None
-        rebuilt = identity(f2)
+        rebuilt = Word(f2)
         for idx in coords:
             rebuilt = rebuilt * (basis[idx - 1] if idx > 0 else ~basis[-idx - 1])
         assert rebuilt == member
@@ -507,11 +504,11 @@ def test_fold_many_conjugates_by_one_long_word(f3):
     x, y = w(f3, "x"), w(f3, "y")
     gens = [p * x**i * y * x**-i * ~p for i in range(20)]
     assert sum(map(len, gens)) == 10_000
-    product = identity(f3)
+    product = Word(f3)
     for g in gens:
         product = product * g
     graph = subgroup_graph(f3, gens + [product])
-    assert (len(graph.vertices), len(graph.edges), graph.rank()) == (260, 279, 20)
+    assert (len(vertices(graph)), len(graph.edges), graph.rank()) == (260, 279, 20)
     assert all(graph.contains(g) for g in gens)
     assert not graph.contains(p * x**20 * y * x**-20 * ~p)
 
