@@ -48,8 +48,11 @@ def identity_map(domain) -> Endomorphism:
 
 
 def named_check(report, name: str):
-    """The check of a report with the given name."""
-    return next(c for c in report.checks if c.name == name)
+    """The check of a report with the given name; KeyError if it has none."""
+    for c in report.checks:
+        if c.name == name:
+            return c
+    raise KeyError(name)
 
 
 def integer_determinant(matrix: list[list[int]]) -> int:

@@ -22,6 +22,8 @@ from freegroups.splittings import BrittonForm, Check, ClassificationResult, Repo
 from freegroups.whitehead import MinimizationTrace, WhiteheadMove
 from freegroups.words import Alphabet, parse_word
 
+from conftest import named_check
+
 XY = Alphabet("x y")
 
 
@@ -115,6 +117,16 @@ def test_equal_fields_give_equal_records(make, expected):
             hash(first)
     else:
         assert hash(first) == hash(second)
+
+
+def test_counterexample_report_looks_up_checks():
+    # Check names are unique, so a check is found by its name.
+    report = verify_counterexample(0, 3)
+    names = [c.name for c in report.checks]
+    assert len(set(names)) == len(names)
+    assert named_check(report, "solution_set") == report.checks[5]
+    with pytest.raises(KeyError):
+        named_check(report, "missing")
 
 
 def test_defaults_are_kept():

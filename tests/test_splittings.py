@@ -459,6 +459,21 @@ def test_amalgam_normal_form_matches_rescan(case):
     assert free_reduce(letters) == letters
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(amalgam_words())
+def test_amalgam_syllables_concatenate_to_the_form(case):
+    # The factor runs of the normal form are a reduced form: with two or more
+    # runs, none lies in the edge group, so none is a power of its edge word.
+    pres, word_ = case
+    form = pres.normal_form(word_)
+    syllables = factor_runs(pres, word_)
+    assert sum((syllable.letters for _, syllable in syllables), ()) == form.letters
+    edges = (None, pres.to_union(1, pres.c1), pres.to_union(2, pres.c2))
+    if len(syllables) > 1:
+        assert all(words_oracle.power_of(syllable, edges[side]) is None for side, syllable in syllables)
+    assert pres.equal(word_, form)
+
+
 def test_amalgam_syllables_are_union_words(amalgam):
     syllables = factor_runs(amalgam, amalgam.word("q s p^2 r^-1 s"))
     assert syllables == ((1, amalgam.word("q")), (2, amalgam.word("s r s")))
@@ -480,6 +495,14 @@ def test_amalgam_equal(amalgam):
     assert amalgam_equal(am, am.word("q p s"), am.word("q r s"))
     assert not amalgam_equal(am, am.word("q"), am.word("s"))
     assert not amalgam_equal(am, am.word("p"), am.word("r^2"))
+
+
+def test_amalgam_equal_rejects_words_off_the_union(amalgam):
+    am = amalgam
+    with pytest.raises(ValueError, match="^alphabet mismatch$"):
+        amalgam_equal(am, am.word("p"), Word(am.factor1, (1,)))
+    with pytest.raises(ValueError, match="^word is not over the amalgam alphabet$"):
+        amalgam_equal(am, am.c1, am.c1)
 
 
 def test_amalgam_malformed_rejected(amalgam):

@@ -235,6 +235,17 @@ def test_disconnected_edge_sets_rejected(f2):
     assert graph.rank() == 1 and graph.contains(w(f2, "x^2"))
 
 
+def test_repr_counts_every_vertex_id(f2):
+    # Vertex ids need not run 0..n-1: the repr counts the base and every edge end.
+    for graph, n in (
+        (SubgroupGraph(f2, []), 1),
+        (SubgroupGraph(f2, {(0, 1, 1), (1, 1, 0), (1, 2, -7)}), 3),
+        (subgroup_graph(f2, [w(f2, "x^2"), w(f2, "x y x^-1")]), 2),
+    ):
+        assert len(vertices(graph)) == n
+        assert repr(graph) == f"SubgroupGraph(vertices={n}, edges={len(graph.edges)}, rank={graph.rank()})"
+
+
 def test_express_in_basis(f2):
     g = subgroup_graph(f2, [w(f2, "x^2"), w(f2, "x y x^-1")])
     basis = g.basis()

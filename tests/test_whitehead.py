@@ -589,6 +589,14 @@ def test_is_free_factor_matches_oracle(case):
 BASES = st.one_of(*(moved_generators((2, 3, 4, 5), k) for k in (1, 2, 3)))
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(moved_generators((2, 3, 4), 3))
+def test_moved_generators_draw_only_ranks_that_fit(case):
+    # Rank 2 cannot hold three generators, so the strategy never draws it.
+    alphabet, words = case
+    assert alphabet.rank in (3, 4) and len(set(words)) == 3
+
+
 @DIFFERENTIAL
 @given(BASES)
 def test_moved_generators_are_free_factors(case):

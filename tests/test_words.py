@@ -266,6 +266,16 @@ def test_reduce_idempotent_and_concat(f2):
         assert free_reduce(tuple(raw) + tuple(raw2)) == free_reduce(once + free_reduce(raw2))
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(reduced_words(Alphabet("x y z"), 8), st.integers(-3, 3))
+def test_empty_word_is_the_identity(x, n):
+    one = Word(x.alphabet)
+    assert one * x == x * one == x
+    assert ~one == one == one**n == parse_word(x.alphabet, "1")
+    assert not one and len(one) == 0 and format_word(one) == "1"
+    assert (x * ~x == one) and (x**0 == one)
+
+
 def test_mul_inverse_pow(f2):
     a = w(f2, "x y")
     assert a * ~a == Word(f2)
