@@ -309,10 +309,7 @@ def cmd_orbit(args) -> int:
     element = words.parse_word(pres.alphabet, args.element)
     bound = _count(args, "n")
     report = endos.orbit_bounded(lambda n: splittings.dehn_twist(pres, n), element, bound)
-    if isinstance(pres, splittings.HnnPresentation):
-        print("family: hnn twists: t -> u^n t")
-    else:
-        print("family: amalgam twists: conjugation by c^n on factor 2")
+    print(f"family: {pres.twist_family}")
     print(f"element: {words.format_word(element)}")
     print(f"bound: {bound}")
     print(f"distinct: {report.distinct_count}")

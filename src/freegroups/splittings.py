@@ -21,7 +21,8 @@ are pure, and values are immutable by convention, as ``Word`` and
 
 This module owns the rules of both groups: each presentation is a group
 domain for ``endos`` (``alphabet``, ``relators``, ``normal_form``, ``equal``
-and ``twist_fixes``), as ``words.Alphabet`` is for the free group.
+and ``twist_fixes``), as ``words.Alphabet`` is for the free group.  Each
+kind answers for itself through class fields, never a test of its type.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ class Report(namedtuple("Report", "checks")):
 
 
 class _Splitting:
-    """The group-domain methods of both kinds, read off their stack; letters 1.._first span the first vertex group."""
+    """The group-domain methods of both kinds, read off their stack; letters 1.._first span the first vertex group.
+
+    ``_tree`` tells a tree edge (amalgam) from a loop (HNN); ``_edge_parts`` holds the edge words' roots, u and v
+    or c1 and c2, so ``_edge_parts[_tree]`` is the one a Dehn twist multiplies by; ``twist_family`` names the twists.
+    """
 
     __slots__ = ("alphabet", "relators", "_key", "_edge_parts", "_first")
 
@@ -101,6 +106,7 @@ class HnnPresentation(_Splitting):
 
     __slots__ = ("base", "stable", "u", "v", "extended", "t_letter", "_crossing", "_validation")
     _tree, _off_alphabet = False, "word is not over the extension alphabet"
+    twist_family = "hnn twists: t -> u^n t"  # the CLI's orbit header
     _twist_lemma = property(lambda self: validate_presentation(self).ok)  # whether its hypotheses hold
 
     def __init__(self, base: Alphabet, stable: str, u: Word, v: Word):
@@ -289,6 +295,7 @@ class AmalgamPresentation(_Splitting):
 
     __slots__ = ("factor1", "factor2", "c1", "c2", "union_alphabet")
     _tree, _off_alphabet, _crossing = True, "word is not over the amalgam alphabet", {1: (), -1: ()}
+    twist_family = "amalgam twists: conjugation by c^n on factor 2"
     _twist_lemma = property(lambda self: self._edge_parts[1][4] == 1)  # whether c2 is root-free
 
     def __init__(self, factor1: Alphabet, factor2: Alphabet, c1: Word, c2: Word):
@@ -325,26 +332,23 @@ def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:
 
 
 def dehn_twist(splitting, power: int):
-    """The twist automorphism of a one-edge splitting.
+    """The twist automorphism of a one-edge splitting: only letters past ``_first`` move, by ``_edge_parts[_tree]``.
 
-    HNN case: identity on the base, t -> u^power t (left multiplication
-    keeps t^-1 u t = v preserved under this orientation).  Amalgam case:
-    identity on factor 1, conjugation g -> c^power g c^-power on factor 2.
-    Power 0 gives the identity map.  The map keeps power as ``twist_power``.
+    On a loop (HNN): t -> u^power t (left multiplication keeps t^-1 u t =
+    v preserved under this orientation).  On a tree edge (amalgam):
+    conjugation g -> c2^power g c2^-power on factor 2.  Power 0 gives the
+    identity map.  The map keeps power as ``twist_power``.
     """
+    if not isinstance(splitting, _Splitting):
+        raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
+    tree, first = splitting._tree, splitting._first
+    parts = splitting._edge_parts[tree]
     try:
-        if isinstance(splitting, HnnPresentation):
-            twisted = {splitting.stable: _power_letters(splitting._edge_parts[0], power) + (splitting.t_letter,)}
-        elif isinstance(splitting, AmalgamPresentation):
-            parts, shift = splitting._edge_parts[1], splitting.factor1.rank
-            twisted = {name: free_reduce(_power_letters(parts, power) + (shift + i,) + _power_letters(parts, -power))
-                       for i, name in enumerate(splitting.factor2.generators, 1)}
-        else:
-            raise TypeError("splitting must be an HnnPresentation or AmalgamPresentation")
+        left, right = _power_letters(parts, power), _power_letters(parts, -power) if tree else ()
     except OverflowError:
         raise OverflowError(f"twist power {power} is too large to hold") from None
     alphabet = splitting.alphabet
-    images = {name: Word(alphabet, twisted.get(name, (i,)), _reduced=True)
+    images = {name: Word(alphabet, free_reduce(left + (i,) + right) if i > first else (i,), _reduced=True)
               for i, name in enumerate(alphabet.generators, 1)}
     twist = Endomorphism(splitting, images)
     twist.twist_power = power

@@ -28,10 +28,11 @@ deg(a), where cap(A) counts the edges leaving A (Lyndon & Schupp,
 Combinatorial Group Theory, Prop. I.4.16), and the least cap(A) of a
 multiplier a is the min cut between a and a^-1 (Roig, Ventura & Weil,
 IJAC 17, 2007): every step is decided by max flows on that graph.
-``minimize_tuple`` takes the first move in the order of
-``whitehead_moves``: the first a whose min cut is below deg(a), with
-the least bit mask A of cap(A) < deg(a).  The deciders take the
-steepest move, as peak reduction needs only some shortening move.
+``minimize_tuple`` descends on linear words and takes the first move
+in the order of ``whitehead_moves`` (type I, then type II): the first a
+whose min cut is below deg(a), with the least bit mask A of cap(A) <
+deg(a).  The deciders take the steepest move, as peak reduction needs
+only some shortening move.
 
 A step does only that work: one star graph, whose degrees it reads
 once; a flow, on a copy of the matrix, only for a multiplier that could
@@ -48,7 +49,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 
 from . import stallings
-from .words import Alphabet, Word, _core, abelianize, cyclic_core, free_reduce, letter_key
+from .words import Alphabet, Word, _core, _inverse, abelianize, cyclic_core, free_reduce, letter_key
 
 
 class WhiteheadMove:
@@ -78,16 +79,6 @@ class WhiteheadMove:
     def __hash__(self) -> int:
         return hash(self._fields)
 
-    def letter_image(self, letter: int) -> tuple[int, ...]:
-        if self.kind == "permutation":
-            img = self.images[abs(letter) - 1]
-            return (img,) if letter > 0 else (-img,)
-        a = self.multiplier
-        if abs(letter) == abs(a):
-            return (letter,)
-        # x -> x a if x is in A, a^-1 x if x^-1 is, a^-1 x a if both are (x of either sign).
-        return (-a,) * (-letter in self.affected) + (letter,) + (a,) * (letter in self.affected)
-
     def _letter_table(self) -> list[tuple[int, ...]]:
         """Images by signed letter (a negative index wraps), in one pass over the images, or over A."""
         alphabet, kind, images, a, affected = self._fields
@@ -107,16 +98,6 @@ class WhiteheadMove:
         out = free_reduce(itertools.chain.from_iterable(map(table.__getitem__, w.letters)))
         return Word(w.alphabet, _core(out) if cyclic else out, _reduced=True)
 
-    def inverse(self) -> "WhiteheadMove":
-        if self.kind == "permutation":
-            inv = [0] * len(self.images)
-            for i, img in enumerate(self.images):
-                inv[abs(img) - 1] = (i + 1) if img > 0 else -(i + 1)
-            return WhiteheadMove(self.alphabet, "permutation", images=tuple(inv))
-        a = self.multiplier
-        affected = frozenset(self.affected - {a}) | {-a}
-        return WhiteheadMove(self.alphabet, "multiplier", multiplier=-a, affected=affected)
-
     def __repr__(self) -> str:
         if self.kind == "permutation":
             body = ", ".join(
@@ -133,25 +114,16 @@ class WhiteheadMove:
         return name if letter > 0 else name + "^-1"
 
 
-def whitehead_moves(alphabet: Alphabet, kinds: str = "both") -> list[WhiteheadMove]:
-    """The complete finite list of Whitehead moves, deterministically ordered."""
-    if kinds not in ("both", "permutation", "multiplier"):
-        raise ValueError(f"kinds must be 'both', 'permutation' or 'multiplier', not {kinds!r}")
+def whitehead_moves(alphabet: Alphabet) -> list[WhiteheadMove]:
+    """The complete finite list of Whitehead moves: type I, then type II, deterministically ordered."""
     if alphabet.rank == 0:
         raise ValueError("alphabet must be nonempty")
-    moves: list[WhiteheadMove] = []
-    n = alphabet.rank
-    if kinds in ("both", "permutation"):
-        for perm in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((1, -1), repeat=n):
-                images = tuple(p * s for p, s in zip(perm, signs))
-                moves.append(WhiteheadMove(alphabet, "permutation", images=images))
-    if kinds in ("both", "multiplier"):
-        all_letters = alphabet.letters()
-        for a in all_letters:
-            others = [l for l in all_letters if l != a and l != -a]
-            for mask in range(1, 1 << len(others)):
-                moves.append(_multiplier_move(alphabet, a, others, mask))
+    n, letters = alphabet.rank, alphabet.letters()
+    moves = [WhiteheadMove(alphabet, "permutation", images=tuple(p * s for p, s in zip(perm, signs)))
+             for perm in itertools.permutations(range(1, n + 1)) for signs in itertools.product((1, -1), repeat=n)]
+    for a in letters:
+        others = [l for l in letters if l != a and l != -a]
+        moves += (_multiplier_move(alphabet, a, others, mask) for mask in range(1, 1 << len(others)))
     return moves
 
 
@@ -310,17 +282,14 @@ def _descend(words: Sequence[Word], cyclic: bool, pick, drop: bool = False) -> M
     return MinimizationTrace(words, current, tuple(applied))
 
 
-def minimize_tuple(words: Sequence[Word], cyclic: bool = False) -> MinimizationTrace:
+def minimize_tuple(words: Sequence[Word]) -> MinimizationTrace:
     """Greedy descent: apply the first strictly shortening type-II move.
 
     Peak reduction guarantees the fixed point has globally minimal total
     length within the automorphism orbit.  Applying the recorded moves in
-    order to the initial tuple reproduces the final tuple exactly.  With
-    ``cyclic`` every word is replaced by its cyclic core, before the
-    descent and after each move, and cyclic length is minimized: the
-    trace then tracks conjugacy classes, which is all primitivity needs.
+    order to the initial tuple reproduces the final tuple exactly.
     """
-    return _descend(words, cyclic, _first_move)
+    return _descend(words, False, _first_move)
 
 
 def is_primitive(w: Word) -> bool:
@@ -349,10 +318,10 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     distinct.  Type-I moves keep lengths, and peak reduction makes the
     greedy type-II descent reach the least total length in the orbit.
     So U is a free-factor basis iff its descent ends at length k, where each word is a lone letter and dropped.
-    The descent starts from the spanning-tree basis of U's folded graph
-    with its hair trimmed, the base's too: a basis of g<U>g^-1 for the
-    hair word g, the image of <U> under an inner automorphism, so a free
-    factor iff <U> is.  A conjugator shared by U costs nothing.
+    The descent starts from ``basis()`` of U's folded graph with the hair word p, from the base to the core,
+    sliced off: each basis word is p c p^-1 for a loop c at the core's first vertex, which the core leaves in
+    two directions, so p is the longest prefix of every word and inverse.  The loops generate p^-1 <U> p, a
+    free factor iff <U> is.  A conjugator shared by U costs nothing.
 
     Raises ValueError when the words are not independent (the subgroup
     graph rank must equal the tuple length).
@@ -364,6 +333,9 @@ def is_free_factor(basis: Sequence[Word], alphabet: Alphabet) -> bool:
     graph = stallings.subgroup_graph(alphabet, words)
     if graph.rank() != len(words):
         raise ValueError("words are not an independent basis")
-    stallings._trim(adj := graph._adj, None)  # in place, as the graph is not read again; no vertex kept
-    core = stallings._canonical(alphabet, adj, next(iter(adj))).basis() if adj else ()
+    loops = [w.letters for w in graph.basis()]
+    ends = loops + [_inverse(w) for w in loops]  # the least and greatest share the common prefix of all
+    lo, hi = min(ends, default=()), max(ends, default=())
+    hair = next((i for i, (x, y) in enumerate(zip(lo, hi)) if x != y), len(lo))
+    core = tuple(Word(alphabet, w[hair : len(w) - hair], _reduced=True) for w in loops)
     return not _descend(core, False, _min_cut_move, True).final

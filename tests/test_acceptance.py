@@ -21,7 +21,7 @@ from freegroups.splittings import (
     hnn_length,
 )
 from freegroups.stallings import intersect, is_malnormal, subgroup_graph
-from freegroups.whitehead import is_free_factor, is_primitive, whitehead_moves
+from freegroups.whitehead import is_free_factor, is_primitive
 from freegroups.words import (
     Alphabet,
     Word,
@@ -33,6 +33,7 @@ from freegroups.words import (
 )
 
 import closure_oracle
+import whitehead_oracle
 import words_oracle
 from conftest import random_reduced
 
@@ -158,7 +159,7 @@ def test_criterion_6_whitehead_suite(capsys):
     rng = random.Random(6006)
     # Ten primitives produced by random automorphism composites.
     for alphabet in (F2, F3):
-        moves = whitehead_moves(alphabet, kinds="multiplier")
+        moves = whitehead_oracle.multiplier_moves(alphabet)
         for _ in range(5):
             word_ = parse_word(alphabet, alphabet.generators[0])
             for _ in range(rng.randint(2, 6)):

@@ -528,6 +528,12 @@ def test_dehn_twist_amalgam(amalgam):
     assert dehn_twist(amalgam, 0).is_identity()
 
 
+def test_dehn_twist_needs_a_splitting():
+    # A free group has no edge to twist along.
+    with pytest.raises(TypeError, match="^splitting must be an HnnPresentation or AmalgamPresentation$"):
+        dehn_twist(Alphabet("a b"), 1)
+
+
 def test_dehn_twist_inverse_pair(edge_pres, amalgam):
     from freegroups.endos import compose
 

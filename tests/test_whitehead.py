@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import whitehead_oracle as oracle
 from freegroups import stallings, whitehead
 from freegroups.whitehead import (
+    MinimizationTrace,
     WhiteheadMove,
     _descend,
     _drop_lone,
@@ -34,6 +35,11 @@ def type_ii_move_count(rank: int) -> int:
     return 2 * rank * (2 ** (2 * rank - 2) - 1)
 
 
+def first_move_descent(words, cyclic):
+    """``minimize_tuple``, or with ``cyclic`` its first-move descent on cyclic cores, as no public call runs it."""
+    return _descend(words, True, _first_move) if cyclic else minimize_tuple(words)
+
+
 def test_rank_one_moves():
     f1 = Alphabet("x")
     moves = whitehead_moves(f1)
@@ -54,15 +60,10 @@ def test_move_counts(f2, f3):
     assert type_ii_move_count(3) == 90
 
 
-def test_unknown_kinds_is_rejected(f2):
-    with pytest.raises(ValueError, match="'both', 'permutation' or 'multiplier'"):
-        whitehead_moves(f2, kinds="multipliers")
-
-
 def test_nielsen_move_present(f2):
     # x -> x y, y -> y is the multiplier move (A = {x, y}, a = y).
     target = {"x": w(f2, "x y"), "y": w(f2, "y")}
-    for move in whitehead_moves(f2, kinds="multiplier"):
+    for move in oracle.multiplier_moves(f2):
         if all(move.apply(w(f2, name)) == img for name, img in target.items()):
             return
     raise AssertionError("Nielsen move x -> xy missing from move list")
@@ -73,7 +74,7 @@ def test_move_inverse_identity(f2):
     moves = whitehead_moves(f2)
     samples = [random_reduced(rng, f2, 8) for _ in range(20)]
     for move in moves:
-        inverse = move.inverse()
+        inverse = oracle.inverse(move)
         for word_ in samples:
             assert inverse.apply(move.apply(word_)) == word_
             assert move.apply(inverse.apply(word_)) == word_
@@ -210,7 +211,7 @@ def _assert_deltas_exact(alphabet, words, cyclic):
         for a, others, d in _deltas(words, cyclic)
         for mask in range(1, len(d))
     ]
-    assert [m for m, _ in deltas] == whitehead_moves(alphabet, kinds="multiplier")
+    assert tuple(m for m, _ in deltas) == oracle.multiplier_moves(alphabet)
     for move, delta in deltas:
         after = sum(len(shape(oracle.apply(move, x.letters))) for x in words)
         assert delta == after - before, (move, words)
@@ -234,7 +235,7 @@ def test_delta_equals_length_change(case, cyclic):
 
 
 def _assert_descent_matches(alphabet, words, cyclic):
-    trace = minimize_tuple(words, cyclic=cyclic)
+    trace = first_move_descent(words, cyclic)
     moves, final = oracle.minimize(alphabet, [x.letters for x in words], cyclic)
     assert list(trace.moves) == moves
     assert tuple(x.letters for x in trace.final) == final
@@ -308,7 +309,7 @@ def test_min_cut_move_is_steepest(case, cyclic):
     words = tuple(Word(alphabet, _shape(cyclic)(x.letters)) for x in start)
     while (move := _assert_min_cut_exact(alphabet, words, cyclic)) is not None:
         words = tuple(Word(alphabet, _shape(cyclic)(oracle.apply(move, x.letters))) for x in words)
-    assert sum(map(len, words)) == minimize_tuple(start, cyclic=cyclic).final_length
+    assert sum(map(len, words)) == first_move_descent(start, cyclic).final_length
 
 
 @DIFFERENTIAL
@@ -399,7 +400,7 @@ def test_letter_tables_match_letter_image(rank):
         # A fresh move each time, so every table below is built by the move's own first apply.
         twin = WhiteheadMove(move.alphabet, move.kind, move.images, move.multiplier, move.affected)
         image = twin.apply(probe)
-        assert [twin._table[x] for x in letters] == [move.letter_image(x) for x in letters], move
+        assert [twin._table[x] for x in letters] == [oracle.letter_image(move, x) for x in letters], move
         assert image.letters == oracle.apply(move, probe.letters), move
         assert move.apply(probe, cyclic=True) == cyclically_reduce(image)[0], move
         # Runs a^+-k of the multiplier on both sides of each other letter, so that
@@ -430,8 +431,8 @@ def test_move_records_compare_hash_and_are_immutable(f2):
             setattr(a, field, None)
     with pytest.raises(AttributeError):
         del a.kind
-    assert a.inverse() == WhiteheadMove(f2, "multiplier", multiplier=-1, affected=frozenset({-1, 2}))
-    assert perm.inverse().apply(perm.apply(w(f2, "x y^-1"))) == w(f2, "x y^-1")
+    assert oracle.inverse(a) == WhiteheadMove(f2, "multiplier", multiplier=-1, affected=frozenset({-1, 2}))
+    assert oracle.inverse(perm).apply(perm.apply(w(f2, "x y^-1"))) == w(f2, "x y^-1")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +507,7 @@ def _assert_first_move_matches(alphabet, start, cyclic):
         words = tuple(Word(alphabet, _shape(cyclic)(oracle.apply(move, x.letters))) for x in words)
         moves.append(move)
     assert _first_move(words, cyclic) is None, (words, cyclic)
-    trace = minimize_tuple(start, cyclic=cyclic)
+    trace = first_move_descent(start, cyclic)
     assert (list(trace.moves), trace.final) == (moves, words)
 
 
@@ -646,6 +647,35 @@ def test_conjugated_tuples_match_descent_and_oracle(case, data):
     words = tuple(c * x * ~c for x in words)
     descent = not _descend(words, False, _min_cut_move, True).final
     assert is_free_factor(words, alphabet) == descent == expected, words
+
+
+def trimmed_core_basis(alphabet, words):
+    """The descent's start the slow way: the folded graph trimmed, base too, renumbered at its first core vertex."""
+    adj = stallings.subgroup_graph(alphabet, words)._adj
+    stallings._trim(adj, None)
+    return tuple(stallings._canonical(alphabet, adj, next(iter(adj))).basis()) if adj else ()
+
+
+def test_descent_starts_from_the_trimmed_core_basis(monkeypatch):
+    # The start is the folded graph's own basis with the hair word sliced
+    # off; it must equal the basis of the trimmed, renumbered core graph,
+    # so every descent, and so every answer, is that of the core.
+    starts = []  # each start is recorded, and its descent skipped: it answers True at once
+    record = lambda words, *rest: starts.append(words) or MinimizationTrace((), (), ())
+    monkeypatch.setattr(whitehead, "_descend", record)
+    rng, checked, hairs = random.Random(4901), 0, 0
+    while checked < 1000:
+        alphabet = ALPHABETS[rng.choice((2, 3, 4))]
+        core = [random_reduced(rng, alphabet, 8, min_len=1) for _ in range(rng.randint(1, 3))]
+        p = random_reduced(rng, alphabet, 12)
+        words = [p * x * ~p for x in core]
+        graph = stallings.subgroup_graph(alphabet, words)
+        if graph.rank() != len(words):
+            continue
+        start = trimmed_core_basis(alphabet, words)
+        assert is_free_factor(words, alphabet) and starts.pop() == start, words
+        checked, hairs = checked + 1, hairs + (start != tuple(graph.basis()))
+    assert hairs > 500  # most draws keep a hair to slice off
 
 
 @st.composite

@@ -9,7 +9,10 @@ tests in ``test_whitehead.py`` require the two to agree move for move.
 every move image of the same total length, up to a cap on the tuples it
 visits: the search that peak reduction lets the library leave out.
 Words are plain letter tuples, and moves act through ``letter_image``
-with a free reduction of this module's own.
+with a free reduction of this module's own.  ``letter_image`` is also
+the reference the library's one-pass letter tables are checked against,
+``inverse`` gives a move's inverse move, and ``multiplier_moves`` the
+type-II part of ``whitehead_moves``, listed once per alphabet.
 
 ``_deltas`` lists the length change of every type-II move from the star
 graph, and ``_first_move`` reads the first negative one: the enumeration
@@ -24,6 +27,8 @@ define, for the tests that treat moves as automorphisms.
 """
 
 from __future__ import annotations
+
+import functools
 
 from freegroups.endos import Endomorphism
 from freegroups.whitehead import WhiteheadMove, _max_flow, _multiplier_move, _star_graph, whitehead_moves
@@ -52,14 +57,44 @@ def cyclic_core(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[i:j]
 
 
+def letter_image(move, letter: int) -> tuple[int, ...]:
+    """The image of one signed letter under ``move``, from the definition."""
+    if move.kind == "permutation":
+        img = move.images[abs(letter) - 1]
+        return (img,) if letter > 0 else (-img,)
+    a = move.multiplier
+    if abs(letter) == abs(a):
+        return (letter,)
+    # x -> x a if x is in A, a^-1 x if x^-1 is, a^-1 x a if both are (x of either sign).
+    return (-a,) * (-letter in move.affected) + (letter,) + (a,) * (letter in move.affected)
+
+
+def inverse(move) -> WhiteheadMove:
+    """The inverse permutation, or for (A, a) the move (A - a + a^-1, a^-1)."""
+    if move.kind == "permutation":
+        inv = [0] * len(move.images)
+        for i, img in enumerate(move.images):
+            inv[abs(img) - 1] = (i + 1) if img > 0 else -(i + 1)
+        return WhiteheadMove(move.alphabet, "permutation", images=tuple(inv))
+    a = move.multiplier
+    affected = frozenset(move.affected - {a}) | {-a}
+    return WhiteheadMove(move.alphabet, "multiplier", multiplier=-a, affected=affected)
+
+
+@functools.cache
+def multiplier_moves(alphabet) -> tuple[WhiteheadMove, ...]:
+    """The type-II moves of ``whitehead_moves``, in its order."""
+    return tuple(move for move in whitehead_moves(alphabet) if move.kind == "multiplier")
+
+
 def apply(move, letters: tuple[int, ...]) -> tuple[int, ...]:
-    return reduce(l for x in letters for l in move.letter_image(x))
+    return reduce(l for x in letters for l in letter_image(move, x))
 
 
 def endomorphism(move) -> Endomorphism:
     """The map sending each generator to its image under ``move``."""
     alphabet = move.alphabet
-    images = {name: Word(alphabet, move.letter_image(i)) for i, name in enumerate(alphabet.generators, 1)}
+    images = {name: Word(alphabet, letter_image(move, i)) for i, name in enumerate(alphabet.generators, 1)}
     return Endomorphism(alphabet, images)
 
 
@@ -69,7 +104,7 @@ def minimize(alphabet, words, cyclic: bool = False) -> tuple[list, tuple]:
     current = tuple(shape(w) for w in words)
     if not current:
         return [], ()
-    moves = whitehead_moves(alphabet, kinds="multiplier")
+    moves = multiplier_moves(alphabet)
     applied = []
     while True:
         best = sum(map(len, current))
@@ -143,7 +178,7 @@ def is_free_factor(alphabet, words, max_visited: int) -> bool:
     target = sum(map(len, start))
     if target == len(start):
         return False
-    moves = whitehead_moves(alphabet, kinds="multiplier")
+    moves = multiplier_moves(alphabet)
     visited = {start}
     frontier = [start]
     while frontier:
