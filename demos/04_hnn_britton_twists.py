@@ -6,8 +6,6 @@ from freegroups import (
     britton_reduce,
     classify_base_conjugacy,
     dehn_twist,
-    hnn_equal,
-    hnn_length,
     orbit_bounded,
     parse_word,
 )
@@ -21,13 +19,13 @@ def main():
     print()
     print("# Britton reduction (pinches t^-1 u^p t -> v^p and t v^p t^-1 -> u^p)")
     for text in ("t^-1 u t", "t^-1 u^2 t", "t^-1 a t"):
-        form = britton_reduce(pres, pres.word(text))
-        print(f"{text:12s} -> {form.to_word(pres)}   (stable letters: {hnn_length(form)})")
+        w = pres.word(text)
+        print(f"{text:12s} -> {pres.normal_form(w)}   (stable letters: {len(britton_reduce(pres, w).tail)})")
 
     print()
     print("# Equality through reduction, never form comparison")
-    print("t^-1 u t = v ?", hnn_equal(pres, pres.word("t^-1 u t"), pres.lift(pres.v)))
-    print("t = t u ?", hnn_equal(pres, pres.word("t"), pres.word("t u")))
+    print("t^-1 u t = v ?", pres.equal(pres.word("t^-1 u t"), pres.lift(pres.v)))
+    print("t = t u ?", pres.equal(pres.word("t"), pres.word("t u")))
 
     print()
     print("# Classifying alpha^s = beta with s crossing the edge")

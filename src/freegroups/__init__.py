@@ -38,12 +38,10 @@ from .splittings import (
     BrittonForm,
     ClassificationResult,
     HnnPresentation,
-    amalgam_equal,
     britton_reduce,
     classify_base_conjugacy,
     dehn_twist,
     hnn_equal,
-    hnn_length,
     parse_presentation,
     validate_presentation,
 )

@@ -234,9 +234,9 @@ def cmd_whitehead_min(args) -> int:
 
 def cmd_britton(args) -> int:
     pres = _hnn(args)
-    form = splittings.britton_reduce(pres, pres.word(args.word))
-    print(f"form: {words.format_word(form.to_word(pres))}")
-    print(f"t_letters: {splittings.hnn_length(form)}")
+    form = pres.normal_form(pres.word(args.word))
+    print(f"form: {words.format_word(form)}")
+    print(f"t_letters: {sum(abs(letter) == pres.t_letter for letter in form.letters)}")
     return 0
 
 

@@ -56,8 +56,8 @@ class Endomorphism:
 
     @cached_property
     def is_homomorphism(self) -> bool:
-        """Whether every defining relator of the domain maps to 1."""
-        return all(self.domain.equal(self.substitute(r), Word(self._alphabet)) for r in self.domain.relators)
+        """Whether every defining relator of the domain maps to 1, that is to an empty normal form."""
+        return all(not self.domain.normal_form(self.substitute(r)) for r in self.domain.relators)
 
     def is_letter_map(self) -> bool:
         """True iff every generator maps to one letter; non-injective maps like ``a -> b`` count."""

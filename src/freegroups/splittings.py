@@ -15,9 +15,11 @@ power of the edge word between them.  End rule, for an amalgam's tree
 edge only: an edge power at either end of the word also moves across
 its one crossing.  ``normal_form`` returns the reduced word; an amalgam's
 alternating syllables are its factor runs.  Forms are not canonical
-across pinch orders, so equality reduces ``w1 * w2^-1``.  All operations
-are pure, and values are immutable by convention, as ``Word`` and
-``SubgroupGraph`` are.
+across pinch orders, so equality reduces ``w1 * w2^-1``: the base
+class's one stack test, with no function per kind (``hnn_equal`` only
+names it for the CLI).  A word is 1 iff its normal form is empty.  All
+operations are pure, and values are immutable by convention, as ``Word``
+and ``SubgroupGraph`` are.
 
 This module owns the rules of both groups: each presentation is a group
 domain for ``endos`` (``alphabet``, ``relators``, ``normal_form``, ``equal``
@@ -62,8 +64,9 @@ class Report(namedtuple("Report", "checks")):
 class _Splitting:
     """The group-domain methods of both kinds, read off their stack; letters 1.._first span the first vertex group.
 
-    ``_tree`` tells a tree edge (amalgam) from a loop (HNN); ``_edge_parts`` holds the edge words' roots, u and v
-    or c1 and c2, so ``_edge_parts[_tree]`` is the one a Dehn twist multiplies by; ``twist_family`` names the twists.
+    ``equal`` is one stack test for both kinds, never a per-kind function.  ``_tree`` tells a tree edge (amalgam)
+    from a loop (HNN); ``_edge_parts`` holds the edge words' roots, u and v or c1 and c2, so ``_edge_parts[_tree]``
+    is the one a Dehn twist multiplies by; ``twist_family`` names the twists.
     """
 
     __slots__ = ("alphabet", "relators", "_key", "_edge_parts", "_first")
@@ -82,8 +85,9 @@ class _Splitting:
             letters += [*self._crossing[eps], *syllable]
         return Word(self.alphabet, tuple(letters), _reduced=True)
 
-    def equal(self, w1: Word, w2: Word) -> bool:  # through the kind's module function, looked up at each call
-        return (amalgam_equal if self._tree else hnn_equal)(self, w1, w2)
+    def equal(self, w1: Word, w2: Word) -> bool:
+        """w1 = w2 iff the stack of w1 w2^-1 is one empty syllable: Britton's lemma, or the amalgam normal form theorem."""
+        return _stack(self, w1.alphabet, (w1 * ~w2).letters) == ([[]], [])
 
     def word(self, text: str) -> Word:
         return parse_word(self.alphabet, text)
@@ -148,13 +152,6 @@ class BrittonForm(namedtuple("BrittonForm", "head tail", defaults=((),))):
     """Pinch-free syllable form g0 t^e1 g1 ... t^er gr (base-word syllables)."""
 
     __slots__ = ()
-
-    def to_word(self, pres: HnnPresentation) -> Word:
-        """Already reduced: the syllables are, and t^e 1 t^-e would be a pinch."""
-        letters = list(self.head.letters)
-        for eps, g in self.tail:
-            letters += pres._crossing[eps] + g.letters
-        return Word(pres.extended, tuple(letters), _reduced=True)
 
 
 def validate_presentation(pres: HnnPresentation) -> Report:
@@ -224,11 +221,6 @@ def _stack(pres, alphabet: Alphabet, lets) -> tuple[list[list[int]], list[int]]:
     return words, signs
 
 
-def _equal(pres, w1: Word, w2: Word) -> bool:
-    """w1 = w2 iff the stack of w1 w2^-1 is one empty syllable: Britton's lemma, or the amalgam normal form theorem."""
-    return _stack(pres, w1.alphabet, (w1 * ~w2).letters) == ([[]], [])
-
-
 def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
     """Rewrite leftmost pinches t^-1 u^p t -> v^p and t v^p t^-1 -> u^p until none remains: ``_stack``."""
     words, signs = _stack(pres, w.alphabet, w.letters)
@@ -236,14 +228,9 @@ def britton_reduce(pres: HnnPresentation, w: Word) -> BrittonForm:
     return BrittonForm(base[0], tuple(zip(signs, base[1:])))
 
 
-def hnn_length(form: BrittonForm) -> int:
-    """Number of stable letters; an invariant of the group element."""
-    return len(form.tail)
-
-
 def hnn_equal(pres: HnnPresentation, w1: Word, w2: Word) -> bool:
-    """Equality in the HNN extension, by Britton's lemma."""
-    return _equal(pres, w1, w2)
+    """Equality in the HNN extension: the name the CLI's ``hnn-equal`` calls."""
+    return pres.equal(w1, w2)
 
 
 class ClassificationResult(namedtuple("ClassificationResult", "solvable case p gamma delta s", defaults=(None,) * 5)):
@@ -324,11 +311,6 @@ class AmalgamPresentation(_Splitting):
 
     def __repr__(self) -> str:
         return f"AmalgamPresentation({self.c1} = {self.c2})"
-
-
-def amalgam_equal(pres: AmalgamPresentation, w1: Word, w2: Word) -> bool:
-    """Equality in the amalgam, by the normal form theorem."""
-    return _equal(pres, w1, w2)
 
 
 def dehn_twist(splitting, power: int):

@@ -413,11 +413,11 @@ def test_orbit_exact_path_matches_pairwise(case):
 
 
 def count_equality_tests(monkeypatch) -> list:
-    """Record each ``hnn_equal`` and ``amalgam_equal`` call from now on."""
+    """Record each ``equal`` call of either splitting kind from now on, as (presentation, w1, w2)."""
     calls = []
-    for name in ("hnn_equal", "amalgam_equal"):
-        real = getattr(splittings, name)
-        monkeypatch.setattr(splittings, name, lambda *args, real=real: calls.append(args) or real(*args))
+    for kind in (splittings.HnnPresentation, splittings.AmalgamPresentation):
+        real = kind.equal
+        monkeypatch.setattr(kind, "equal", lambda *args, real=real: calls.append(args) or real(*args))
     return calls
 
 

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freegroups.endos import Endomorphism
 from freegroups.splittings import (
     AmalgamPresentation,
     BrittonForm,
     HnnPresentation,
-    amalgam_equal,
     britton_reduce,
     classify_base_conjugacy,
     dehn_twist,
     hnn_equal,
-    hnn_length,
     parse_presentation,
     validate_presentation,
 )
@@ -115,27 +114,24 @@ def test_britton_examples(edge_pres):
     pres = edge_pres
     v_lift = pres.lift(pres.v)
 
-    form = britton_reduce(pres, pres.word("t^-1 u t"))
-    assert hnn_length(form) == 0
-    assert form.to_word(pres) == v_lift
+    for text, stable_letters, form in [
+        ("t^-1 u t", 0, v_lift),
+        ("t^-1 u^2 t", 0, pres.lift(pres.v**2)),
+        ("t^-1 a t", 2, pres.word("t^-1 a t")),
+    ]:
+        word_ = pres.word(text)
+        assert len(britton_reduce(pres, word_).tail) == stable_letters
+        assert pres.normal_form(word_) == form
 
-    form2 = britton_reduce(pres, pres.word("t^-1 u^2 t"))
-    assert hnn_length(form2) == 0
-    assert form2.to_word(pres) == pres.lift(pres.v**2)
-
-    form3 = britton_reduce(pres, pres.word("t^-1 a t"))
-    assert hnn_length(form3) == 2
-    assert form3.to_word(pres) == pres.word("t^-1 a t")
-
-    assert hnn_length(britton_reduce(pres, pres.word("t"))) == 1
-    assert hnn_length(britton_reduce(pres, pres.word("t a t^-1 b t"))) == 3
+    assert len(britton_reduce(pres, pres.word("t")).tail) == 1
+    assert len(britton_reduce(pres, pres.word("t a t^-1 b t")).tail) == 3
 
 
 def test_britton_reverse_pinch(edge_pres):
     pres = edge_pres
-    form = britton_reduce(pres, pres.word("t a y b y a y^-1 b y^-1 t^-1"))
-    assert hnn_length(form) == 0
-    assert form.to_word(pres) == pres.word("u")
+    word_ = pres.word("t a y b y a y^-1 b y^-1 t^-1")
+    assert len(britton_reduce(pres, word_).tail) == 0
+    assert pres.normal_form(word_) == pres.word("u")
 
 
 def _britton_rescan(pres, w):
@@ -224,8 +220,10 @@ def test_britton_matches_rescan(case):
     pres, word_ = case
     form = britton_reduce(pres, word_)
     assert form == _britton_rescan(pres, word_)
-    letters = form.to_word(pres).letters
+    letters = pres.normal_form(word_).letters
     assert free_reduce(letters) == letters
+    t = pres.t_letter
+    assert letters == form.head.letters + sum(((eps * t, *g.letters) for eps, g in form.tail), ())
 
 
 FILE_PRESENTATIONS = [
@@ -290,7 +288,7 @@ def test_hnn_length_invariance_under_planted_pinches(edge_pres):
     rng = random.Random(67)
     for _ in range(16):
         word_ = random_reduced(rng, pres.extended, 8)
-        base_length = hnn_length(britton_reduce(pres, word_))
+        base_length = len(britton_reduce(pres, word_).tail)
         cut = rng.randint(0, len(word_.letters))
         p = rng.randint(-2, 2)
         if rng.random() < 0.5:
@@ -309,7 +307,7 @@ def test_hnn_length_invariance_under_planted_pinches(edge_pres):
             * Word(pres.extended, word_.letters[cut:], _reduced=True)
         )
         assert hnn_equal(pres, rebuilt, word_)
-        assert hnn_length(britton_reduce(pres, rebuilt)) == base_length
+        assert len(britton_reduce(pres, rebuilt).tail) == base_length
 
 
 def test_hnn_equal_congruence(edge_pres):
@@ -491,18 +489,18 @@ def test_amalgam_validation():
 
 def test_amalgam_equal(amalgam):
     am = amalgam
-    assert amalgam_equal(am, am.word("p"), am.word("r"))
-    assert amalgam_equal(am, am.word("q p s"), am.word("q r s"))
-    assert not amalgam_equal(am, am.word("q"), am.word("s"))
-    assert not amalgam_equal(am, am.word("p"), am.word("r^2"))
+    assert am.equal(am.word("p"), am.word("r"))
+    assert am.equal(am.word("q p s"), am.word("q r s"))
+    assert not am.equal(am.word("q"), am.word("s"))
+    assert not am.equal(am.word("p"), am.word("r^2"))
 
 
 def test_amalgam_equal_rejects_words_off_the_union(amalgam):
     am = amalgam
     with pytest.raises(ValueError, match="^alphabet mismatch$"):
-        amalgam_equal(am, am.word("p"), Word(am.factor1, (1,)))
+        am.equal(am.word("p"), Word(am.factor1, (1,)))
     with pytest.raises(ValueError, match="^word is not over the amalgam alphabet$"):
-        amalgam_equal(am, am.c1, am.c1)
+        am.equal(am.c1, am.c1)
 
 
 def test_amalgam_malformed_rejected(amalgam):
@@ -660,3 +658,62 @@ def test_splittings_of_free_groups_match_free_reduction(data):
     assert pres.equal(w1, w2) == (image(w1) == image(w2))
     for word_ in (w1, w2):
         assert image(pres.normal_form(word_)) == image(word_)
+
+
+# Every presentation file: the three HNN extensions, then the two amalgams.
+ALL_FILE_PRESENTATIONS = FILE_PRESENTATIONS + [
+    parse_presentation((DATA / name).read_text()) for name in ("amalgam_p2_r3.txt", "amalgam_rank1.txt")
+]
+
+
+@st.composite
+def relator_words(draw, presentations=ALL_FILE_PRESENTATIONS):
+    """A presentation and a product of conjugated relators and random words; trivial if no random word is drawn."""
+    pres = draw(st.sampled_from(presentations))
+    word_, planted_only = Word(pres.alphabet), True
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):
+            g = draw(reduced_words(pres.alphabet, 4))
+            word_ = word_ * g * pres.relators[0] ** draw(st.sampled_from((1, -1))) * ~g
+        else:
+            word_, planted_only = word_ * draw(reduced_words(pres.alphabet, 2).filter(bool)), False
+    return pres, word_, planted_only
+
+
+def _trivial_by_rescan(pres, word_) -> bool:
+    """The rescanning references: an empty Britton form, or no amalgam syllable."""
+    if isinstance(pres, HnnPresentation):
+        return _britton_rescan(pres, word_) == (Word(pres.base), ())
+    return oracle.amalgam_rescan(pres, word_) == ()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(relator_words())
+def test_empty_normal_form_is_equality_with_one(case):
+    # The one triviality test: the normal form is empty iff the word equals 1.
+    pres, word_, planted_only = case
+    trivial = pres.equal(word_, Word(pres.alphabet))
+    assert (not pres.normal_form(word_)) == trivial == _trivial_by_rescan(pres, word_)
+    assert trivial or not planted_only
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_equal_is_an_empty_normal_form_of_the_quotient(data):
+    pres, w1, _ = data.draw(relator_words())
+    _, w, _ = data.draw(relator_words([pres]))
+    w2 = w1 * w if data.draw(st.booleans()) else w  # w1 * w = w1 iff w = 1
+    assert pres.equal(w1, w2) == (not pres.normal_form(w1 * ~w2))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_is_homomorphism_is_every_relator_equal_to_one(data):
+    # Dehn twists are homomorphisms; a twist with one image times a random word seldom is.
+    pres = data.draw(st.sampled_from(ALL_FILE_PRESENTATIONS))
+    images = dict(dehn_twist(pres, data.draw(st.integers(-3, 3))).images)
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(pres.alphabet.generators))
+        images[name] = images[name] * data.draw(reduced_words(pres.alphabet, 3).filter(bool))
+    f = Endomorphism(pres, images)
+    assert f.is_homomorphism == all(pres.equal(f.substitute(r), Word(pres.alphabet)) for r in pres.relators)
